@@ -319,6 +319,10 @@ Response U1Backend::share_volume(UserId owner, VolumeId volume, UserId to,
 // --- operation implementations ----------------------------------------------
 
 Response U1Backend::do_register_user(const Request& q) {
+  // A repeated registration is a client error, not a server fault: the
+  // store would throw, and over the wire that would take u1d down.
+  if (store_.has_user(q.user))
+    return make_response(q.op, Status::kError, q.now);
   const Volume root = store_.create_user(q.user, q.now);
   Response r;
   r.op = q.op;

@@ -634,7 +634,14 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
     }
     std::unique_lock<std::mutex> lock(sort_mu_);
     sort_remaining_ -= done;
-    sort_cv_.wait(lock, [this] { return sort_remaining_ == 0; });
+    // Every group being prepped is not enough: a helper that joined this
+    // round may still be between its last (failed) claim and its
+    // check-in. Returning before it checks in would let the next round
+    // reset sort_next_ under it, and it would prep the next round's
+    // groups into this round's slot.
+    sort_cv_.wait(lock, [this] {
+      return sort_remaining_ == 0 && sort_active_ == 0;
+    });
   } else {
     for (std::size_t g = 0; g < groups_.size(); ++g) prep_chunk(slot, g);
   }
@@ -732,6 +739,11 @@ void ParallelSimulation::sort_worker_loop() {
                   [&] { return sort_stop_ || sort_gen_ != seen; });
     if (sort_stop_) return;
     seen = sort_gen_;
+    // A round whose groups are all prepped may already be over (the
+    // flusher does not wait for helpers that never joined); skip it
+    // rather than claim from a counter the next round will reset.
+    if (sort_remaining_ == 0) continue;
+    ++sort_active_;
     FlushSlot* slot = sort_slot_;
     lock.unlock();
     std::size_t done = 0;
@@ -743,7 +755,8 @@ void ParallelSimulation::sort_worker_loop() {
     }
     lock.lock();
     sort_remaining_ -= done;
-    if (sort_remaining_ == 0) sort_cv_.notify_all();
+    --sort_active_;
+    if (sort_remaining_ == 0 && sort_active_ == 0) sort_cv_.notify_all();
   }
 }
 

@@ -534,6 +534,7 @@ class ParallelSimulation {
   FlushSlot* sort_slot_ = nullptr;
   std::atomic<std::size_t> sort_next_{0};
   std::size_t sort_remaining_ = 0;     // groups not yet prepped
+  std::size_t sort_active_ = 0;        // helpers inside the current round
   bool sort_stop_ = false;
   /// Cross-group purge commands: posted by the guard scan (lane = the
   /// culprit's home group), drained at the barrier in group-index order.

@@ -101,6 +101,9 @@ class Xxh64 {
   }
 
   void update(const std::uint8_t* data, std::size_t len) noexcept {
+    // An empty vector's data() may be null, and memcpy from null is UB
+    // even for zero bytes.
+    if (len == 0) return;
     len_ += len;
     if (buf_used_ + len < kBlock) {
       std::memcpy(buf_ + buf_used_, data, len);
@@ -781,18 +784,15 @@ void BinaryLogfileWriter::close() {
 
 // --- reader -----------------------------------------------------------------
 
-ReadStats read_binary_logfile(const std::filesystem::path& file,
-                              std::vector<TraceRecord>& out) {
-  ReadStats stats;
-  stats.files = 1;
-  stats.files_binary = 1;
+namespace {
 
-  Mapping map;
-  if (!map_file(file, map))
-    throw std::runtime_error("read_binary_logfile: cannot open " +
-                             file.string());
-  stats.bytes_read += map.size;
-
+/// The checks a read makes before it decodes any stripe: header, payload
+/// digest, then sidecar. On success the sidecar's strings are interned
+/// and `local_to_global` maps the file's label ids; on failure `stats`
+/// holds the file's verdict and nothing may be decoded.
+bool open_binary_logfile(const std::filesystem::path& file,
+                         const Mapping& map, ReadStats& stats,
+                         std::vector<Symbol>& local_to_global) {
   // A file too short for a header, or with the wrong magic/version,
   // carries no trustworthy record count: it is one malformed unit.
   if (map.size < kFileHeaderBytes ||
@@ -801,11 +801,8 @@ ReadStats read_binary_logfile(const std::filesystem::path& file,
       get_le32(map.data + 12) != kFileHeaderBytes) {
     stats.rows = 1;
     stats.malformed = 1;
-    return stats;
+    return false;
   }
-  const std::uint8_t machine = map.data[16];
-  const std::uint16_t process = get_le16(map.data + 18);
-  const std::uint32_t stripe_count = get_le32(map.data + 20);
   const std::uint64_t record_count = get_le64(map.data + 24);
   const std::uint64_t payload_declared = get_le64(map.data + 32);
   const std::uint8_t* payload = map.data + kFileHeaderBytes;
@@ -822,16 +819,54 @@ ReadStats read_binary_logfile(const std::filesystem::path& file,
       stats.checksum_failures = 1;
       stats.malformed = std::max<std::uint64_t>(record_count, 1);
       stats.rows = stats.malformed;
-      return stats;
+      return false;
     }
   }
 
-  std::vector<Symbol> local_to_global;
   if (!load_sidecar(sidecar_path(file), local_to_global, stats)) {
     stats.malformed = std::max<std::uint64_t>(record_count, 1);
     stats.rows = stats.malformed;
-    return stats;
+    return false;
   }
+  return true;
+}
+
+}  // namespace
+
+std::uint64_t intern_binary_logfile_symbols(
+    const std::filesystem::path& file) {
+  Mapping map;
+  if (!map_file(file, map)) return 0;  // the read itself reports it
+  ReadStats stats;
+  std::vector<Symbol> local_to_global;
+  if (!open_binary_logfile(file, map, stats, local_to_global)) return 0;
+  // The header count is not covered by the digest; every record costs at
+  // least its type byte, so the payload size bounds an honest count.
+  return std::min<std::uint64_t>(get_le64(map.data + 24),
+                                 map.size - kFileHeaderBytes);
+}
+
+ReadStats read_binary_logfile(const std::filesystem::path& file,
+                              std::vector<TraceRecord>& out) {
+  ReadStats stats;
+  stats.files = 1;
+  stats.files_binary = 1;
+
+  Mapping map;
+  if (!map_file(file, map))
+    throw std::runtime_error("read_binary_logfile: cannot open " +
+                             file.string());
+  stats.bytes_read += map.size;
+
+  std::vector<Symbol> local_to_global;
+  if (!open_binary_logfile(file, map, stats, local_to_global)) return stats;
+  const std::uint8_t machine = map.data[16];
+  const std::uint16_t process = get_le16(map.data + 18);
+  const std::uint32_t stripe_count = get_le32(map.data + 20);
+  const std::uint64_t record_count = get_le64(map.data + 24);
+  const std::uint64_t payload_declared = get_le64(map.data + 32);
+  const std::uint8_t* payload = map.data + kFileHeaderBytes;
+  const std::uint64_t payload_actual = map.size - kFileHeaderBytes;
 
   const std::uint8_t* p = payload;
   const std::uint8_t* end =

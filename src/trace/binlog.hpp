@@ -138,6 +138,15 @@ class BinaryLogfileWriter final : public LogfileSink {
 ReadStats read_binary_logfile(const std::filesystem::path& file,
                               std::vector<TraceRecord>& out);
 
+/// The symbol half of read_binary_logfile: makes the same header, digest
+/// and sidecar checks and, when they pass, interns the sidecar's strings
+/// into the global SymbolTable exactly as a read of the file would.
+/// Returns the header's record count (bounded by the payload size), or 0
+/// when a read would reject the file before its sidecar. Interning every
+/// file this way in a fixed order first lets the files then decode in
+/// any order, on any thread, with no new global id left to assign.
+std::uint64_t intern_binary_logfile_symbols(const std::filesystem::path& file);
+
 /// The writer for `format` behind the common LogfileSink interface.
 std::unique_ptr<LogfileSink> make_logfile_writer(
     std::filesystem::path directory, TraceFormat format);

@@ -1,7 +1,10 @@
 #include "trace/logfile.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <system_error>
+#include <thread>
 
 #include "trace/binlog.hpp"
 #include "util/csv.hpp"
@@ -35,24 +38,30 @@ void LogfileWriter::close() {
   files_.clear();
 }
 
-ReadStats read_logfile(const std::filesystem::path& file,
-                       std::vector<TraceRecord>& out) {
+namespace {
+
+/// Records handed to the sink per append_batch call during the merge.
+constexpr std::size_t kMergeBatch = 65536;
+
+/// True when `file` opens with the `.u1b` magic; binary logfiles are never
+/// valid CSV, so the leading bytes decide the format.
+bool sniff_binary(const std::filesystem::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  if (!in.is_open())
+    throw std::runtime_error("read_logfile: cannot open " + file.string());
+  unsigned char magic[8] = {};
+  in.read(reinterpret_cast<char*>(magic),
+          static_cast<std::streamsize>(sizeof(magic)));
+  return is_binary_logfile_magic(magic,
+                                 static_cast<std::size_t>(in.gcount()));
+}
+
+ReadStats read_csv_logfile(const std::filesystem::path& file,
+                           std::vector<TraceRecord>& out) {
   ReadStats stats;
   std::ifstream in(file, std::ios::binary);
   if (!in.is_open())
     throw std::runtime_error("read_logfile: cannot open " + file.string());
-  {  // sniff the leading magic: binary logfiles are never valid CSV
-    unsigned char magic[8] = {};
-    in.read(reinterpret_cast<char*>(magic),
-            static_cast<std::streamsize>(sizeof(magic)));
-    const auto got = static_cast<std::size_t>(in.gcount());
-    if (is_binary_logfile_magic(magic, got)) {
-      in.close();
-      return read_binary_logfile(file, out);
-    }
-    in.clear();
-    in.seekg(0);
-  }
   stats.files = 1;
   std::error_code ec;
   const auto size = std::filesystem::file_size(file, ec);
@@ -61,11 +70,13 @@ ReadStats read_logfile(const std::filesystem::path& file,
   std::vector<std::string> fields;
   bool first = true;
   while (reader.next(fields)) {
-    ++stats.rows;
     if (first) {
       first = false;
-      if (!fields.empty() && fields[0] == "t_us") continue;  // header
+      // The header line is not a row: `rows` counts records, as the
+      // binary format's does, so both formats report the same totals.
+      if (!fields.empty() && fields[0] == "t_us") continue;
     }
+    ++stats.rows;
     if (auto rec = TraceRecord::from_csv(fields)) {
       out.push_back(std::move(*rec));
       ++stats.parsed;
@@ -78,10 +89,137 @@ ReadStats read_logfile(const std::filesystem::path& file,
   return stats;
 }
 
+/// One logfile on its way through read_logfiles: its records in
+/// timestamp order, and the merge's cursor into them.
+struct LogfileRun {
+  std::filesystem::path path;
+  bool binary = false;
+  std::uint64_t expected = 0;  // header record count, for the reserve
+  std::vector<TraceRecord> records;  // in t order, from t = 0 on
+  std::size_t next = 0;  // first record the merge has not delivered
+  ReadStats stats;
+  std::exception_ptr error;
+};
+
+bool earlier(const TraceRecord& a, const TraceRecord& b) noexcept {
+  return a.t < b.t;
+}
+
+/// Decodes a binary run (CSV runs were parsed in the serial pass), puts
+/// it in timestamp order and skips its pre-window records.
+void prepare_run(LogfileRun& run) {
+  if (run.binary) {
+    run.records.reserve(run.expected);
+    run.stats = read_binary_logfile(run.path, run.records);
+  }
+  if (!std::is_sorted(run.records.begin(), run.records.end(), earlier))
+    std::stable_sort(run.records.begin(), run.records.end(), earlier);
+  // CSV serialization prints t as unsigned, so pre-trace bootstrap
+  // records (t < 0) have never survived the text parse — they count as
+  // malformed rows. Binary files decode them losslessly; skip them here
+  // so analyzers see the identical stream whichever format the
+  // directory holds. (Raw per-file access — read_logfile, `u1trace
+  // convert` — still delivers every record.) Sorted, they lead the run;
+  // they are most of an epoch-day file, so their memory goes right away
+  // rather than when the merge drains the file.
+  const auto window = std::partition_point(
+      run.records.begin(), run.records.end(),
+      [](const TraceRecord& r) { return r.t < 0; });
+  const auto dropped =
+      static_cast<std::uint64_t>(window - run.records.begin());
+  if (dropped > 0)
+    run.records = std::vector<TraceRecord>(window, run.records.end());
+  run.stats.parsed -= dropped;
+  run.stats.malformed += dropped;
+}
+
+/// Runs prepare_run over every run on hardware_concurrency() threads,
+/// the caller's included; with one hardware thread none is started.
+/// Runs are claimed in name order; a failure stays with its run.
+void prepare_runs(std::vector<LogfileRun>& runs) {
+  std::atomic<std::size_t> next_run{0};
+  const auto work = [&runs, &next_run] {
+    for (std::size_t i; (i = next_run.fetch_add(1)) < runs.size();) {
+      try {
+        prepare_run(runs[i]);
+      } catch (...) {
+        runs[i].error = std::current_exception();
+      }
+    }
+  };
+  const std::size_t workers = std::min<std::size_t>(
+      std::max(1u, std::thread::hardware_concurrency()), runs.size());
+  std::vector<std::jthread> helpers;
+  helpers.reserve(workers > 0 ? workers - 1 : 0);
+  for (std::size_t i = 1; i < workers; ++i) helpers.emplace_back(work);
+  work();
+}
+
+/// K-way merge of the prepared runs into `sink`, in batches of
+/// kMergeBatch. Keys are (t, run index): equal timestamps go to the
+/// earlier file name and, within a file, keep file order — exactly the
+/// order one stable sort of the name-ordered concatenation gives. Each
+/// run's memory is released as soon as the merge has drained it.
+void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
+  struct Head {
+    SimTime t;
+    std::size_t run;
+  };
+  const auto later = [](const Head& a, const Head& b) {
+    return a.t != b.t ? a.t > b.t : a.run > b.run;
+  };
+  std::vector<Head> heap;
+  heap.reserve(runs.size());
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    LogfileRun& run = runs[i];
+    if (run.next < run.records.size()) {
+      heap.push_back(Head{run.records[run.next].t, i});
+      total += run.records.size() - run.next;
+    } else {
+      std::vector<TraceRecord>().swap(run.records);
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+
+  std::vector<TraceRecord> batch;
+  batch.reserve(std::min(total, kMergeBatch));
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head head = heap.back();
+    heap.pop_back();
+    LogfileRun& run = runs[head.run];
+    // Drain this run for as long as it stays ahead of every other run.
+    do {
+      batch.push_back(run.records[run.next++]);
+      if (batch.size() == kMergeBatch) {
+        sink.append_batch(batch.data(), batch.size());
+        batch.clear();
+      }
+      if (run.next == run.records.size()) break;
+      head.t = run.records[run.next].t;
+    } while (heap.empty() || later(heap.front(), head));
+    if (run.next < run.records.size()) {
+      heap.push_back(head);
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      std::vector<TraceRecord>().swap(run.records);
+    }
+  }
+  if (!batch.empty()) sink.append_batch(batch.data(), batch.size());
+}
+
+}  // namespace
+
+ReadStats read_logfile(const std::filesystem::path& file,
+                       std::vector<TraceRecord>& out) {
+  if (sniff_binary(file)) return read_binary_logfile(file, out);
+  return read_csv_logfile(file, out);
+}
+
 ReadStats read_logfiles(const std::filesystem::path& directory,
                         TraceSink& sink) {
-  ReadStats stats;
-  std::vector<std::filesystem::path> paths;
+  std::vector<LogfileRun> runs;
   for (const auto& entry : std::filesystem::directory_iterator(directory)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
@@ -89,31 +227,31 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
     // Symbol sidecars ride along with their .u1b logfile; they are not
     // logfiles themselves.
     if (entry.path().extension() == kSymbolSidecarExt) continue;
-    paths.push_back(entry.path());
+    runs.emplace_back().path = entry.path();
   }
   // Directory iteration order is unspecified; name order makes the merge
-  // (and any tie-breaking below) deterministic across filesystems.
-  std::sort(paths.begin(), paths.end());
-  std::vector<TraceRecord> all;
-  for (const auto& path : paths) stats.add(read_logfile(path, all));
-  // CSV serialization prints t as unsigned, so pre-trace bootstrap
-  // records (t < 0) have never survived the text parse — they count as
-  // malformed rows. Binary files decode them losslessly; drop them here
-  // so analyzers see the identical stream whichever format the
-  // directory holds. (Raw per-file access — read_logfile, `u1trace
-  // convert` — still delivers every record.)
-  const auto dropped = static_cast<std::uint64_t>(
-      all.end() - std::remove_if(all.begin(), all.end(),
-                                 [](const TraceRecord& r) { return r.t < 0; }));
-  all.resize(all.size() - dropped);
-  stats.parsed -= dropped;
-  stats.malformed += dropped;
-  // Stable sort keeps intra-process (already causal) order for ties.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.t < b.t;
-                   });
-  sink.append_batch(all.data(), all.size());
+  // (and its tie-breaking) deterministic across filesystems.
+  std::sort(runs.begin(), runs.end(),
+            [](const LogfileRun& a, const LogfileRun& b) {
+              return a.path < b.path;
+            });
+  // Serial pass, in name order: everything that assigns global symbol
+  // ids — CSV parsing and sidecar interning — so the ids come out as one
+  // file-after-file read would assign them, whatever the thread count.
+  for (LogfileRun& run : runs) {
+    run.binary = sniff_binary(run.path);
+    if (run.binary)
+      run.expected = intern_binary_logfile_symbols(run.path);
+    else
+      run.stats = read_csv_logfile(run.path, run.records);
+  }
+  prepare_runs(runs);
+  ReadStats stats;
+  for (LogfileRun& run : runs) {
+    if (run.error) std::rethrow_exception(run.error);
+    stats.add(run.stats);
+  }
+  merge_runs(runs, sink);
   return stats;
 }
 

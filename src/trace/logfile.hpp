@@ -58,7 +58,7 @@ class LogfileWriter final : public LogfileSink {
 };
 
 struct ReadStats {
-  std::uint64_t rows = 0;
+  std::uint64_t rows = 0;       // data rows / records seen, never headers
   std::uint64_t parsed = 0;
   std::uint64_t malformed = 0;  // CSV/field failures, or binary records
                                 // lost to integrity errors
@@ -80,8 +80,12 @@ struct ReadStats {
 
 /// Reads every "production-*" logfile in a directory — CSV, binary, or a
 /// mix (sniffed per file) — merges the records and delivers them to
-/// `sink` in global timestamp order (files visited in name order, so the
-/// merge is deterministic). Returns parsing statistics.
+/// `sink` in global timestamp order, ties in file-name order then file
+/// order: the order of one stable sort of the name-ordered concatenation.
+/// Pre-window records (t < 0) are dropped and counted malformed. Binary
+/// files decode on hardware_concurrency() threads and stream through a
+/// k-way merge; the sink is only ever called from the calling thread.
+/// Returns parsing statistics; a decode failure is re-thrown here.
 ReadStats read_logfiles(const std::filesystem::path& directory,
                         TraceSink& sink);
 

@@ -21,9 +21,10 @@ class TraceSink {
   /// Delivers `count` consecutive records. Semantically identical to
   /// calling append() in order; exists so bulk producers (the parallel
   /// engine's stage-B writer hands over whole same-group runs of the
-  /// merge permutation, read_logfiles hands over the merged vector) pay
-  /// one virtual dispatch per run instead of one per record. Sinks with
-  /// a cheaper bulk path may override.
+  /// merge permutation, read_logfiles hands over its k-way merge in
+  /// batches of up to 65536 records) pay one virtual dispatch per run
+  /// instead of one per record. Sinks with a cheaper bulk path may
+  /// override.
   virtual void append_batch(const TraceRecord* records, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) append(records[i]);
   }

@@ -260,6 +260,38 @@ TEST(U1dServer, RuntFrameGetsTypedErrorAndConnectionSurvives) {
   EXPECT_EQ(stats.closed, 0u);  // nothing was dropped server-side
 }
 
+TEST(U1dServer, DuplicateRegisterUserIsAnErrorNotACrash) {
+  // Registering an existing user is a client mistake: the server must
+  // answer it with a typed error and keep serving, not let the store's
+  // exception unwind out of run().
+  LiveServer live;
+  BlockingClient client;
+  ASSERT_TRUE(client.connect_loopback(live.port()));
+
+  Request reg = make_request(ProtoOp::kRegisterUser, kHour);
+  reg.user.value = 4242;
+  const auto first = client.call(reg);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->ok());
+
+  const auto again = client.call(reg);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->op, ProtoOp::kRegisterUser);
+  EXPECT_EQ(again->status, Status::kError);
+
+  // The server is still up: a third request is served normally.
+  Request other = make_request(ProtoOp::kRegisterUser, kHour);
+  other.user.value = 4243;
+  const auto third = client.call(other);
+  ASSERT_TRUE(third.has_value());
+  EXPECT_TRUE(third->ok());
+
+  const NetServerStats& stats = live.stop();
+  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(stats.responses, 3u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
 TEST(U1dServer, VersionMismatchRejectedPerFrameOpEchoed) {
   LiveServer live;
   BlockingClient client;

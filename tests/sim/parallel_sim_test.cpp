@@ -13,6 +13,7 @@
 #include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
 #include "trace/sink.hpp"
+#include "util/sha1.hpp"
 
 namespace u1 {
 namespace {
@@ -109,6 +110,36 @@ TEST(ParallelSimulation, RepeatedRunsAreIdentical) {
   const auto b = run_trace(cfg, 2);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_TRUE(a == b);
+}
+
+/// SHA-1 of the merged trace's serialized rows — the determinism oracle.
+std::string trace_sha(const SimulationConfig& cfg, std::size_t threads) {
+  Sha1 sha;
+  std::string row;
+  CallbackSink sink([&](const TraceRecord& r) {
+    row.clear();
+    r.append_csv_row(row);
+    sha.update(row);
+  });
+  ParallelSimulation sim(cfg, sink, threads);
+  sim.run();
+  return sha.finish().hex();
+}
+
+TEST(ParallelSimulation, StageASortHelpersNeverCrossRounds) {
+  // Stress for the stage-A sort pool: a helper that picked up one round
+  // late must never claim the next round's groups into the old round's
+  // slot. That race made an occasional run's trace differ, so it takes
+  // many repeated multi-threaded runs to show; each must hash to the
+  // inline 1-thread trace.
+  SimulationConfig cfg;
+  cfg.users = 1000;
+  cfg.days = 14;
+  cfg.seed = 20140111;
+  cfg.enable_ddos = true;
+  const std::string want = trace_sha(cfg, 1);
+  for (int run = 0; run < 20; ++run)
+    EXPECT_EQ(trace_sha(cfg, 4), want) << "run " << run;
 }
 
 TEST(ParallelSimulation, EpochMergeKeepsRecordsSorted) {

@@ -150,8 +150,10 @@ TEST_F(CliPipeline, BinaryFormatConvertsToIdenticalCsv) {
       << c_err.str();
   EXPECT_EQ(dir_bytes(conv_dir), dir_bytes(csv_dir));
 
-  // Analyzers see the identical stream whichever format they read.
-  for (const std::string& cmd : {std::string("summarize")}) {
+  // Analyzers see the identical stream whichever format they read, and
+  // validate's malformed share counts data rows the same way in both.
+  for (const std::string& cmd :
+       {std::string("summarize"), std::string("validate")}) {
     std::ostringstream csv_a, bin_a, e1, e2;
     ASSERT_EQ(run({cmd, csv_dir}, csv_a, e1), 0) << e1.str();
     ASSERT_EQ(run({cmd, bin_dir}, bin_a, e2), 0) << e2.str();

@@ -216,6 +216,25 @@ TEST_F(BinlogTest, MergedReadDropsPreTraceRecordsForCsvParity) {
   EXPECT_EQ(read_binary_logfile(only_file(".u1b"), raw).parsed, 2u);
 }
 
+TEST_F(BinlogTest, LabelFreeFileHasEmptySidecarPayload) {
+  // No record carries a label, so the sidecar lists no strings and its
+  // checksum covers zero bytes (an empty buffer whose data() may be
+  // null — the UBSan probe for the digest's zero-length path).
+  std::vector<TraceRecord> records;
+  for (std::size_t i = 0; i < 3; ++i)
+    records.push_back(sample(i, RecordType::kRpc));
+  {
+    BinaryLogfileWriter writer(dir_);
+    writer.append_batch(records.data(), records.size());
+  }
+  EXPECT_EQ(std::filesystem::file_size(only_file(".u1s")), 48u);
+  std::vector<TraceRecord> decoded;
+  const ReadStats stats = read_binary_logfile(only_file(".u1b"), decoded);
+  EXPECT_EQ(stats.parsed, records.size());
+  EXPECT_EQ(stats.malformed, 0u);
+  EXPECT_EQ(csv_of(decoded), csv_of(records));
+}
+
 TEST_F(BinlogTest, BadMagicRejected) {
   std::filesystem::create_directories(dir_);
   const auto path = dir_ / "production-bogus-1-20140111.u1b";

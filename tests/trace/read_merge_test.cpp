@@ -1,0 +1,363 @@
+// read_logfiles equivalence: the parallel-decode, k-way-merge reader must
+// deliver exactly what the plain reader it replaced delivered — every
+// logfile concatenated in name order, pre-window (t < 0) records dropped,
+// then one stable sort by t. Each case builds a directory, reads it both
+// ways and compares the records (serialized row and label id) and every
+// ReadStats field. The reference lives here, in the test, on purpose: it
+// is the specification the streaming reader is held to.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "trace/binlog.hpp"
+#include "trace/logfile.hpp"
+#include "trace/sink.hpp"
+#include "trace/symbols.hpp"
+
+namespace u1 {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// The reader read_logfiles replaced: concatenate in name order, drop
+/// t < 0 (counted malformed), stable sort by t.
+ReadStats reference_read(const fs::path& dir, std::vector<TraceRecord>& all) {
+  std::vector<fs::path> paths;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (e.is_regular_file() && name.starts_with("production-") &&
+        e.path().extension() != kSymbolSidecarExt)
+      paths.push_back(e.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  ReadStats stats;
+  for (const auto& p : paths) stats.add(read_logfile(p, all));
+  const auto kept = std::remove_if(all.begin(), all.end(),
+                                   [](const TraceRecord& r) { return r.t < 0; });
+  const auto dropped = static_cast<std::uint64_t>(all.end() - kept);
+  all.erase(kept, all.end());
+  stats.parsed -= dropped;
+  stats.malformed += dropped;
+  std::stable_sort(all.begin(), all.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return a.t < b.t;
+                   });
+  return stats;
+}
+
+/// Collects what read_logfiles delivers, remembering each batch size.
+class BatchSink final : public TraceSink {
+ public:
+  void append(const TraceRecord& record) override {
+    append_batch(&record, 1);
+  }
+  void append_batch(const TraceRecord* records, std::size_t count) override {
+    batches.push_back(count);
+    this->records.insert(this->records.end(), records, records + count);
+  }
+  std::vector<TraceRecord> records;
+  std::vector<std::size_t> batches;
+};
+
+std::string row_of(const TraceRecord& r) {
+  std::string out;
+  r.append_csv_row(out);
+  return out;
+}
+
+void expect_stats_equal(const ReadStats& got, const ReadStats& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.parsed, want.parsed);
+  EXPECT_EQ(got.malformed, want.malformed);
+  EXPECT_EQ(got.files, want.files);
+  EXPECT_EQ(got.files_binary, want.files_binary);
+  EXPECT_EQ(got.bytes_read, want.bytes_read);
+  EXPECT_EQ(got.checksum_failures, want.checksum_failures);
+}
+
+/// Reads `dir` both ways and requires identical output; returns the
+/// streaming reader's sink for further checks.
+BatchSink expect_equivalent(const fs::path& dir) {
+  std::vector<TraceRecord> want;
+  const ReadStats want_stats = reference_read(dir, want);
+  BatchSink got;
+  const ReadStats got_stats = read_logfiles(dir, got);
+  expect_stats_equal(got_stats, want_stats);
+  EXPECT_EQ(got.records.size(), want.size());
+  const std::size_t n = std::min(got.records.size(), want.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < n && mismatches < 5; ++i) {
+    if (row_of(got.records[i]) != row_of(want[i]) ||
+        got.records[i].label != want[i].label) {
+      ADD_FAILURE() << "record " << i << " differs:\n  got  "
+                    << row_of(got.records[i]) << "  want "
+                    << row_of(want[i]);
+      ++mismatches;
+    }
+  }
+  return got;
+}
+
+/// A record of a type picked by `i`, on (machine, process), at t.
+TraceRecord make_record(SimTime t, std::uint64_t machine,
+                        std::uint64_t process, std::uint64_t i,
+                        std::string_view label = {}) {
+  TraceRecord r;
+  r.t = t;
+  r.machine = MachineId{machine};
+  r.process = ProcessId{process};
+  r.user = UserId{1000 + i};
+  r.session = SessionId{2000 + i};
+  switch (i % 3) {
+    case 0:
+      r.type = RecordType::kStorage;
+      r.api_op = ApiOp::kPutContent;
+      r.node.bytes[0] = static_cast<std::uint8_t>(i);
+      r.size_bytes = 100 + i;
+      r.set_extension(label.empty() ? (i % 2 ? "jpg" : "pdf") : label);
+      break;
+    case 1:
+      r.type = RecordType::kRpc;
+      r.rpc_op = RpcOp::kGetNode;
+      r.shard = ShardId{1 + i % 10};
+      r.service_time = static_cast<std::uint32_t>(300 + i);
+      break;
+    default:
+      r.type = RecordType::kSession;
+      r.session_event = SessionEvent::kOpen;
+      r.duration = static_cast<SimTime>(i);
+      break;
+  }
+  return r;
+}
+
+/// `count` records over machines 1..3 x processes 1..4 and two days,
+/// timestamps drawn at random from `instants` evenly spaced ones (so
+/// every file is out of order; few instants make many ties), with
+/// `prewindow` of them moved before t = 0.
+std::vector<TraceRecord> scattered(std::size_t count, std::uint64_t seed,
+                                   std::size_t prewindow = 0,
+                                   std::uint64_t instants = 2 * kDay) {
+  std::mt19937_64 rng(seed);
+  std::vector<TraceRecord> out;
+  out.reserve(count);
+  const auto step = static_cast<SimTime>(2 * kDay / instants);
+  for (std::size_t i = 0; i < count; ++i) {
+    SimTime t = static_cast<SimTime>(rng() % instants) * step;
+    if (i < prewindow) t = -1 - static_cast<SimTime>(rng() % kDay);
+    out.push_back(make_record(t, 1 + rng() % 3, 1 + rng() % 4, i));
+  }
+  return out;
+}
+
+class ReadMergeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("u1sim_readmerge_" + std::to_string(::getpid()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  void write(const std::vector<TraceRecord>& records, TraceFormat format,
+             std::size_t stripe_records = 8192) {
+    auto writer = make_logfile_writer(dir_, format);
+    if (auto* bin = dynamic_cast<BinaryLogfileWriter*>(writer.get()))
+      bin->set_stripe_records(stripe_records);
+    writer->append_batch(records.data(), records.size());
+    writer->close();
+  }
+
+  std::vector<fs::path> files_with(std::string_view ext) const {
+    std::vector<fs::path> out;
+    for (const auto& e : fs::directory_iterator(dir_))
+      if (e.path().extension() == ext) out.push_back(e.path());
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(ReadMergeTest, FilesOutOfOrderInternally) {
+  // 100 instants over ~250 records per file: each file is out of order
+  // and holds ties of its own, which its sort must keep in file order.
+  write(scattered(3000, 1, 0, 100), TraceFormat::kBinary);
+  const BatchSink got = expect_equivalent(dir_);
+  EXPECT_EQ(got.records.size(), 3000u);
+  EXPECT_TRUE(std::is_sorted(
+      got.records.begin(), got.records.end(),
+      [](const TraceRecord& a, const TraceRecord& b) { return a.t < b.t; }));
+}
+
+TEST_F(ReadMergeTest, EqualTimestampsAcrossFilesTieInNameOrder) {
+  // Every file holds the same three instants, several records each.
+  std::vector<TraceRecord> records;
+  std::uint64_t i = 0;
+  for (std::uint64_t machine = 1; machine <= 3; ++machine)
+    for (std::uint64_t process = 1; process <= 4; ++process)
+      for (const SimTime t : {3 * kHour, kHour, 2 * kHour, kHour})
+        records.push_back(make_record(t, machine, process, i++));
+  write(records, TraceFormat::kBinary);
+  const BatchSink got = expect_equivalent(dir_);
+  ASSERT_EQ(got.records.size(), records.size());
+  // Within one instant, records arrive file by file in name order.
+  for (std::size_t k = 1; k < got.records.size(); ++k) {
+    const TraceRecord& a = got.records[k - 1];
+    const TraceRecord& b = got.records[k];
+    if (a.t == b.t) {
+      EXPECT_LE(a.logname(), b.logname()) << "at " << k;
+    }
+  }
+}
+
+TEST_F(ReadMergeTest, MixedCsvAndBinaryDirectory) {
+  const auto records = scattered(2000, 2);
+  std::vector<TraceRecord> as_csv, as_bin;
+  for (const TraceRecord& r : records)
+    (r.process.value % 2 ? as_csv : as_bin).push_back(r);
+  write(as_csv, TraceFormat::kCsv);
+  write(as_bin, TraceFormat::kBinary);
+  ASSERT_FALSE(files_with(".csv").empty());
+  ASSERT_FALSE(files_with(".u1b").empty());
+  const BatchSink got = expect_equivalent(dir_);
+  EXPECT_EQ(got.records.size(), records.size());
+}
+
+TEST_F(ReadMergeTest, PreWindowRecordsDroppedAndCountedMalformed) {
+  write(scattered(1500, 3, /*prewindow=*/200), TraceFormat::kBinary);
+  BatchSink got;
+  const ReadStats stats = read_logfiles(dir_, got);
+  EXPECT_EQ(stats.parsed, 1300u);
+  EXPECT_EQ(stats.malformed, 200u);
+  for (const TraceRecord& r : got.records) EXPECT_GE(r.t, 0);
+  expect_equivalent(dir_);
+}
+
+TEST_F(ReadMergeTest, CorruptAndTruncatedFiles) {
+  write(scattered(4000, 4), TraceFormat::kBinary, /*stripe_records=*/64);
+  const auto logs = files_with(".u1b");
+  ASSERT_GE(logs.size(), 2u);
+  {  // flip one payload byte: the whole file fails its digest
+    std::fstream f(logs[0], std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(100);
+    char c = 0;
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x5a);
+    f.seekp(100);
+    f.write(&c, 1);
+  }
+  // Cut into the last stripe: the leading stripes still decode.
+  fs::resize_file(logs[1], fs::file_size(logs[1]) - 7);
+  BatchSink got;
+  const ReadStats stats = read_logfiles(dir_, got);
+  EXPECT_EQ(stats.checksum_failures, 1u);
+  EXPECT_GT(stats.malformed, 64u);
+  EXPECT_GT(stats.parsed, 0u);
+  expect_equivalent(dir_);
+}
+
+TEST_F(ReadMergeTest, LargeReadArrivesInSeveralBatches) {
+  write(scattered(150000, 5, /*prewindow=*/10), TraceFormat::kBinary);
+  const BatchSink got = expect_equivalent(dir_);
+  ASSERT_EQ(got.records.size(), 150000u - 10u);
+  ASSERT_GE(got.batches.size(), 3u);
+  for (const std::size_t b : got.batches) {
+    EXPECT_GT(b, 0u);
+    EXPECT_LE(b, 65536u);
+  }
+}
+
+TEST_F(ReadMergeTest, EmptyDirectoryDeliversNothing) {
+  const BatchSink got = expect_equivalent(dir_);
+  EXPECT_TRUE(got.records.empty());
+  EXPECT_TRUE(got.batches.empty());
+}
+
+TEST_F(ReadMergeTest, GlobalSymbolIdsFollowFileNameOrder) {
+  // The labels must be new to this process's symbol table, so a forked
+  // child writes the files: its interning never reaches the parent.
+  // Sixteen binary files (machines 1-4 x processes 1-4) and one CSV file
+  // (machine 5). Binary file f uses labels 2f..2f+3, so it shares two
+  // with the file before it; the CSV file uses labels 100..102.
+  const std::string tag = "symorder" + std::to_string(::getpid()) + "_";
+  const auto label = [&](std::uint64_t k) { return tag + std::to_string(k); };
+  struct File {
+    std::string logname;
+    std::vector<std::string> labels;  // in first-use order
+  };
+  std::vector<File> files;
+  for (std::uint64_t machine = 1; machine <= 4; ++machine)
+    for (std::uint64_t process = 1; process <= 4; ++process) {
+      const std::uint64_t f = (machine - 1) * 4 + (process - 1);
+      files.push_back({make_record(0, machine, process, 1).logname(),
+                       {label(2 * f), label(2 * f + 1), label(2 * f + 2),
+                        label(2 * f + 3)}});
+    }
+  files.push_back({make_record(0, 5, 1, 1).logname(),
+                   {label(100), label(101), label(102)}});
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    std::vector<TraceRecord> bin_records, csv_records;
+    std::uint64_t i = 0;
+    for (std::size_t f = 0; f < files.size(); ++f) {
+      const std::uint64_t machine = f < 16 ? 1 + f / 4 : 5;
+      const std::uint64_t process = f < 16 ? 1 + f % 4 : 1;
+      auto& out = f < 16 ? bin_records : csv_records;
+      // Falling timestamps: first use order is not timestamp order.
+      for (std::size_t k = 0; k < files[f].labels.size(); ++k)
+        out.push_back(make_record(static_cast<SimTime>(100 - k) * kSecond,
+                                  machine, process, 3 * i++,
+                                  files[f].labels[k]));
+    }
+    try {
+      write(bin_records, TraceFormat::kBinary);
+      write(csv_records, TraceFormat::kCsv);
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_EQ(files_with(".u1b").size(), 16u);
+  ASSERT_EQ(files_with(".csv").size(), 1u);
+
+  // A file-after-file read in name order meets each label first where
+  // its earliest file (by name) lists it.
+  std::sort(files.begin(), files.end(),
+            [](const File& a, const File& b) { return a.logname < b.logname; });
+  std::vector<std::string> first_sight;
+  for (const File& file : files)
+    for (const std::string& s : file.labels)
+      if (std::find(first_sight.begin(), first_sight.end(), s) ==
+          first_sight.end())
+        first_sight.push_back(s);
+
+  const std::size_t base = global_symbols().size();
+  BatchSink got;
+  const ReadStats stats = read_logfiles(dir_, got);
+  EXPECT_EQ(stats.parsed, 16u * 4u + 3u);
+  ASSERT_EQ(global_symbols().size(), base + first_sight.size());
+  for (std::size_t k = 0; k < first_sight.size(); ++k)
+    EXPECT_EQ(global_symbols().resolve(static_cast<Symbol>(base + k)),
+              first_sight[k])
+        << "id " << base + k;
+  expect_equivalent(dir_);
+}
+
+}  // namespace
+}  // namespace u1

@@ -146,6 +146,7 @@ TEST_F(LogfileTest, MalformedLinesCountedNotFatal) {
   const ReadStats stats = read_logfiles(dir_, sink);
   EXPECT_EQ(stats.parsed, 1u);
   EXPECT_EQ(stats.malformed, 2u);
+  EXPECT_EQ(stats.rows, 3u);  // the header line is not a row
   EXPECT_EQ(sink.records().size(), 1u);
 }
 
