@@ -29,7 +29,7 @@ Outcome run(bool automatic, std::size_t users) {
       leech_bytes += r.transferred_bytes;
     }
   });
-  Simulation sim(cfg, leech_meter);
+  ParallelSimulation sim(cfg, leech_meter, env_threads());
   const SimulationReport report = sim.run();
   Outcome o;
   o.response_minutes =

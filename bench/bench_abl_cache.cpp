@@ -2,48 +2,10 @@
 // times and the long tail of reads-per-file suggest a cache would absorb
 // many S3 reads; this bench replays the download stream through LRU
 // caches of increasing size.
-#include <list>
-#include <unordered_map>
-
 #include "bench/bench_util.hpp"
+#include "improve/content_cache.hpp"
 #include "trace/sink.hpp"
 #include "util/strings.hpp"
-
-namespace {
-
-/// Byte-capacity LRU over content ids.
-class ContentLru {
- public:
-  explicit ContentLru(std::uint64_t capacity_bytes)
-      : capacity_(capacity_bytes) {}
-
-  bool access(const u1::ContentId& id, std::uint64_t bytes) {
-    const auto it = map_.find(id);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return true;
-    }
-    lru_.emplace_front(id, bytes);
-    map_[id] = lru_.begin();
-    used_ += bytes;
-    while (used_ > capacity_ && !lru_.empty()) {
-      used_ -= lru_.back().second;
-      map_.erase(lru_.back().first);
-      lru_.pop_back();
-    }
-    return false;
-  }
-
- private:
-  std::uint64_t capacity_;
-  std::uint64_t used_ = 0;
-  std::list<std::pair<u1::ContentId, std::uint64_t>> lru_;
-  std::unordered_map<u1::ContentId,
-                     decltype(lru_)::iterator>
-      map_;
-};
-
-}  // namespace
 
 int main() {
   using namespace u1;
@@ -53,9 +15,8 @@ int main() {
   constexpr std::uint64_t GB = 1024ull * 1024 * 1024;
   std::vector<std::uint64_t> capacities = {1 * GB, 4 * GB, 16 * GB,
                                            64 * GB, 256 * GB};
-  std::vector<ContentLru> caches;
+  std::vector<ContentCache> caches;
   for (const auto c : capacities) caches.emplace_back(c);
-  std::vector<std::uint64_t> hits(capacities.size(), 0);
   std::vector<std::uint64_t> hit_bytes(capacities.size(), 0);
   std::uint64_t downloads = 0, download_bytes = 0;
 
@@ -66,10 +27,8 @@ int main() {
     ++downloads;
     download_bytes += r.transferred_bytes;
     for (std::size_t i = 0; i < caches.size(); ++i) {
-      if (caches[i].access(r.content, r.size_bytes)) {
-        ++hits[i];
+      if (caches[i].access(r.content, r.size_bytes))
         hit_bytes[i] += r.transferred_bytes;
-      }
     }
   });
   auto sim = run_into(sink, cfg);
@@ -83,10 +42,7 @@ int main() {
   for (std::size_t i = 0; i < capacities.size(); ++i) {
     std::printf("  %-12s %11.1f%% %14s\n",
                 format_bytes(static_cast<double>(capacities[i])).c_str(),
-                downloads > 0
-                    ? 100.0 * static_cast<double>(hits[i]) /
-                          static_cast<double>(downloads)
-                    : 0.0,
+                100.0 * caches[i].hit_rate(),
                 format_bytes(static_cast<double>(hit_bytes[i])).c_str());
   }
   note("paper: RAR times are short and reads-per-file long-tailed -> "

@@ -86,10 +86,8 @@ void BM_PowerLawFit(benchmark::State& state) {
 BENCHMARK(BM_PowerLawFit)->Arg(20000);
 
 void BM_EventQueue(benchmark::State& state) {
-  const QueueImpl impl = state.range(0) == 0 ? QueueImpl::kBinaryHeap
-                                             : QueueImpl::kCalendar;
   for (auto _ : state) {
-    EventQueue<int> q(impl);
+    EventQueue<int> q;
     Rng rng(8);
     for (int i = 0; i < 10000; ++i)
       q.push(static_cast<SimTime>(rng.below(1000000)), i);
@@ -97,16 +95,13 @@ void BM_EventQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 10000);
 }
-BENCHMARK(BM_EventQueue)->Arg(0)->ArgName("heap");
-BENCHMARK(BM_EventQueue)->Arg(1)->ArgName("calendar");
+BENCHMARK(BM_EventQueue);
 
 void BM_EventQueueHold(benchmark::State& state) {
   // The classic "hold" model — a steady-state queue where each pop
   // schedules a successor — is the simulator's actual hot-loop shape
   // (agents re-arm their next wake-up on every event).
-  const QueueImpl impl = state.range(0) == 0 ? QueueImpl::kBinaryHeap
-                                             : QueueImpl::kCalendar;
-  EventQueue<int> q(impl);
+  EventQueue<int> q;
   Rng rng(9);
   for (int i = 0; i < 4096; ++i)
     q.push(static_cast<SimTime>(rng.below(kHour)), i);
@@ -118,8 +113,7 @@ void BM_EventQueueHold(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueHold)->Arg(0)->ArgName("heap");
-BENCHMARK(BM_EventQueueHold)->Arg(1)->ArgName("calendar");
+BENCHMARK(BM_EventQueueHold);
 
 void BM_TraceRecordCsvRoundTrip(benchmark::State& state) {
   Rng rng(9);

@@ -8,11 +8,10 @@
 // reproduced quantities are ratios, distributions and shapes, which are
 // scale-free; absolute totals are reported per-user-normalized alongside.
 //
-// Engine selection: U1SIM_THREADS (default: hardware concurrency) picks
-// the worker count. 1 runs the classic sequential Simulation; >= 2 runs
-// the deterministic shard-parallel engine, whose trace is byte-identical
-// across thread counts (but is a different engine from the sequential
-// Simulation — fix U1SIM_THREADS when comparing runs).
+// Threads: U1SIM_THREADS (default: hardware concurrency) picks the
+// ParallelSimulation worker count. The trace, and so every printed
+// figure, is byte-identical for every thread count; only the wall clock
+// changes.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +30,6 @@
 #include "fault/fault_plan.hpp"
 #include "fault/scenarios.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simulation.hpp"
 #include "trace/sink.hpp"
 
 namespace u1::bench {
@@ -115,59 +113,15 @@ inline SimulationConfig standard_config(std::size_t users, int days,
   return cfg;
 }
 
-/// A finished simulation of either engine. Snapshot accessors hide which
-/// engine ran: contents() is the global dedup registry, stores() the
-/// metadata store(s) holding the population (one per shard group under
-/// the parallel engine).
-class SimRun {
- public:
-  explicit SimRun(std::unique_ptr<Simulation> seq) : seq_(std::move(seq)) {}
-  explicit SimRun(std::unique_ptr<ParallelSimulation> par)
-      : par_(std::move(par)) {}
-
-  const SimulationReport& report() const noexcept { return report_; }
-  std::size_t threads() const noexcept {
-    return seq_ ? 1 : par_->threads();
-  }
-
-  const ContentRegistry& contents() const {
-    return seq_ ? seq_->backend().store().contents() : par_->contents();
-  }
-
-  std::vector<const MetadataStore*> stores() const {
-    if (seq_) return {&seq_->backend().store()};
-    return par_->stores();
-  }
-
-  /// The single back-end — sequential engine only (the parallel engine
-  /// has one per shard group; use contents()/stores() instead).
-  const U1Backend& backend() const {
-    if (!seq_)
-      throw std::logic_error(
-          "SimRun::backend: parallel run has per-group back-ends");
-    return seq_->backend();
-  }
-
-  SimulationReport run() {
-    report_ = seq_ ? seq_->run() : par_->run();
-    return report_;
-  }
-
- private:
-  std::unique_ptr<Simulation> seq_;
-  std::unique_ptr<ParallelSimulation> par_;
-  SimulationReport report_;
-};
-
 /// Runs the simulation, streaming every record into `sink`; returns the
-/// SimRun (whose back-end state outlives the run for snapshots).
-/// threads == 0 defers to U1SIM_THREADS / hardware concurrency.
-inline std::unique_ptr<SimRun> run_into(TraceSink& sink,
-                                        const SimulationConfig& cfg,
-                                        std::size_t threads = 0) {
+/// engine, whose back-end state (contents(), stores()) outlives the run
+/// for snapshots. threads == 0 defers to U1SIM_THREADS / hardware
+/// concurrency.
+inline std::unique_ptr<ParallelSimulation> run_into(
+    TraceSink& sink, const SimulationConfig& cfg, std::size_t threads = 0) {
   if (threads == 0) threads = env_threads();
   std::printf("# u1sim | users=%zu days=%d seed=%llu ddos=%s faults=%s "
-              "threads=%zu engine=%s\n",
+              "threads=%zu\n",
               cfg.users, cfg.days,
               static_cast<unsigned long long>(cfg.seed),
               cfg.enable_ddos ? "on" : "off",
@@ -175,22 +129,16 @@ inline std::unique_ptr<SimRun> run_into(TraceSink& sink,
                   ? "off"
                   : (std::to_string(cfg.faults.specs.size()) + "-spec plan")
                         .c_str(),
-              threads, threads <= 1 ? "sequential" : "shard-parallel");
-  std::unique_ptr<SimRun> run;
-  if (threads <= 1) {
-    run = std::make_unique<SimRun>(std::make_unique<Simulation>(cfg, sink));
-  } else {
-    run = std::make_unique<SimRun>(
-        std::make_unique<ParallelSimulation>(cfg, sink, threads));
-  }
-  const SimulationReport report = run->run();
+              threads);
+  auto sim = std::make_unique<ParallelSimulation>(cfg, sink, threads);
+  const SimulationReport report = sim->run();
   std::printf("# trace: %llu sessions, %llu uploads, %llu downloads, "
               "%llu rpcs\n",
               static_cast<unsigned long long>(report.backend.sessions_opened),
               static_cast<unsigned long long>(report.backend.uploads),
               static_cast<unsigned long long>(report.backend.downloads),
               static_cast<unsigned long long>(report.backend.rpcs));
-  return run;
+  return sim;
 }
 
 inline void header(const char* figure, const char* title) {

@@ -7,7 +7,7 @@
 
 #include "analysis/load_balance.hpp"
 #include "analysis/rpc_perf.hpp"
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 
 int main() {
   using namespace u1;
@@ -29,7 +29,7 @@ int main() {
     MultiSink fanout;
     fanout.add(&rpcs);
     fanout.add(&load);
-    Simulation sim(cfg, fanout);
+    ParallelSimulation sim(cfg, fanout, 1);
     sim.run();
 
     const auto times = rpcs.service_times(RpcOp::kMakeFile);

@@ -6,7 +6,7 @@
 #include <map>
 
 #include "analysis/ddos_detect.hpp"
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 
 int main() {
   using namespace u1;
@@ -25,7 +25,7 @@ int main() {
 
   std::printf("simulating one week with the paper's Jan 15/16 attacks "
               "injected...\n\n");
-  Simulation sim(cfg, fanout);
+  ParallelSimulation sim(cfg, fanout, 1);
   sim.run();
 
   std::printf("=== detection ===\n");

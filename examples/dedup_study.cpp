@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "analysis/dedup.hpp"
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -28,14 +28,18 @@ Outcome run(double duplicate_prob, bool enable_dedup) {
   cfg.content_duplicate_prob = duplicate_prob;
   cfg.backend.enable_dedup = enable_dedup;
   DedupAnalyzer analyzer;
-  Simulation sim(cfg, analyzer);
+  ParallelSimulation sim(cfg, analyzer, 1);
   sim.run();
+  // One S3 store per shard group; the bill is linear in stored bytes.
+  double s3_bytes = 0, bill = 0;
+  for (std::size_t g = 0; g < sim.group_count(); ++g) {
+    s3_bytes += static_cast<double>(sim.backend(g).s3().stored_bytes());
+    bill += sim.backend(g).s3().monthly_bill_usd();
+  }
   const auto copies = analyzer.copies_per_hash();
   const double max_copies =
       copies.empty() ? 0 : *std::max_element(copies.begin(), copies.end());
-  return Outcome{analyzer.dedup_ratio(),
-                 static_cast<double>(sim.backend().s3().stored_bytes()),
-                 sim.backend().s3().monthly_bill_usd(),
+  return Outcome{analyzer.dedup_ratio(), s3_bytes, bill,
                  analyzer.unique_fraction(), max_copies};
 }
 

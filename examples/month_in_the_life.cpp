@@ -16,7 +16,7 @@
 #include "analysis/sessions.hpp"
 #include "analysis/trace_summary.hpp"
 #include "analysis/traffic.hpp"
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 #include "trace/binlog.hpp"
 #include "trace/logfile.hpp"
 #include "util/strings.hpp"
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   std::printf("simulating %zu users for 30 days (2014-01-11 .. "
               "2014-02-10)...\n", users);
-  Simulation sim(cfg, fanout);
+  ParallelSimulation sim(cfg, fanout, 1);
   sim.run();
   if (writer != nullptr) {
     writer->close();

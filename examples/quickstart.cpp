@@ -11,7 +11,7 @@
 
 #include "analysis/trace_summary.hpp"
 #include "server/backend.hpp"
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 #include "util/sha1.hpp"
 #include "util/strings.hpp"
 
@@ -73,7 +73,7 @@ int main() {
   sim_cfg.days = 2;
   sim_cfg.enable_ddos = false;
   TraceSummaryAnalyzer summary(sim_cfg.days * kDay);
-  Simulation sim(sim_cfg, summary);
+  ParallelSimulation sim(sim_cfg, summary, 1);
   const SimulationReport report = sim.run();
 
   const auto s = summary.summary();
@@ -85,7 +85,7 @@ int main() {
               format_bytes(static_cast<double>(s.upload_bytes)).c_str(),
               format_bytes(static_cast<double>(s.download_bytes)).c_str());
   std::printf("back-end dedup ratio so far: %.3f (paper: 0.171)\n",
-              sim.backend().store().contents().dedup_ratio());
+              sim.contents().dedup_ratio());
   std::printf("\nNext: run the figure benches in build/bench/ to reproduce "
               "the paper's evaluation.\n");
   return 0;

@@ -565,10 +565,13 @@ SimulationReport DistributedSimulation::run_forked() {
     workers[w].fd = sv[0];
   }
 
-  // --- Barrier relay. B non-tail barriers (one per simulated hour) and
+  // --- Barrier relay. B non-tail barriers (one per engine epoch) and
   // the two run-tail exchanges; every worker hits every barrier in
   // lockstep, and the reply carries the cluster-wide replay set.
-  const std::uint64_t non_tail = static_cast<std::uint64_t>(config_.days) * 24;
+  const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;
+  const SimTime epoch = epoch_length(config_);
+  const auto non_tail =
+      static_cast<std::uint64_t>((horizon + epoch - 1) / epoch);
   const std::uint64_t total_barriers = non_tail + 2;
 
   const bool guard_on = config_.auto_countermeasures;

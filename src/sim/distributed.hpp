@@ -1,7 +1,7 @@
 // Multi-process shard distribution (DESIGN.md §12): a coordinator that
 // forks N worker processes, each running a ParallelSimulation in worker
 // mode over a contiguous slice of the shard groups, synchronized at the
-// hourly epoch barriers over the length-prefixed control plane
+// engine's epoch barriers over the length-prefixed control plane
 // (proto/control.hpp). Process and thread parallelism compose — each
 // worker runs its slice with its own worker-thread pool — and the merged
 // trace plus every sharded-analyzer figure is bit-identical to the
@@ -25,7 +25,8 @@
 // in group order so its global symbol ids match the oracle's bit for
 // bit (analysis/file_types.cpp keys a sketch by raw Symbol id).
 //
-// Barrier sequence (one line per control frame; B = days*24):
+// Barrier sequence (one line per control frame; B = the epoch count,
+// horizon / epoch_length(config)):
 //
 //   worker  ──EpochDone{seq, local logs+deltas, guard feed}──▶ coordinator
 //   worker  ◀──EpochBegin{seq, ALL groups' logs+deltas}────── coordinator

@@ -2,58 +2,26 @@
 // tie-breaking (events at equal timestamps pop in insertion order, so a
 // simulation is reproducible bit-for-bit given a seed).
 //
-// Two interchangeable implementations live behind the same interface and
-// produce the exact same pop order (enforced by tests):
-//
-//  - kBinaryHeap: a raw std::vector binary heap (push_heap/pop_heap with
-//    move-out pops). O(log n) per operation; the default for
-//    free-standing queues.
-//
-//  - kCalendar: a classic calendar queue (Brown '88): B = 2^k unsorted
-//    buckets of width W simulated time; an event with timestamp t lives
-//    in bucket (t/W) mod B. The cursor walks bucket-by-bucket through
-//    the current "year"; pops scan only the current bucket for the
-//    minimum (t, seq). With the self-tuning resize policy keeping ~1-2
-//    events per bucket, push and pop are amortized O(1) — this removes
-//    the push_heap/pop_heap log-factor from the simulator's hottest
-//    loop. Degenerate inputs (millions of events at one timestamp)
-//    degrade to a linear bucket scan; the DES workload has continuous
-//    timestamps where that does not occur.
-//
-// The engines pick the implementation via engine_queue_impl(), i.e. the
-// calendar queue unless U1SIM_QUEUE=heap.
+// The queue is a classic calendar queue (Brown '88): B = 2^k unsorted
+// buckets of width W simulated time; an event with timestamp t lives in
+// bucket (t/W) mod B. The cursor walks bucket-by-bucket through the
+// current "year"; pops scan only the current bucket for the minimum
+// (t, seq). With the self-tuning resize policy keeping ~1-2 events per
+// bucket, push and pop are amortized O(1) — no log-factor in the
+// simulator's hottest loop. Degenerate inputs (millions of events at one
+// timestamp) degrade to a linear bucket scan; the DES workload has
+// continuous timestamps where that does not occur. Tests check the pop
+// order against a binary-heap reference, FIFO ties included.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <stdexcept>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/sim_time.hpp"
 
 namespace u1 {
-
-enum class QueueImpl : std::uint8_t { kBinaryHeap, kCalendar };
-
-/// The implementation the simulation engines use for their hot loops:
-/// the calendar queue, unless the U1SIM_QUEUE environment knob says
-/// "heap" (escape hatch; "calendar" forces the default explicitly).
-/// Both implementations pop in the identical order, so the knob never
-/// changes a trace — only the constant factor of the event loop.
-inline QueueImpl engine_queue_impl() noexcept {
-  static const QueueImpl impl = [] {
-    if (const char* v = std::getenv("U1SIM_QUEUE")) {
-      const std::string_view s(v);
-      if (s == "heap" || s == "binary" || s == "binary_heap")
-        return QueueImpl::kBinaryHeap;
-    }
-    return QueueImpl::kCalendar;
-  }();
-  return impl;
-}
 
 template <typename Payload>
 class EventQueue {
@@ -64,12 +32,7 @@ class EventQueue {
     Payload payload;
   };
 
-  explicit EventQueue(QueueImpl impl = QueueImpl::kBinaryHeap)
-      : impl_(impl) {}
-
-  QueueImpl impl() const noexcept { return impl_; }
-
-  /// Lifetime calendar-bucket statistics (all zero under kBinaryHeap).
+  /// Lifetime calendar-bucket statistics.
   /// Unlike scan_cost_/finds_ — which the self-tuning policy resets —
   /// these only grow, so scanned/finds is the true average number of
   /// events inspected per minimum-location over the whole run.
@@ -80,66 +43,25 @@ class EventQueue {
   };
   CalendarStats calendar_stats() const noexcept { return stats_; }
 
-  /// Switches the implementation; only legal while the queue is empty
-  /// (the engines call it once, right after constructing each group).
-  void set_impl(QueueImpl impl) {
-    if (!empty())
-      throw std::logic_error("EventQueue::set_impl: queue not empty");
-    impl_ = impl;
-  }
-
-  /// Pre-sizes the backing vector (e.g. one slot per scheduled agent).
-  void reserve(std::size_t n) {
-    if (impl_ == QueueImpl::kBinaryHeap) heap_.reserve(n);
-    // The calendar sizes its buckets from the live population; a
-    // reservation hint has nothing to pre-size.
-  }
-
   void push(SimTime t, Payload payload) {
-    Event ev{t, next_seq_++, std::move(payload)};
-    if (impl_ == QueueImpl::kBinaryHeap) {
-      heap_.push_back(std::move(ev));
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-    } else {
-      cal_push(std::move(ev));
-    }
+    cal_push(Event{t, next_seq_++, std::move(payload)});
   }
 
-  bool empty() const noexcept {
-    return impl_ == QueueImpl::kBinaryHeap ? heap_.empty() : count_ == 0;
-  }
-  std::size_t size() const noexcept {
-    return impl_ == QueueImpl::kBinaryHeap ? heap_.size() : count_;
-  }
-  std::size_t capacity() const noexcept { return heap_.capacity(); }
+  bool empty() const noexcept { return count_ == 0; }
+  std::size_t size() const noexcept { return count_; }
 
   /// Timestamp of the next event; only valid when !empty(). (Locating
-  /// the calendar minimum advances the cursor, hence non-const; the
-  /// result is cached for the following pop.)
+  /// the minimum advances the cursor, hence non-const; the result is
+  /// cached for the following pop.)
   SimTime next_time() {
-    if (impl_ == QueueImpl::kBinaryHeap) return heap_.front().t;
     cal_find_min();
     return buckets_[min_bucket_][min_index_].t;
   }
 
   /// Pops the earliest event (moved out of the store, never copied).
-  Event pop() {
-    if (impl_ == QueueImpl::kBinaryHeap) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Event e = std::move(heap_.back());
-      heap_.pop_back();
-      return e;
-    }
-    return cal_pop();
-  }
+  Event pop() { return cal_pop(); }
 
  private:
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
-    }
-  };
   struct Sooner {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.t != b.t) return a.t < b.t;
@@ -287,13 +209,7 @@ class EventQueue {
 
   static constexpr std::size_t kMinBuckets = 8;  // power of two
 
-  QueueImpl impl_;
   std::uint64_t next_seq_ = 0;
-
-  // kBinaryHeap state.
-  std::vector<Event> heap_;
-
-  // kCalendar state.
   std::vector<std::vector<Event>> buckets_;
   SimTime width_ = kSecond;
   std::int64_t cur_div_ = 0;  // floor(t/width) of the cursor bucket

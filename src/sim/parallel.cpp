@@ -7,14 +7,11 @@
 #include <functional>
 #include <numeric>
 #include <stdexcept>
-#include <string_view>
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sys/resource.h>
 #include <cstdio>
 #include <unistd.h>
-#include <sched.h>
 #endif
 
 #include "sim/trace_merge.hpp"
@@ -36,19 +33,6 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-ParallelSimulation::Scheduling env_scheduling() {
-  if (const char* v = std::getenv("U1SIM_SCHED")) {
-    if (std::string_view(v) == "counter")
-      return ParallelSimulation::Scheduling::kCounter;
-  }
-  return ParallelSimulation::Scheduling::kSticky;
-}
-
-bool env_pin_workers() {
-  const char* v = std::getenv("U1SIM_PIN");
-  return v != nullptr && *v != '\0' && std::string_view(v) != "0";
-}
-
 /// Explicit U1SIM_FLUSH_DEPTH, or nullopt when the engine should pick
 /// (2, or 1 in analysis-only mode where nothing is written K-deep).
 std::optional<std::size_t> env_flush_depth() {
@@ -67,20 +51,6 @@ constexpr std::uint64_t kPlanRebuildFloor = 12;
 constexpr double kPlanDriftAlpha = 0.3;
 constexpr double kPlanDriftThreshold = 0.25;
 
-void pin_thread_to_core(std::thread& thread, std::size_t core) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(core % hw), &set);
-  pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set);
-#else
-  (void)thread;
-  (void)core;
-#endif
-}
-
 }  // namespace
 
 ParallelSimulation::ParallelSimulation(const SimulationConfig& config,
@@ -88,9 +58,6 @@ ParallelSimulation::ParallelSimulation(const SimulationConfig& config,
     : config_(config),
       sink_(&sink),
       rng_(config.seed),
-      scheduling_(env_scheduling()),
-      queue_impl_(engine_queue_impl()),
-      pin_workers_(env_pin_workers()),
       content_pool_(std::make_unique<ContentPool>(
           config.content_duplicate_prob, config.content_zipf_s,
           config.seed ^ 0xb10b)),
@@ -197,7 +164,6 @@ void ParallelSimulation::build_groups() {
     grp->pool_view = std::make_unique<ContentPoolView>(
         *content_pool_, group_mix(config_.seed ^ 0xb10b, g));
     grp->rng = rng_.fork();
-    grp->queue.set_impl(queue_impl_);
     // Deferred symbol interning: labels get dense group-local ids during
     // the epoch (no lock, no cross-group coordination) and are merged
     // into the global table in group-index order at each barrier — the
@@ -206,7 +172,7 @@ void ParallelSimulation::build_groups() {
     if (!fault_schedule_.empty()) {
       // Same schedule everywhere; the injector's probabilistic draws are
       // group-local, so they depend only on (config, g) — never on thread
-      // interleaving. Matches the sequential engine's `fseed ^ 0x1f4a7`.
+      // interleaving.
       grp->injector = std::make_unique<FaultInjector>(
           fault_schedule_,
           group_mix(effective_fault_seed(config_) ^ 0x1f4a7, g));
@@ -286,7 +252,7 @@ void ParallelSimulation::grant_shares() {
 void ParallelSimulation::bootstrap_phase() {
   // Pre-trace history, sequential. The shared registry and pool are LIVE
   // here (proxies point straight at the global structures), so bootstrap
-  // gets full cross-group dedup exactly like the sequential engine.
+  // gets full cross-group dedup.
   for (auto& grp : groups_) {
     grp->backend->set_dedup_proxy(&shared_dedup_->global());
     grp->pool_view->set_live(content_pool_.get());
@@ -404,7 +370,6 @@ std::vector<double> ParallelSimulation::estimate_group_setup_weights(
 }
 
 void ParallelSimulation::schedule_population_start() {
-  for (auto& grp : groups_) grp->queue.reserve(grp->agents.size() + 16);
   for (std::size_t i = 0; i < config_.users; ++i) {
     const HomeRef home = home_[i];
     const ClientAgent& agent = *groups_[home.group]->agents[home.index];
@@ -681,7 +646,7 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
   }
   build_merge_plan(slot.chunks, slot.plan);
   // Guard scan over the merged permutation — the same total order the
-  // writer will emit, so detection points match the sequential engine.
+  // writer will emit, so detection points do not depend on the split.
   if (guard_) {
     for (const MergeRef ref : slot.plan) {
       const TraceRecord& r = slot.chunks[ref.group][ref.offset];
@@ -1045,7 +1010,6 @@ void ParallelSimulation::exchange_barrier(bool tail) {
 // Worker pool + sticky scheduling.
 
 void ParallelSimulation::prepare_epoch_plan(std::size_t workers) {
-  if (scheduling_ != Scheduling::kSticky) return;
   // Cost weights: last epoch's per-group event counts — a seed-
   // deterministic signal of where the simulation currently burns time
   // (first epoch: the scheduled queue sizes). The weights steer only the
@@ -1113,10 +1077,8 @@ void ParallelSimulation::start_workers(std::size_t n) {
       static_cast<std::ptrdiff_t>(n + 1));
   stop_.store(false, std::memory_order_relaxed);
   workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
-    if (pin_workers_) pin_thread_to_core(workers_.back(), i);
-  }
 }
 
 void ParallelSimulation::worker_loop(std::size_t id) {
@@ -1124,15 +1086,7 @@ void ParallelSimulation::worker_loop(std::size_t id) {
     epoch_start_->arrive_and_wait();
     if (stop_.load(std::memory_order_acquire)) return;
     try {
-      if (scheduling_ == Scheduling::kSticky) {
-        for (const std::size_t g : plan_[id]) run_group_epoch(g, epoch_limit_);
-      } else {
-        for (std::size_t idx;
-             (idx = next_group_.fetch_add(1, std::memory_order_relaxed)) <
-             active_groups_.size();) {
-          run_group_epoch(active_groups_[idx], epoch_limit_);
-        }
-      }
+      for (const std::size_t g : plan_[id]) run_group_epoch(g, epoch_limit_);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(worker_error_mu_);
       if (!worker_error_) worker_error_ = std::current_exception();
@@ -1143,7 +1097,6 @@ void ParallelSimulation::worker_loop(std::size_t id) {
 
 void ParallelSimulation::run_epoch_pooled(SimTime limit) {
   epoch_limit_ = limit;
-  next_group_.store(0, std::memory_order_relaxed);
   epoch_start_->arrive_and_wait();  // release the workers
   epoch_done_->arrive_and_wait();   // the epoch barrier
   if (worker_error_) {
@@ -1204,7 +1157,8 @@ SimulationReport ParallelSimulation::run() {
     start_workers(n_workers);
     start_flush_pipeline();
   }
-  for (SimTime epoch_end = kHour;; epoch_end += kHour) {
+  const SimTime epoch = epoch_length(config_);
+  for (SimTime epoch_end = epoch;; epoch_end += epoch) {
     const SimTime limit = std::min(epoch_end, horizon);
     const auto t0 = Clock::now();
     if (pooled) {

@@ -1,14 +1,14 @@
-// Deterministic shard-parallel simulation engine.
+// Deterministic shard-parallel simulation engine — the simulator's one
+// engine.
 //
-// The sequential Simulation runs every client against one global event
-// queue; at 10k+ users the queue and the single timeline are the
-// bottleneck. ParallelSimulation partitions the population into G shard
-// groups (G = backend.shards, same user-id hash the metadata router
-// uses), gives each group its own complete back-end, event queue, forked
-// RNG stream and trace buffer, and advances all groups over bounded time
-// epochs of one simulated hour:
+// ParallelSimulation partitions the population into G shard groups
+// (G = backend.shards, same user-id hash the metadata router uses),
+// gives each group its own complete back-end, event queue, forked RNG
+// stream and trace buffer, and advances all groups over bounded time
+// epochs of L simulated time (L = epoch_length(config): one hour, or one
+// AnomalyGuard observation window when the guard is on):
 //
-//   epoch e:   workers run their assigned groups up to (e+1)*1h, while
+//   epoch e:   workers run their assigned groups up to (e+1)*L, while
 //              the flusher thread merges + emits epoch e-1's trace
 //   barrier:   (sequential, O(new blobs + commands)) join the flusher,
 //              merge dedup op logs in group order, absorb content-pool
@@ -25,7 +25,7 @@
 //     the AnomalyGuard scan over that permutation. Stage A of epoch e is
 //     ALWAYS joined at barrier e+1 — for every K and every thread count
 //     — so guard purges keep the exact pre-ring delivery schedule
-//     (timestamp (e+2)*1h).
+//     (timestamp (e+2)*L).
 //
 //   stage B (writer thread): walks the permutation and hands records to
 //     the sink, strictly FIFO in epoch order. Writes may lag up to K
@@ -39,18 +39,15 @@
 // contract order within an epoch) is independent of K. The trace is
 // byte-identical for every thread count and every flush depth.
 //
-// Workers no longer claim groups from a shared counter: a sticky,
-// cost-weighted plan (weights = the previous epoch's per-group event
-// counts, which are seed-deterministic) binds each group to one worker
-// so its backend/queue/agents stay hot in that worker's cache, and is
-// rebuilt (LPT greedy) only when the EMA-smoothed load imbalance stays
-// past 25% AND at least 12 epochs have passed since the last rebuild —
-// one bursty epoch cannot thrash the plan (rebuild count pinned by
-// tests/sim/parallel_sim_test.cpp on a fixed seed).
-// U1SIM_PIN=1 additionally pins worker i to core i. The plan never
-// affects the trace — groups are isolated during an epoch — only the
-// wall clock; tests assert trace equality between sticky and counter
-// scheduling and across thread counts.
+// Workers run a sticky, cost-weighted plan (weights = the previous
+// epoch's per-group event counts, which are seed-deterministic) that
+// binds each group to one worker so its backend/queue/agents stay hot
+// in that worker's cache, and is rebuilt (LPT greedy) only when the
+// EMA-smoothed load imbalance stays past 25% AND at least 12 epochs
+// have passed since the last rebuild — one bursty epoch cannot thrash
+// the plan (rebuild count pinned by tests/sim/parallel_sim_test.cpp on a
+// fixed seed). The plan never affects the trace — groups are isolated
+// during an epoch — only the wall clock.
 //
 // Everything a worker touches during an epoch is group-private or frozen
 // (models are const and take the caller's RNG; the shared dedup registry
@@ -66,7 +63,7 @@
 //  - share grants (~1.8% of users): resolved at setup by ghost-registering
 //    the owner in the recipient's group back-end (sequential, pre-trace);
 //  - global dedup: bounded staleness — a blob first seen by group A in
-//    epoch e dedups for other groups from e+1 (at most 1 simulated hour);
+//    epoch e dedups for other groups from e+1 (at most one epoch);
 //  - DDoS bot fleets: an attack's abused account pins the whole attack
 //    (launch, bots, manual response) to one group — single-account traffic
 //    is single-shard by construction;
@@ -155,12 +152,6 @@ class EpochPeer {
 
 class ParallelSimulation {
  public:
-  /// How workers pick up groups each epoch.
-  enum class Scheduling : std::uint8_t {
-    kSticky,   // static cost-weighted plan, cache-affine (default)
-    kCounter,  // legacy shared atomic counter (perf baseline / tests)
-  };
-
   /// Wall-clock decomposition of the epoch pipeline, accumulated over
   /// the whole run. With the pipelined flush ring, flush_s (stage A) and
   /// write_s (stage B) overlap compute_s; the serial fraction per epoch
@@ -176,7 +167,7 @@ class ParallelSimulation {
     double ring_stall_s = 0;   // barrier wait for a free ring slot
     std::uint64_t plan_rebuilds = 0;  // sticky-scheduler LPT repartitions
     /// Calendar-queue bucket statistics, aggregated over every group
-    /// queue at the end of the run (all zero under U1SIM_QUEUE=heap).
+    /// queue at the end of the run.
     /// scanned/finds is the average events inspected per pop — a
     /// degenerate bucket width shows up here long before it shows up in
     /// wall clock.
@@ -200,13 +191,6 @@ class ParallelSimulation {
 
   std::size_t group_count() const noexcept { return groups_.size(); }
   std::size_t threads() const noexcept { return threads_; }
-
-  /// Scheduling/queue overrides; call before run(). Defaults come from
-  /// the environment (U1SIM_SCHED=sticky|counter, U1SIM_QUEUE=
-  /// calendar|heap) and neither choice can change the trace.
-  void set_scheduling(Scheduling s) noexcept { scheduling_ = s; }
-  Scheduling scheduling() const noexcept { return scheduling_; }
-  void set_queue_impl(QueueImpl impl) noexcept { queue_impl_ = impl; }
 
   /// Registers a sharded analyzer (call before run()). Every shard
   /// group gets a private AnalyzerShard fed that group's records during
@@ -279,7 +263,7 @@ class ParallelSimulation {
   /// for every contiguous split, so correctness never depends on it.
   static std::vector<double> estimate_group_setup_weights(
       const SimulationConfig& config);
-  /// The merged global dedup registry (what contents() was on Simulation).
+  /// The merged global dedup registry (one per run, across all groups).
   const ContentRegistry& contents() const noexcept;
   /// Blobs whose last references were dropped by different groups within
   /// one epoch (GC'd at the merge, invisible to any single group).
@@ -441,10 +425,6 @@ class ParallelSimulation {
   bool analysis_only_ = false;  // sink is a NullSink
   std::uint64_t records_flushed_ = 0;
 
-  Scheduling scheduling_ = Scheduling::kSticky;
-  QueueImpl queue_impl_ = QueueImpl::kCalendar;
-  bool pin_workers_ = false;  // U1SIM_PIN
-
   // Shared, frozen-during-epoch workload machinery.
   FileModel file_model_;
   std::unique_ptr<ContentPool> content_pool_;
@@ -474,7 +454,6 @@ class ParallelSimulation {
   std::vector<std::thread> workers_;
   std::unique_ptr<std::barrier<>> epoch_start_;
   std::unique_ptr<std::barrier<>> epoch_done_;
-  std::atomic<std::size_t> next_group_{0};  // kCounter scheduling only
   std::atomic<bool> stop_{false};
   SimTime epoch_limit_ = 0;
   std::exception_ptr worker_error_;

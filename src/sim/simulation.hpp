@@ -1,9 +1,10 @@
-// Month-scale simulation runner: builds the user population, bootstraps
-// their namespaces, then replays 30 days of diurnal, bursty client
-// activity against the simulated U1 back-end, including the paper's three
-// DDoS attacks and the manual operator response. Everything the back-end
-// observes is emitted to the TraceSink in the U1 logfile shape, ready for
-// the analyzers.
+// Month-scale simulation config and report: the population, the 30-day
+// window of diurnal, bursty client activity against the simulated U1
+// back-end, the paper's three DDoS attacks with the manual operator
+// response (or the AnomalyGuard countermeasure), and an optional fault
+// plan. ParallelSimulation (sim/parallel.hpp) runs it and emits
+// everything the back-end observes to a TraceSink in the U1 logfile
+// shape, ready for the analyzers.
 #pragma once
 
 #include <cstdint>
@@ -11,11 +12,9 @@
 #include <optional>
 #include <vector>
 
-#include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "server/backend.hpp"
 #include "sim/client_agent.hpp"
-#include "sim/event_queue.hpp"
 #include "improve/anomaly_guard.hpp"
 #include "trace/sink.hpp"
 #include "workload/ddos.hpp"
@@ -53,6 +52,15 @@ inline std::uint64_t effective_fault_seed(const SimulationConfig& c) noexcept {
   return c.fault_seed != 0 ? c.fault_seed : (c.seed ^ 0xfa5e17);
 }
 
+/// Simulated length of one engine epoch, i.e. the time between two
+/// barriers. AnomalyGuard purges detected in epoch e apply at the barrier
+/// that closes epoch e+1, so with the guard on an epoch is one guard
+/// observation window (a purge lands at most two windows after the
+/// detecting records); otherwise one hour.
+inline SimTime epoch_length(const SimulationConfig& c) noexcept {
+  return c.auto_countermeasures ? AnomalyGuardConfig{}.window : kHour;
+}
+
 struct SimulationReport {
   BackendStats backend;
   std::size_t users = 0;
@@ -65,77 +73,6 @@ struct SimulationReport {
   /// Automatic countermeasure bookkeeping (auto_countermeasures only).
   std::uint64_t auto_purges = 0;
   SimTime first_auto_response_delay = 0;
-};
-
-class Simulation {
- public:
-  Simulation(const SimulationConfig& config, TraceSink& sink);
-
-  /// Runs to completion and returns the report. Call once.
-  SimulationReport run();
-
-  const U1Backend& backend() const noexcept { return *backend_; }
-
- private:
-  struct Bot {
-    std::size_t attack = 0;  // index into attacks_
-    SessionId session;
-    bool connected = false;
-    int failures = 0;
-  };
-
-  void bootstrap_phase();
-  void schedule_population_start();
-  SimTime bot_wake(std::size_t bot_index, SimTime now);
-  void launch_attack(std::size_t attack_index, SimTime now);
-  void respond_to_attack(std::size_t attack_index, SimTime now);
-
-  struct AttackRuntime {
-    DdosAttackSpec spec;
-    UserId account;
-    NodeId payload_node;
-    bool purged = false;
-  };
-
-  // Event payload: which actor wants the CPU.
-  struct Ev {
-    enum class Kind : std::uint8_t {
-      kAgent,
-      kBot,
-      kMaintenance,
-      kDdosStart,
-      kDdosResponse,
-      kFault,  // index into fault_schedule_
-    };
-    Kind kind;
-    std::size_t index = 0;
-  };
-
-  SimulationConfig config_;
-  MultiSink fan_;
-  std::unique_ptr<CallbackSink> guard_tap_;
-  std::unique_ptr<AnomalyGuard> guard_;
-  std::optional<UserId> pending_purge_;
-  Rng rng_;
-
-  // Shared workload machinery (must outlive the agents).
-  FileModel file_model_;
-  std::unique_ptr<ContentPool> content_pool_;
-  UserModel user_model_;
-  TransitionModel transition_model_;
-  DiurnalModel diurnal_;
-  BurstProcess bursts_;
-
-  FaultSchedule fault_schedule_;
-  std::unique_ptr<FaultInjector> injector_;
-
-  std::unique_ptr<U1Backend> backend_;
-  std::vector<std::unique_ptr<ClientAgent>> agents_;
-  std::vector<AttackRuntime> attacks_;
-  std::vector<Bot> bots_;
-  EventQueue<Ev> queue_;
-  SimulationReport report_;
-  bool ran_ = false;
 };
 
 }  // namespace u1

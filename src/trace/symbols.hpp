@@ -16,10 +16,11 @@
 //    pointer-stable (a published id's string never moves, and distinct
 //    table slots never alias). Symbol 0 is the empty string.
 //
-//  - GroupSymbols: the per-backend front end. In eager mode (sequential
-//    engine, tests) it interns straight into the global table and hands
-//    out global ids. In deferred mode (one instance per shard group of
-//    the parallel engine) it assigns dense group-local ids with no
+//  - GroupSymbols: the per-backend front end. In eager mode (a
+//    stand-alone back-end such as the u1d server, tests) it interns
+//    straight into the global table and hands out global ids. In
+//    deferred mode (one instance per shard group of the simulation
+//    engine) it assigns dense group-local ids with no
 //    locking at all on the emit hot path; at each epoch barrier the
 //    engine publishes every group's new symbols into the global table in
 //    group-index order — a deterministic merge, so the local->global

@@ -22,7 +22,7 @@
 #include "analysis/transition_graph.hpp"
 #include "analysis/users.hpp"
 #include "analysis/volumes.hpp"
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/summary.hpp"
 
@@ -40,7 +40,7 @@ class AnalysisIntegration : public ::testing::Test {
     cfg.bootstrap_files_mean = 8.0;
     cfg.enable_ddos = true;
     cfg.ddos_bot_scale = 1.0;  // auto-scaled by population inside the sim
-    sim_ = new Simulation(cfg, *sink_);
+    sim_ = new ParallelSimulation(cfg, *sink_, 1);
     sim_->run();
     horizon_ = cfg.days * kDay;
   }
@@ -58,12 +58,12 @@ class AnalysisIntegration : public ::testing::Test {
   }
 
   static InMemorySink* sink_;
-  static Simulation* sim_;
+  static ParallelSimulation* sim_;
   static SimTime horizon_;
 };
 
 InMemorySink* AnalysisIntegration::sink_ = nullptr;
-Simulation* AnalysisIntegration::sim_ = nullptr;
+ParallelSimulation* AnalysisIntegration::sim_ = nullptr;
 SimTime AnalysisIntegration::horizon_ = 0;
 
 TEST_F(AnalysisIntegration, Fig2aTrafficDiurnalSwing) {
@@ -263,7 +263,7 @@ TEST_F(AnalysisIntegration, Fig9Burstiness) {
 }
 
 TEST_F(AnalysisIntegration, Fig10VolumeContents) {
-  const auto stats = analyze_volume_contents(sim_->backend().store());
+  const auto stats = analyze_volume_contents(sim_->stores());
   ASSERT_GT(stats.files_dirs.size(), 500u);
   // Strong files/dirs correlation (paper: 0.998).
   EXPECT_GT(stats.pearson_files_dirs, 0.5);
@@ -271,7 +271,7 @@ TEST_F(AnalysisIntegration, Fig10VolumeContents) {
 }
 
 TEST_F(AnalysisIntegration, Fig11Ownership) {
-  const auto stats = analyze_volume_ownership(sim_->backend().store(), 1200);
+  const auto stats = analyze_volume_ownership(sim_->stores(), 1200);
   // Paper: 58% of users have UDFs; 1.8% have shares.
   EXPECT_GT(stats.users_with_udf, 0.35);
   EXPECT_LT(stats.users_with_udf, 0.8);

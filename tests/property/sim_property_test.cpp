@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 
 namespace u1 {
 namespace {
@@ -34,7 +34,7 @@ class SimInvariants : public ::testing::TestWithParam<SimCase> {
 
 TEST_P(SimInvariants, TraceIsStructurallySound) {
   InMemorySink sink;
-  Simulation sim(config(GetParam()), sink);
+  ParallelSimulation sim(config(GetParam()), sink, 1);
   const SimulationReport report = sim.run();
   ASSERT_GT(sink.records().size(), 100u);
 
@@ -95,15 +95,20 @@ TEST_P(SimInvariants, TraceIsStructurallySound) {
 
 TEST_P(SimInvariants, StoreAndS3StayConsistent) {
   InMemorySink sink;
-  Simulation sim(config(GetParam()), sink);
+  ParallelSimulation sim(config(GetParam()), sink, 1);
   sim.run();
-  const auto& store = sim.backend().store();
-  const auto& s3 = sim.backend().s3();
-  // Every unique registered content is exactly one S3 object.
-  EXPECT_EQ(store.contents().unique_contents(), s3.object_count());
-  EXPECT_EQ(store.contents().unique_bytes(), s3.stored_bytes());
+  const ContentRegistry& contents = sim.contents();
+  // Every unique registered content is exactly one S3 object, summed
+  // over the per-group S3 stores.
+  std::uint64_t objects = 0, stored_bytes = 0;
+  for (std::size_t g = 0; g < sim.group_count(); ++g) {
+    objects += sim.backend(g).s3().object_count();
+    stored_bytes += sim.backend(g).s3().stored_bytes();
+  }
+  EXPECT_EQ(contents.unique_contents(), objects);
+  EXPECT_EQ(contents.unique_bytes(), stored_bytes);
   // Dedup ratio is a ratio.
-  const double dr = store.contents().dedup_ratio();
+  const double dr = contents.dedup_ratio();
   EXPECT_GE(dr, 0.0);
   EXPECT_LT(dr, 1.0);
 }

@@ -1,14 +1,16 @@
-// Epoch-pipeline overhaul invariants: the k-way trace merge must
-// reproduce the old stable_sort total order exactly; the calendar queue
-// must pop in the binary heap's exact order (FIFO ties included); the
-// sticky scheduler and the pipelined flusher must leave the merged trace
-// byte-identical; and the bounded MPSC mailbox must drain
-// deterministically.
+// Epoch-pipeline invariants: the k-way trace merge must reproduce the
+// stable_sort total order exactly; the calendar queue must pop in a
+// binary heap's exact order (FIFO ties included); the pipelined flusher
+// must leave the merged trace byte-identical; and the bounded MPSC
+// mailbox must drain deterministically.
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -126,27 +128,31 @@ TEST(TraceMerge, PlanIsIndexPermutationOverChunks) {
 // --------------------------------------------------------------------------
 // Calendar queue vs binary heap: identical pop order, FIFO ties included.
 
+/// Reference order: a binary min-heap of (t, push index) — FIFO among
+/// equal timestamps.
+using HeapRef = std::pair<SimTime, std::uint64_t>;
+
 void expect_same_pop_order(const std::vector<SimTime>& pushes,
                            double pop_prob, std::uint64_t seed) {
-  EventQueue<std::uint64_t> heap(QueueImpl::kBinaryHeap);
-  EventQueue<std::uint64_t> calendar(QueueImpl::kCalendar);
+  std::priority_queue<HeapRef, std::vector<HeapRef>, std::greater<>> heap;
+  EventQueue<std::uint64_t> calendar;
   Rng rng(seed);
   std::uint64_t tag = 0;
   std::size_t checked = 0;
   const auto pop_both = [&] {
-    const SimTime t_heap = heap.next_time();
+    const auto [t_heap, tag_heap] = heap.top();
+    heap.pop();
     const SimTime t_cal = calendar.next_time();
     ASSERT_EQ(t_heap, t_cal) << "next_time diverged after " << checked;
-    const auto a = heap.pop();
     const auto b = calendar.pop();
-    ASSERT_EQ(a.t, b.t) << "timestamp diverged at pop " << checked;
-    ASSERT_EQ(a.payload, b.payload)
-        << "FIFO tie-break diverged at pop " << checked << " (t=" << a.t
+    ASSERT_EQ(t_heap, b.t) << "timestamp diverged at pop " << checked;
+    ASSERT_EQ(tag_heap, b.payload)
+        << "FIFO tie-break diverged at pop " << checked << " (t=" << t_heap
         << ")";
     ++checked;
   };
   for (const SimTime t : pushes) {
-    heap.push(t, tag);
+    heap.emplace(t, tag);
     calendar.push(t, tag);
     ++tag;
     // Interleave pops so the calendar's cursor/resize machinery runs in
@@ -203,18 +209,9 @@ TEST(CalendarQueue, MatchesHeapOnNegativeTimestamps) {
   expect_same_pop_order(pushes, 0.3, 102u);
 }
 
-TEST(CalendarQueue, SetImplRequiresEmptyQueue) {
-  EventQueue<int> q(QueueImpl::kBinaryHeap);
-  q.push(1, 0);
-  EXPECT_THROW(q.set_impl(QueueImpl::kCalendar), std::logic_error);
-  q.pop();
-  EXPECT_NO_THROW(q.set_impl(QueueImpl::kCalendar));
-  EXPECT_EQ(q.impl(), QueueImpl::kCalendar);
-}
-
 // --------------------------------------------------------------------------
-// Engine-level invariance: scheduling policy and queue implementation are
-// pure performance knobs — the merged trace must not move a byte.
+// Engine-level invariance: the flush-ring depth is a pure performance
+// knob — the merged trace must not move a byte.
 
 SimulationConfig small_config(bool auto_guard = false) {
   SimulationConfig cfg;
@@ -226,15 +223,12 @@ SimulationConfig small_config(bool auto_guard = false) {
   return cfg;
 }
 
-std::vector<std::string> run_trace_with(
-    const SimulationConfig& cfg, std::size_t threads,
-    ParallelSimulation::Scheduling sched, QueueImpl queue,
-    std::size_t flush_depth = 0) {
+std::vector<std::string> run_trace_with(const SimulationConfig& cfg,
+                                        std::size_t threads,
+                                        std::size_t flush_depth) {
   InMemorySink sink;
   ParallelSimulation sim(cfg, sink, threads);
-  sim.set_scheduling(sched);
-  sim.set_queue_impl(queue);
-  if (flush_depth != 0) sim.set_flush_depth(flush_depth);
+  sim.set_flush_depth(flush_depth);
   sim.run();
   std::vector<std::string> lines;
   lines.reserve(sink.records().size());
@@ -257,20 +251,6 @@ void expect_traces_equal(const std::vector<std::string>& a,
     ASSERT_EQ(a[i], b[i]) << what << ": first divergence at row " << i;
 }
 
-TEST(EpochPipeline, StickySchedulingMatchesCounterAndInline) {
-  const auto cfg = small_config(/*auto_guard=*/true);
-  using S = ParallelSimulation::Scheduling;
-  const auto inline1 =
-      run_trace_with(cfg, 1, S::kSticky, QueueImpl::kCalendar);
-  const auto sticky4 =
-      run_trace_with(cfg, 4, S::kSticky, QueueImpl::kCalendar);
-  const auto counter4 =
-      run_trace_with(cfg, 4, S::kCounter, QueueImpl::kCalendar);
-  ASSERT_FALSE(inline1.empty());
-  expect_traces_equal(inline1, sticky4, "sticky@4 vs inline");
-  expect_traces_equal(inline1, counter4, "counter@4 vs inline");
-}
-
 TEST(EpochPipeline, FlushDepthDoesNotChangeTrace) {
   // The ring depth K only decides how far sink writes may lag the
   // barrier; the guard purge schedule is pinned to stage A (joined
@@ -278,19 +258,15 @@ TEST(EpochPipeline, FlushDepthDoesNotChangeTrace) {
   // byte-identical trace. auto_guard on: purge timing is exactly the
   // thing a buggy ring would move.
   const auto cfg = small_config(/*auto_guard=*/true);
-  using S = ParallelSimulation::Scheduling;
-  const auto baseline =
-      run_trace_with(cfg, 1, S::kSticky, QueueImpl::kCalendar, 1);
+  const auto baseline = run_trace_with(cfg, 1, 1);
   ASSERT_FALSE(baseline.empty());
   for (const std::size_t depth : {std::size_t{2}, std::size_t{4}}) {
-    const auto inline_k =
-        run_trace_with(cfg, 1, S::kSticky, QueueImpl::kCalendar, depth);
+    const auto inline_k = run_trace_with(cfg, 1, depth);
     expect_traces_equal(baseline, inline_k, "inline depth vs depth 1");
   }
   for (const std::size_t depth :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const auto pooled =
-        run_trace_with(cfg, 4, S::kSticky, QueueImpl::kCalendar, depth);
+    const auto pooled = run_trace_with(cfg, 4, depth);
     expect_traces_equal(baseline, pooled, "4-thread ring vs inline K=1");
   }
 }
@@ -305,17 +281,6 @@ TEST(EpochPipeline, FlushDepthClampsToValidRange) {
   EXPECT_EQ(sim.flush_depth(), 8u);
   sim.set_flush_depth(3);
   EXPECT_EQ(sim.flush_depth(), 3u);
-}
-
-TEST(EpochPipeline, QueueImplDoesNotChangeTrace) {
-  const auto cfg = small_config();
-  using S = ParallelSimulation::Scheduling;
-  const auto heap2 =
-      run_trace_with(cfg, 2, S::kSticky, QueueImpl::kBinaryHeap);
-  const auto cal2 =
-      run_trace_with(cfg, 2, S::kSticky, QueueImpl::kCalendar);
-  ASSERT_FALSE(heap2.empty());
-  expect_traces_equal(heap2, cal2, "calendar vs heap");
 }
 
 TEST(EpochPipeline, PhaseBreakdownCoversEveryEpoch) {

@@ -1,7 +1,7 @@
 // Determinism oracle for fault injection: with a fault plan armed, the
 // merged trace must stay byte-identical for every thread count, the
-// sequential engine must complete a faulted run with degraded-mode
-// activity on record, and a plan whose windows sit beyond the horizon
+// single-threaded run must complete with degraded-mode activity on
+// record, and a plan whose windows sit beyond the horizon
 // must leave the trace untouched (the fault subsystem consumes no RNG
 // outside active windows).
 #include <cstddef>
@@ -12,7 +12,6 @@
 
 #include "fault/fault_plan.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simulation.hpp"
 #include "trace/sink.hpp"
 
 namespace u1 {
@@ -90,7 +89,7 @@ TEST(FaultSimulation, FaultedTraceIdenticalAcrossThreadCounts) {
 TEST(FaultSimulation, SequentialFaultedRunCompletesWithActivity) {
   const auto cfg = faulted_config();
   InMemorySink sink;
-  Simulation sim(cfg, sink);
+  ParallelSimulation sim(cfg, sink, 1);
   const SimulationReport report = sim.run();  // must not throw
 
   // Six windows, each with a begin and an end edge inside the horizon.

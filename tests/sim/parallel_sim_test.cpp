@@ -145,8 +145,8 @@ TEST(ParallelSimulation, StageASortHelpersNeverCrossRounds) {
 TEST(ParallelSimulation, EpochMergeKeepsRecordsSorted) {
   // Within each merged epoch records are sorted by t; across epoch
   // boundaries only bounded service-time lookahead (storage-done records
-  // stamped at t + service) may run ahead, exactly as in the sequential
-  // engine. Any larger regression means the merge is broken.
+  // stamped at t + service) may run ahead. Any larger regression means
+  // the merge is broken.
   InMemorySink sink;
   ParallelSimulation sim(small_config(), sink, 2);
   sim.run();
@@ -191,10 +191,8 @@ TEST(ParallelSimulation, StickyPlanRebuildHysteresis) {
   const auto cfg = small_config();
   InMemorySink s1, s2;
   ParallelSimulation a(cfg, s1, 4);
-  a.set_scheduling(ParallelSimulation::Scheduling::kSticky);
   a.run();
   ParallelSimulation b(cfg, s2, 4);
-  b.set_scheduling(ParallelSimulation::Scheduling::kSticky);
   b.run();
 
   EXPECT_EQ(a.phases().plan_rebuilds, b.phases().plan_rebuilds);
@@ -202,21 +200,6 @@ TEST(ParallelSimulation, StickyPlanRebuildHysteresis) {
   // Floor of 12 epochs between rebuilds bounds the count from above.
   const std::uint64_t epochs = a.phases().epochs;
   EXPECT_LE(a.phases().plan_rebuilds, 1 + epochs / 12);
-}
-
-TEST(EventQueue, ReserveAndCapacity) {
-  EventQueue<int> q;
-  q.reserve(64);
-  EXPECT_GE(q.capacity(), 64u);
-  for (int i = 0; i < 32; ++i) q.push(SimTime{100 - i}, i);
-  EXPECT_GE(q.capacity(), 64u);  // no reallocation below the reservation
-  SimTime prev = 0;
-  while (!q.empty()) {
-    const SimTime t = q.next_time();
-    EXPECT_GE(t, prev);
-    prev = t;
-    q.pop();
-  }
 }
 
 TEST(EventQueue, PopMovesPayloadOut) {

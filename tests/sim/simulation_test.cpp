@@ -1,4 +1,4 @@
-#include "sim/simulation.hpp"
+#include "sim/parallel.hpp"
 
 #include <gtest/gtest.h>
 
@@ -48,7 +48,7 @@ SimulationConfig small_config() {
 
 TEST(Simulation, SmallRunProducesActivity) {
   InMemorySink sink;
-  Simulation sim(small_config(), sink);
+  ParallelSimulation sim(small_config(), sink, 1);
   const SimulationReport report = sim.run();
   EXPECT_EQ(report.users, 120u);
   EXPECT_GT(report.agent_wakeups, 100u);
@@ -60,11 +60,11 @@ TEST(Simulation, SmallRunProducesActivity) {
 TEST(Simulation, DeterministicGivenSeed) {
   CountingSink a, b;
   {
-    Simulation sim(small_config(), a);
+    ParallelSimulation sim(small_config(), a, 1);
     sim.run();
   }
   {
-    Simulation sim(small_config(), b);
+    ParallelSimulation sim(small_config(), b, 1);
     sim.run();
   }
   EXPECT_EQ(a.total(), b.total());
@@ -75,13 +75,13 @@ TEST(Simulation, DeterministicGivenSeed) {
 TEST(Simulation, DifferentSeedsDiffer) {
   CountingSink a, b;
   {
-    Simulation sim(small_config(), a);
+    ParallelSimulation sim(small_config(), a, 1);
     sim.run();
   }
   {
     SimulationConfig cfg = small_config();
     cfg.seed = 8;
-    Simulation sim(cfg, b);
+    ParallelSimulation sim(cfg, b, 1);
     sim.run();
   }
   EXPECT_NE(a.total(), b.total());
@@ -90,7 +90,7 @@ TEST(Simulation, DifferentSeedsDiffer) {
 TEST(Simulation, RecordsStayWithinWindowExceptBootstrap) {
   InMemorySink sink;
   SimulationConfig cfg = small_config();
-  Simulation sim(cfg, sink);
+  ParallelSimulation sim(cfg, sink, 1);
   sim.run();
   const SimTime horizon = cfg.days * kDay;
   for (const auto& r : sink.records()) {
@@ -103,7 +103,7 @@ TEST(Simulation, RecordsStayWithinWindowExceptBootstrap) {
 
 TEST(Simulation, StoragePairsBalance) {
   CountingSink counts;
-  Simulation sim(small_config(), counts);
+  ParallelSimulation sim(small_config(), counts, 1);
   sim.run();
   EXPECT_EQ(counts.count(RecordType::kStorage),
             counts.count(RecordType::kStorageDone));
@@ -111,7 +111,7 @@ TEST(Simulation, StoragePairsBalance) {
 
 TEST(Simulation, RunTwiceThrows) {
   NullSink sink;
-  Simulation sim(small_config(), sink);
+  ParallelSimulation sim(small_config(), sink, 1);
   sim.run();
   EXPECT_THROW(sim.run(), std::logic_error);
 }
@@ -120,10 +120,10 @@ TEST(Simulation, ValidatesConfig) {
   NullSink sink;
   SimulationConfig cfg = small_config();
   cfg.users = 0;
-  EXPECT_THROW(Simulation(cfg, sink), std::invalid_argument);
+  EXPECT_THROW(ParallelSimulation(cfg, sink, 1), std::invalid_argument);
   cfg = small_config();
   cfg.days = 0;
-  EXPECT_THROW(Simulation(cfg, sink), std::invalid_argument);
+  EXPECT_THROW(ParallelSimulation(cfg, sink, 1), std::invalid_argument);
 }
 
 TEST(Simulation, DdosInjectionSpikessSessions) {
@@ -137,7 +137,7 @@ TEST(Simulation, DdosInjectionSpikessSessions) {
 
   CountingSink quiet;
   {
-    Simulation sim(base, quiet);
+    ParallelSimulation sim(base, quiet, 1);
     sim.run();
   }
   SimulationConfig attacked = base;
@@ -148,7 +148,7 @@ TEST(Simulation, DdosInjectionSpikessSessions) {
   CountingSink noisy;
   std::uint64_t attacks = 0;
   {
-    Simulation sim(attacked, noisy);
+    ParallelSimulation sim(attacked, noisy, 1);
     attacks = sim.run().ddos_attacks;
   }
   EXPECT_EQ(attacks, 2u);  // Jan 15 + Jan 16 fall inside 6 days
@@ -161,9 +161,9 @@ TEST(Simulation, DedupRatioInPlausibleRange) {
   SimulationConfig cfg = small_config();
   cfg.users = 300;
   cfg.bootstrap_files_mean = 8.0;
-  Simulation sim(cfg, sink);
+  ParallelSimulation sim(cfg, sink, 1);
   sim.run();
-  const double dr = sim.backend().store().contents().dedup_ratio();
+  const double dr = sim.contents().dedup_ratio();
   EXPECT_GT(dr, 0.05);
   EXPECT_LT(dr, 0.4);
 }
@@ -175,7 +175,7 @@ TEST(Simulation, SessionsMostlyCold) {
   SimulationConfig cfg = small_config();
   cfg.users = 400;
   cfg.days = 3;
-  Simulation sim(cfg, sink);
+  ParallelSimulation sim(cfg, sink, 1);
   sim.run();
   std::unordered_map<std::uint64_t, bool> active;
   std::uint64_t sessions = 0;

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tools/u1trace_cli.hpp"
@@ -218,6 +219,38 @@ TEST_F(CliPipeline, GenerateRejectsUnknownFormat) {
                  "parquet"},
                 out, err),
             0);
+}
+
+TEST_F(CliPipeline, GenerateRejectsOutOfRangeCounts) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"users", "0"}, {"users", "-1"}, {"users", "many"},
+      {"days", "0"},  {"days", "-2"},  {"threads", "-1"}};
+  for (const auto& [flag, value] : bad) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"generate", "--out", dir_, "--" + flag, value}, out, err),
+              2)
+        << flag << "=" << value;
+    EXPECT_NE(err.str().find("--" + flag), std::string::npos) << err.str();
+    EXPECT_FALSE(std::filesystem::exists(dir_)) << flag << "=" << value;
+  }
+}
+
+TEST_F(CliPipeline, GenerateTraceIdenticalAcrossThreadCounts) {
+  const std::string one = dir_ + "_t1";
+  const std::string three = dir_ + "_t3";
+  for (const auto& [target, threads] : {std::pair{one, "1"},
+                                        std::pair{three, "3"}}) {
+    std::filesystem::remove_all(target);
+    std::ostringstream out, err;
+    ASSERT_EQ(run({"generate", "--out", target, "--users", "120", "--days",
+                   "2", "--seed", "7", "--threads", threads},
+                  out, err),
+              0)
+        << err.str();
+  }
+  EXPECT_EQ(dir_bytes(one), dir_bytes(three));
+  std::filesystem::remove_all(one);
+  std::filesystem::remove_all(three);
 }
 
 TEST_F(CliPipeline, AnalyzeUnknownFigureFails) {

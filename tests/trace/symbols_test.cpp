@@ -33,7 +33,7 @@ TEST(SymbolTable, ResolveOfGarbageIdIsEmpty) {
 }
 
 TEST(GroupSymbols, EagerModeInternsGlobally) {
-  GroupSymbols group;  // eager by default (sequential engine, tests)
+  GroupSymbols group;  // eager by default (stand-alone back-ends, tests)
   const Symbol s = group.intern("odt");
   EXPECT_EQ(global_symbols().resolve(s), "odt");
   EXPECT_EQ(group.intern("odt"), s);

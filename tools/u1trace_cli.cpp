@@ -17,7 +17,6 @@
 #include "analysis/traffic.hpp"
 #include "analysis/users.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simulation.hpp"
 #include "trace/binlog.hpp"
 #include "trace/logfile.hpp"
 #include "util/strings.hpp"
@@ -110,9 +109,26 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "generate: --out DIR is required\n";
     return 2;
   }
+  // Out-of-range or non-numeric counts fail here, by flag name, before
+  // anything touches the output directory.
+  const auto count_flag = [&](const char* name, std::int64_t fallback,
+                              std::int64_t min) -> std::optional<std::int64_t> {
+    if (!args.flag(name)) return fallback;
+    const auto value = args.int_flag(name);
+    if (!value || *value < min) {
+      err << "generate: --" << name << " must be an integer >= " << min
+          << "\n";
+      return std::nullopt;
+    }
+    return value;
+  };
+  const auto users = count_flag("users", 2000, 1);
+  const auto days = count_flag("days", 7, 1);
+  const auto threads = count_flag("threads", 1, 0);
+  if (!users || !days || !threads) return 2;
   SimulationConfig cfg;
-  cfg.users = static_cast<std::size_t>(args.int_flag("users").value_or(2000));
-  cfg.days = static_cast<int>(args.int_flag("days").value_or(7));
+  cfg.users = static_cast<std::size_t>(*users);
+  cfg.days = static_cast<int>(*days);
   cfg.seed =
       static_cast<std::uint64_t>(args.int_flag("seed").value_or(20140111));
   cfg.enable_ddos = !args.has_switch("no-ddos");
@@ -153,8 +169,6 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   cfg.fault_seed =
       static_cast<std::uint64_t>(args.int_flag("fault-seed").value_or(0));
-  const auto threads =
-      static_cast<std::size_t>(args.int_flag("threads").value_or(1));
   // --format wins; otherwise U1SIM_TRACE_FORMAT; otherwise CSV.
   TraceFormat format = trace_format_from_env();
   if (const auto f = args.flag("format")) {
@@ -165,22 +179,15 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     }
     format = *parsed;
   }
+  const std::unique_ptr<LogfileSink> writer = make_logfile_writer(*dir, format);
+  // The trace bytes are the same for every thread count.
+  ParallelSimulation sim(cfg, *writer, static_cast<std::size_t>(*threads));
   out << "# generating: users=" << cfg.users << " days=" << cfg.days
       << " seed=" << cfg.seed << " ddos=" << (cfg.enable_ddos ? "on" : "off")
       << " faults=" << (cfg.faults.empty() ? "off" : "on")
-      << " threads=" << (threads == 0 ? std::size_t{1} : threads)
-      << " engine=" << (threads > 1 ? "shard-parallel" : "sequential")
-      << " format=" << to_string(format) << "\n";
-  const std::unique_ptr<LogfileSink> writer = make_logfile_writer(*dir, format);
-  SimulationReport report;
-  if (threads > 1) {
-    // Shard-parallel engine: same trace bytes as sequential, any T.
-    ParallelSimulation sim(cfg, *writer, threads);
-    report = sim.run();
-  } else {
-    Simulation sim(cfg, *writer);
-    report = sim.run();
-  }
+      << " threads=" << sim.threads() << " format=" << to_string(format)
+      << "\n";
+  const SimulationReport report = sim.run();
   writer->close();
   out << "# done: " << report.backend.sessions_opened << " sessions, "
       << report.backend.uploads << " uploads, " << report.backend.downloads
@@ -279,7 +286,13 @@ int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
     out << "download: " << traffic.download_ops() << " ops, "
         << format_bytes(static_cast<double>(traffic.download_bytes()))
         << "\n";
-    out << "R/W ratio median: " << traffic.rw_boxplot().median << "\n";
+    // A short or quiet trace can have no hour with uploads at all.
+    const std::vector<double> rw = traffic.rw_ratios_hourly();
+    out << "R/W ratio median: ";
+    if (rw.empty())
+      out << "n/a (no upload hours)\n";
+    else
+      out << boxplot(rw).median << "\n";
     out << "update ops share: " << traffic.update_op_fraction() << "\n";
     out << "update traffic share: " << traffic.update_traffic_fraction()
         << "\n";
