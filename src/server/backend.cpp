@@ -626,7 +626,8 @@ Response U1Backend::do_get_delta(const Request& q) {
   partial.volume = volume;
   emit_storage(ctx, ApiOp::kGetDelta, now, partial);
   // Clients track generations and are normally almost in sync: a delta
-  // request covers only the most recent changes, not the whole volume.
+  // request covers only the most recent changes, and the shard's
+  // generation index walks just those, not the whole volume.
   std::uint64_t since = since_generation;
   if (since == 0) {
     const Shard& shard = store_.shard(store_.shard_of(ctx.session.user));

@@ -4,19 +4,6 @@
 #include <stdexcept>
 
 namespace u1 {
-namespace {
-
-void swap_remove(std::vector<NodeId>& v, const NodeId& id) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] == id) {
-      v[i] = v.back();
-      v.pop_back();
-      return;
-    }
-  }
-}
-
-}  // namespace
 
 Volume& Shard::create_user(UserId user, SimTime now, Rng& rng) {
   if (users_.contains(user))
@@ -39,7 +26,7 @@ Volume& Shard::create_user(UserId user, SimTime now, Rng& rng) {
   vol.root_dir = root.id;
 
   nodes_.emplace(root.id, root);
-  nodes_by_volume_[vol.id].push_back(root.id);
+  index_append(vol.id, 0, root.id);
   children_[root.id];  // materialize empty child list
   auto [it, _] = volumes_.emplace(vol.id, vol);
   volumes_by_user_[user].push_back(vol.id);
@@ -75,7 +62,7 @@ Volume& Shard::create_udf(UserId user, SimTime now, Rng& rng) {
   vol.root_dir = root.id;
 
   nodes_.emplace(root.id, root);
-  nodes_by_volume_[vol.id].push_back(root.id);
+  index_append(vol.id, 0, root.id);
   children_[root.id];
   auto [it, _] = volumes_.emplace(vol.id, vol);
   volumes_by_user_[user].push_back(vol.id);
@@ -126,19 +113,18 @@ std::vector<ContentId> Shard::delete_volume(VolumeId id) {
   if (vit->second.kind == VolumeKind::kRoot)
     throw std::invalid_argument("Shard::delete_volume: cannot delete root");
 
-  std::vector<NodeId> subtree;
-  collect_subtree(vit->second.root_dir, subtree);
   std::vector<ContentId> released;
-  for (const NodeId& nid : subtree) {
-    const auto nit = nodes_.find(nid);
-    if (nit == nodes_.end()) continue;
-    if (nit->second.kind == NodeKind::kFile &&
-        !(nit->second.content == ContentId{}))
-      released.push_back(nit->second.content);
-    children_.erase(nid);
-    nodes_.erase(nit);
+  if (const auto iit = gen_index_.find(id); iit != gen_index_.end()) {
+    for (const auto& entry : iit->second.entries) {
+      const Node* node = live_node(entry);
+      if (node == nullptr) continue;
+      if (node->kind == NodeKind::kFile && !(node->content == ContentId{}))
+        released.push_back(node->content);
+      children_.erase(entry.second);
+      nodes_.erase(entry.second);
+    }
+    gen_index_.erase(iit);
   }
-  nodes_by_volume_.erase(id);
   auto& user_vols = volumes_by_user_[vit->second.owner];
   user_vols.erase(std::remove(user_vols.begin(), user_vols.end(), id),
                   user_vols.end());
@@ -151,15 +137,16 @@ void Shard::shed_user_namespace(UserId user) {
   const auto vols = volumes_by_user_.find(user);
   if (vols == volumes_by_user_.end()) return;
   for (const VolumeId& vol : vols->second) {
-    const auto it = nodes_by_volume_.find(vol);
-    if (it == nodes_by_volume_.end()) continue;
+    const auto it = gen_index_.find(vol);
+    if (it == gen_index_.end()) continue;
     // Straight row surgery: no dedup release, no generation bumps — the
     // registry must end up byte-identical to an engine that kept the rows.
-    for (const NodeId& nid : it->second) {
-      nodes_.erase(nid);
-      children_.erase(nid);
+    for (const auto& entry : it->second.entries) {
+      if (live_node(entry) == nullptr) continue;
+      nodes_.erase(entry.second);
+      children_.erase(entry.second);
     }
-    nodes_by_volume_.erase(it);
+    gen_index_.erase(it);
   }
 }
 
@@ -189,9 +176,7 @@ Node& Shard::make_node(UserId user, VolumeId volume, NodeId parent,
   node.generation = ++vit->second.generation;
 
   auto [it, _] = nodes_.emplace(node.id, std::move(node));
-  auto& vol_index = nodes_by_volume_[volume];
-  if (vol_index.capacity() == 0) vol_index.reserve(16);
-  vol_index.push_back(it->first);
+  index_append(volume, it->second.generation, it->first);
   auto& siblings = children_[parent];
   if (siblings.capacity() == 0) siblings.reserve(8);
   siblings.push_back(it->first);
@@ -238,7 +223,8 @@ std::vector<ContentId> Shard::unlink_node(NodeId id) {
                  siblings.end());
 
   std::vector<ContentId> released;
-  auto& vol_index = nodes_by_volume_[it->second.volume];
+  // Removed nodes leave their index entries stale; no search needed.
+  GenerationIndex& index = gen_index_.at(it->second.volume);
   for (const NodeId& nid : subtree) {
     const auto nit = nodes_.find(nid);
     if (nit == nodes_.end()) continue;
@@ -247,8 +233,9 @@ std::vector<ContentId> Shard::unlink_node(NodeId id) {
       released.push_back(nit->second.content);
     children_.erase(nid);
     nodes_.erase(nit);
-    swap_remove(vol_index, nid);
+    --index.live;
   }
+  maybe_compact(index);
   return released;
 }
 
@@ -299,25 +286,26 @@ ContentId Shard::set_node_content(NodeId id, const ContentId& content,
 std::vector<Node> Shard::get_delta(VolumeId volume,
                                    std::uint64_t since_generation) const {
   std::vector<Node> out;
-  const auto vit = nodes_by_volume_.find(volume);
-  if (vit == nodes_by_volume_.end()) return out;
-  for (const NodeId& nid : vit->second) {
-    const auto nit = nodes_.find(nid);
-    if (nit != nodes_.end() && nit->second.generation > since_generation)
-      out.push_back(nit->second);
-  }
+  const auto vit = gen_index_.find(volume);
+  if (vit == gen_index_.end()) return out;
+  const auto& entries = vit->second.entries;
+  const auto first = std::upper_bound(
+      entries.begin(), entries.end(), since_generation,
+      [](std::uint64_t since, const IndexEntry& entry) {
+        return since < entry.first;
+      });
+  for (auto e = first; e != entries.end(); ++e)
+    if (const Node* node = live_node(*e)) out.push_back(*node);
   return out;
 }
 
 std::vector<Node> Shard::get_from_scratch(VolumeId volume) const {
   std::vector<Node> out;
-  const auto vit = nodes_by_volume_.find(volume);
-  if (vit == nodes_by_volume_.end()) return out;
-  out.reserve(vit->second.size());
-  for (const NodeId& nid : vit->second) {
-    const auto nit = nodes_.find(nid);
-    if (nit != nodes_.end()) out.push_back(nit->second);
-  }
+  const auto vit = gen_index_.find(volume);
+  if (vit == gen_index_.end()) return out;
+  out.reserve(vit->second.live);
+  for (const auto& entry : vit->second.entries)
+    if (const Node* node = live_node(entry)) out.push_back(*node);
   return out;
 }
 
@@ -376,14 +364,14 @@ void Shard::remove_grants_for_volume(VolumeId volume) {
 std::pair<std::size_t, std::size_t> Shard::count_nodes(
     VolumeId volume) const {
   std::size_t files = 0, dirs = 0;
-  const auto it = nodes_by_volume_.find(volume);
-  if (it == nodes_by_volume_.end()) return {0, 0};
+  const auto it = gen_index_.find(volume);
+  if (it == gen_index_.end()) return {0, 0};
   const Volume* vol = find_volume(volume);
-  for (const NodeId& nid : it->second) {
-    const auto nit = nodes_.find(nid);
-    if (nit == nodes_.end()) continue;
-    if (vol != nullptr && nid == vol->root_dir) continue;  // implicit root
-    if (nit->second.kind == NodeKind::kDirectory) {
+  for (const auto& entry : it->second.entries) {
+    const Node* node = live_node(entry);
+    if (node == nullptr) continue;
+    if (vol != nullptr && node->id == vol->root_dir) continue;  // root
+    if (node->kind == NodeKind::kDirectory) {
       ++dirs;
     } else {
       ++files;
@@ -396,6 +384,31 @@ void Shard::bump_generation(Node& node) {
   const auto vit = volumes_.find(node.volume);
   if (vit == volumes_.end()) return;
   node.generation = ++vit->second.generation;
+  // The node's previous entry goes stale; the live count is unchanged.
+  GenerationIndex& index = gen_index_.at(node.volume);
+  index.entries.emplace_back(node.generation, node.id);
+  maybe_compact(index);
+}
+
+void Shard::index_append(VolumeId volume, std::uint64_t generation,
+                         NodeId node) {
+  GenerationIndex& index = gen_index_[volume];
+  index.entries.emplace_back(generation, node);
+  ++index.live;
+}
+
+const Node* Shard::live_node(const IndexEntry& entry) const {
+  const auto it = nodes_.find(entry.second);
+  return it != nodes_.end() && it->second.generation == entry.first
+             ? &it->second
+             : nullptr;
+}
+
+void Shard::maybe_compact(GenerationIndex& index) {
+  if (index.entries.size() - index.live <= index.live) return;
+  std::erase_if(index.entries, [this](const auto& entry) {
+    return live_node(entry) == nullptr;
+  });
 }
 
 }  // namespace u1

@@ -95,10 +95,12 @@ class Shard {
   ContentId set_node_content(NodeId id, const ContentId& content,
                              std::uint64_t size_bytes);
 
-  /// Nodes of a volume changed after `since_generation` (dal.get_delta).
+  /// Nodes of a volume changed after `since_generation`, in generation
+  /// order (dal.get_delta). O(log volume + changes).
   std::vector<Node> get_delta(VolumeId volume,
                               std::uint64_t since_generation) const;
-  /// All nodes of a volume (dal.get_from_scratch).
+  /// All nodes of a volume, its root included, in generation order
+  /// (dal.get_from_scratch).
   std::vector<Node> get_from_scratch(VolumeId volume) const;
 
   // --- upload jobs --------------------------------------------------------
@@ -138,12 +140,39 @@ class Shard {
   /// (file count, directory count) of a volume, excluding its root dir.
   std::pair<std::size_t, std::size_t> count_nodes(VolumeId volume) const;
 
+  /// Entries in a volume's generation index, stale ones included; 0 for
+  /// an unknown volume. Compaction keeps it at most twice the volume's
+  /// node count.
+  std::size_t generation_index_size(VolumeId volume) const {
+    const auto it = gen_index_.find(volume);
+    return it == gen_index_.end() ? 0 : it->second.entries.size();
+  }
+
   std::size_t user_count() const noexcept { return users_.size(); }
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t volume_count() const noexcept { return volumes_.size(); }
 
  private:
+  /// Per-volume generation index, the only per-volume view of `nodes_`.
+  /// make_node and bump_generation append one (generation, node) entry,
+  /// a volume's root enters at generation 0, so entries stay in
+  /// ascending generation order. An entry is live while its node exists
+  /// at that generation; a re-bumped or removed node leaves a stale entry
+  /// behind, skipped on read and dropped by compaction once stale entries
+  /// outnumber live ones. get_delta binary-searches its start, so a delta
+  /// costs O(log n + changes) instead of a walk over the whole volume.
+  using IndexEntry = std::pair<std::uint64_t, NodeId>;  // (generation, node)
+  struct GenerationIndex {
+    std::vector<IndexEntry> entries;
+    std::size_t live = 0;
+  };
+
   void bump_generation(Node& node);
+  void index_append(VolumeId volume, std::uint64_t generation, NodeId node);
+  /// The node an index entry points at, or nullptr for a stale entry.
+  const Node* live_node(const IndexEntry& entry) const;
+  /// Drops stale entries once they outnumber live ones.
+  void maybe_compact(GenerationIndex& index);
   void collect_subtree(NodeId id, std::vector<NodeId>& out) const;
   /// Canonical copy of an extension string. Extensions come from the file
   /// model's small closed set, so the interner stays tiny while every node
@@ -157,9 +186,7 @@ class Shard {
   std::unordered_map<VolumeId, Volume> volumes_;
   std::unordered_map<NodeId, Node> nodes_;
   std::unordered_map<NodeId, std::vector<NodeId>> children_;
-  /// Secondary index: nodes per volume (keeps get_delta/get_from_scratch
-  /// proportional to the volume, not the shard).
-  std::unordered_map<VolumeId, std::vector<NodeId>> nodes_by_volume_;
+  std::unordered_map<VolumeId, GenerationIndex> gen_index_;
   std::unordered_map<UploadJobId, UploadJob> uploadjobs_;
   std::unordered_map<UserId, std::vector<ShareGrant>> grants_;
 };

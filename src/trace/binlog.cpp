@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 
 #include "util/sim_time.hpp"
@@ -621,7 +622,7 @@ bool is_binary_logfile_magic(const unsigned char* p, std::size_t n) noexcept {
 // --- writer -----------------------------------------------------------------
 
 struct BinaryLogfileWriter::FileState {
-  std::ofstream out;
+  std::filesystem::path path;
   std::string logname;
   std::uint8_t machine = 0;
   std::uint16_t process = 0;
@@ -663,16 +664,18 @@ BinaryLogfileWriter::FileState& BinaryLogfileWriter::file_for(
 
   auto file = std::make_unique<FileState>();
   file->logname = record.logname();
+  file->path = dir_ / (file->logname + std::string(kBinaryLogfileExt));
   file->machine = static_cast<std::uint8_t>(record.machine.value);
   file->process = record.process.value;
-  const std::filesystem::path path =
-      dir_ / (file->logname + std::string(kBinaryLogfileExt));
-  file->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!file->out.is_open())
-    throw std::runtime_error("BinaryLogfileWriter: cannot open " +
-                             path.string());
+  // Create the file behind a zero header now, while the run is still
+  // going, and close it again: write_out reopens it.
+  std::ofstream out(file->path, std::ios::binary | std::ios::trunc);
   const std::array<char, kFileHeaderBytes> placeholder{};
-  file->out.write(placeholder.data(), placeholder.size());
+  out.write(placeholder.data(), placeholder.size());
+  out.close();
+  if (!out)
+    throw std::runtime_error("BinaryLogfileWriter: cannot open " +
+                             file->path.string());
   bytes_written_ += kFileHeaderBytes;
   file->pending.reserve(stripe_records_);
   return *files_.emplace(key, std::move(file)).first->second;
@@ -682,7 +685,10 @@ void BinaryLogfileWriter::append(const TraceRecord& record) {
   FileState& file = file_for(record);
   file.pending.push_back(record);
   ++records_;
-  if (file.pending.size() >= stripe_records_) flush_stripe(file);
+  if (file.pending.size() >= stripe_records_) {
+    encode_stripe(file);
+    write_out(file, nullptr);
+  }
 }
 
 void BinaryLogfileWriter::append_batch(const TraceRecord* records,
@@ -690,7 +696,8 @@ void BinaryLogfileWriter::append_batch(const TraceRecord* records,
   for (std::size_t i = 0; i < count; ++i) append(records[i]);
 }
 
-void BinaryLogfileWriter::flush_stripe(FileState& file) {
+void BinaryLogfileWriter::encode_stripe(FileState& file) {
+  scratch_.clear();
   if (file.pending.empty()) return;
   const auto count = static_cast<std::uint32_t>(file.pending.size());
 
@@ -698,35 +705,50 @@ void BinaryLogfileWriter::flush_stripe(FileState& file) {
   for (std::uint32_t i = 0; i < count; ++i)
     idx[static_cast<std::size_t>(file.pending[i].type)].push_back(i);
 
-  scratch_.clear();
+  scratch_.resize(kStripeHeaderBytes);  // filled in below
   for (std::uint32_t i = 0; i < count; ++i)
     scratch_.push_back(static_cast<std::uint8_t>(file.pending[i].type));
   for (std::size_t t = 0; t < kRecordTypeCount; ++t)
     if (!idx[t].empty())
       encode_segment(file.pending, idx[t], file.dict, scratch_);
 
-  std::array<std::uint8_t, kStripeHeaderBytes> header{};
-  put_le32(header.data(), static_cast<std::uint32_t>(scratch_.size()));
-  put_le32(header.data() + 4, count);
+  std::uint8_t* header = scratch_.data();
+  put_le32(header,
+           static_cast<std::uint32_t>(scratch_.size() - kStripeHeaderBytes));
+  put_le32(header + 4, count);
   for (std::size_t t = 0; t < kRecordTypeCount; ++t)
-    put_le32(header.data() + 8 + 4 * t,
-             static_cast<std::uint32_t>(idx[t].size()));
+    put_le32(header + 8 + 4 * t, static_cast<std::uint32_t>(idx[t].size()));
 
-  file.out.write(reinterpret_cast<const char*>(header.data()),
-                 static_cast<std::streamsize>(header.size()));
-  file.out.write(reinterpret_cast<const char*>(scratch_.data()),
-                 static_cast<std::streamsize>(scratch_.size()));
-  file.checksum.update(header.data(), header.size());
   file.checksum.update(scratch_.data(), scratch_.size());
-  file.payload_bytes += header.size() + scratch_.size();
-  bytes_written_ += header.size() + scratch_.size();
+  file.payload_bytes += scratch_.size();
   file.record_count += count;
   file.stripe_count += 1;
   file.pending.clear();
 }
 
+void BinaryLogfileWriter::write_out(FileState& file,
+                                    const std::uint8_t* header) {
+  // In-place update: no truncation, so earlier stripes stay.
+  std::fstream out(file.path, std::ios::binary | std::ios::in | std::ios::out);
+  if (!out.is_open())
+    throw std::runtime_error("BinaryLogfileWriter: cannot open " +
+                             file.path.string());
+  out.seekp(0, std::ios::end);
+  out.write(reinterpret_cast<const char*>(scratch_.data()),
+            static_cast<std::streamsize>(scratch_.size()));
+  bytes_written_ += scratch_.size();
+  if (header != nullptr) {
+    out.seekp(0);
+    out.write(reinterpret_cast<const char*>(header), kFileHeaderBytes);
+  }
+  out.close();
+  if (!out)
+    throw std::runtime_error("BinaryLogfileWriter: write failed for " +
+                             file.logname);
+}
+
 void BinaryLogfileWriter::finalize(FileState& file) {
-  flush_stripe(file);
+  encode_stripe(file);
 
   std::array<std::uint8_t, kFileHeaderBytes> header{};
   std::memcpy(header.data(), kLogMagic.data(), kLogMagic.size());
@@ -738,13 +760,7 @@ void BinaryLogfileWriter::finalize(FileState& file) {
   put_le64(header.data() + 24, file.record_count);
   put_le64(header.data() + 32, file.payload_bytes);
   put_le64(header.data() + 40, file.checksum.digest());
-  file.out.seekp(0);
-  file.out.write(reinterpret_cast<const char*>(header.data()),
-                 static_cast<std::streamsize>(header.size()));
-  file.out.flush();
-  if (!file.out)
-    throw std::runtime_error("BinaryLogfileWriter: write failed for " +
-                             file.logname);
+  write_out(file, header.data());
 
   // Symbol sidecar: the strings this file references, in local-id order.
   std::vector<std::uint8_t> payload;

@@ -97,7 +97,8 @@ class BinaryLogfileWriter final : public LogfileSink {
   /// sidecars and closes every file.
   void close() override;
 
-  /// Open files (0 after close()), mirroring LogfileWriter semantics.
+  /// Files started since the last close() (0 after close()), mirroring
+  /// LogfileWriter semantics.
   std::size_t files_written() const noexcept override {
     return files_.size();
   }
@@ -115,7 +116,14 @@ class BinaryLogfileWriter final : public LogfileSink {
   struct FileState;
 
   FileState& file_for(const TraceRecord& record);
-  void flush_stripe(FileState& file);
+  /// Encodes the file's pending records as one stripe (header, payload)
+  /// into scratch_; leaves scratch_ empty when nothing is pending.
+  void encode_stripe(FileState& file);
+  /// Appends scratch_ to the file and writes `header` (if given) over its
+  /// placeholder header. The file is open only for this call, so a
+  /// writer never holds more than one file open however many logfiles a
+  /// run makes.
+  void write_out(FileState& file, const std::uint8_t* header);
   void finalize(FileState& file);
 
   std::filesystem::path dir_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <fstream>
 #include <system_error>
 #include <thread>
 
@@ -16,25 +17,56 @@ LogfileWriter::LogfileWriter(std::filesystem::path directory)
   std::filesystem::create_directories(dir_);
 }
 
-LogfileWriter::~LogfileWriter() { close(); }
+LogfileWriter::~LogfileWriter() {
+  try {
+    close();
+  } catch (...) {
+    // Destructors must not throw; an explicit close() reports errors.
+  }
+}
 
 void LogfileWriter::append(const TraceRecord& record) {
-  const std::string name = record.logname();
-  auto it = files_.find(name);
-  if (it == files_.end()) {
-    auto stream = std::make_unique<std::ofstream>(dir_ / (name + ".csv"));
-    if (!stream->is_open())
-      throw std::runtime_error("LogfileWriter: cannot open " + name);
-    CsvWriter header(*stream);
-    header.write_row(TraceRecord::csv_header());
-    it = files_.emplace(name, std::move(stream)).first;
+  // Pre-trace bootstrap records (t < 0) go to day 0's files.
+  const std::int64_t day = record.t < 0 ? 0 : record.t / kDay;
+  if (day > day_) {
+    for (auto& [name, file] : files_) {
+      if (file.day >= day) continue;
+      if (!file.pending.empty()) write_out(name, file);
+      std::string().swap(file.pending);  // the file is complete
+    }
+    day_ = day;
   }
-  CsvWriter writer(*it->second);
+  const auto [it, fresh] = files_.try_emplace(record.logname());
+  FileState& file = it->second;
+  row_.str({});
+  CsvWriter writer(row_);
+  if (fresh) {
+    file.day = day;
+    writer.write_row(TraceRecord::csv_header());
+  }
   writer.write_row(record.to_csv());
+  file.pending += row_.view();
+  if (file.pending.size() >= kFileBufferBytes) write_out(it->first, file);
+}
+
+void LogfileWriter::write_out(const std::string& name, FileState& file) {
+  const std::filesystem::path path = dir_ / (name + ".csv");
+  std::ofstream out(path, file.created ? std::ios::app : std::ios::trunc);
+  if (!out.is_open())
+    throw std::runtime_error("LogfileWriter: cannot open " + path.string());
+  out.write(file.pending.data(),
+            static_cast<std::streamsize>(file.pending.size()));
+  out.close();
+  if (!out)
+    throw std::runtime_error("LogfileWriter: write failed for " +
+                             path.string());
+  file.created = true;
+  file.pending.clear();  // keeps its capacity for the file's next rows
 }
 
 void LogfileWriter::close() {
-  for (auto& [name, stream] : files_) stream->flush();
+  for (auto& [name, file] : files_)
+    if (!file.pending.empty()) write_out(name, file);
   files_.clear();
 }
 

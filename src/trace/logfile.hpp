@@ -15,9 +15,8 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,19 +32,28 @@ class LogfileSink : public TraceSink {
  public:
   /// Flushes and closes all open files; idempotent.
   virtual void close() = 0;
-  /// Files currently open (0 after close()).
+  /// Files started since the last close() (0 after close()).
   virtual std::size_t files_written() const noexcept = 0;
 };
 
 /// Writes records into per-(machine, process, day) CSV logfiles under a
-/// directory. Files carry a header row.
+/// directory. Files carry a header row. Rows collect in a buffer per file,
+/// which is appended to the file once it holds kFileBufferBytes, when the
+/// first record of a later day arrives (records come in time order, so
+/// that day's files are then complete), and at close(). A file is open
+/// only for such a write, so the writer never holds more than one file
+/// open however many logfiles a run makes.
 class LogfileWriter final : public LogfileSink {
  public:
+  /// Buffered bytes that make a file's rows go to disk (DESIGN.md §8
+  /// has the timings behind the value).
+  static constexpr std::size_t kFileBufferBytes = std::size_t{16} << 10;
+
   explicit LogfileWriter(std::filesystem::path directory);
   ~LogfileWriter() override;
 
   void append(const TraceRecord& record) override;
-  /// Flushes and closes all open files.
+  /// Writes every buffered row out; the files are then complete.
   void close() override;
 
   std::size_t files_written() const noexcept override {
@@ -53,8 +61,17 @@ class LogfileWriter final : public LogfileSink {
   }
 
  private:
+  struct FileState {
+    std::int64_t day = 0;  // trace day the file covers
+    std::string pending;   // rows not yet on disk
+    bool created = false;  // later write-outs append
+  };
+  void write_out(const std::string& name, FileState& file);
+
   std::filesystem::path dir_;
-  std::map<std::string, std::unique_ptr<std::ofstream>> files_;
+  std::map<std::string, FileState> files_;
+  std::ostringstream row_;  // one formatted row, reused
+  std::int64_t day_ = 0;    // latest trace day appended
 };
 
 struct ReadStats {

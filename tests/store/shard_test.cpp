@@ -120,11 +120,12 @@ TEST_F(ShardTest, UnlinkFileReleasesContent) {
   const Volume& v = add_user(1);
   Node& f = shard_.make_node(UserId{1}, v.id, v.root_dir, NodeKind::kFile,
                              "f", "", 0, rng_);
-  shard_.set_node_content(f.id, Sha1::of("data"), 10);
-  const auto released = shard_.unlink_node(f.id);
+  const NodeId id = f.id;  // `f` dies with the unlink
+  shard_.set_node_content(id, Sha1::of("data"), 10);
+  const auto released = shard_.unlink_node(id);
   ASSERT_EQ(released.size(), 1u);
   EXPECT_EQ(released[0], Sha1::of("data"));
-  EXPECT_EQ(shard_.find_node(f.id), nullptr);
+  EXPECT_EQ(shard_.find_node(id), nullptr);
   EXPECT_TRUE(shard_.children_of(v.root_dir).empty());
 }
 
@@ -192,9 +193,10 @@ TEST_F(ShardTest, DeleteVolumeCascadesAndForbidsRoot) {
   Node& f = shard_.make_node(UserId{1}, udf.id, udf.root_dir, NodeKind::kFile,
                              "f", "", 0, rng_);
   shard_.set_node_content(f.id, Sha1::of("x"), 5);
-  const auto released = shard_.delete_volume(udf.id);
+  const VolumeId udf_id = udf.id;  // `udf` dies with the volume
+  const auto released = shard_.delete_volume(udf_id);
   ASSERT_EQ(released.size(), 1u);
-  EXPECT_EQ(shard_.find_volume(udf.id), nullptr);
+  EXPECT_EQ(shard_.find_volume(udf_id), nullptr);
   EXPECT_EQ(shard_.list_volumes(UserId{1}).size(), 1u);
   EXPECT_THROW(shard_.delete_volume(root.id), std::invalid_argument);
 }

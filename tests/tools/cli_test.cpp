@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -266,6 +268,23 @@ TEST_F(CliPipeline, AnalyzeUnknownFigureFails) {
 TEST_F(CliPipeline, GenerateRequiresOut) {
   std::ostringstream out, err;
   EXPECT_NE(run({"generate", "--users", "10"}, out, err), 0);
+}
+
+TEST_F(CliPipeline, GenerateIntoRegularFileExitsOneNamingThePath) {
+  // The u1trace binary itself: a failure past argument parsing throws out
+  // of run(), and main must report it instead of aborting.
+  { std::ofstream(dir_) << "not a directory"; }
+  const std::string err_path = dir_ + ".err";
+  const std::string cmd = std::string(U1TRACE_BIN) + " generate --out " +
+                          dir_ + " --users 10 --days 1 2> " + err_path;
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  std::ifstream in(err_path);
+  const std::string err{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_EQ(err.rfind("u1trace: ", 0), 0u) << err;
+  EXPECT_NE(err.find(dir_), std::string::npos) << err;
+  std::filesystem::remove(err_path);
 }
 
 TEST_F(CliPipeline, SummarizeRequiresDir) {

@@ -1,3 +1,4 @@
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -7,5 +8,10 @@
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  return u1::cli::run(args, std::cout, std::cerr);
+  try {
+    return u1::cli::run(args, std::cout, std::cerr);
+  } catch (const std::exception& e) {
+    std::cerr << "u1trace: " << e.what() << "\n";
+    return 1;
+  }
 }
