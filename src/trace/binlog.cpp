@@ -621,181 +621,191 @@ bool is_binary_logfile_magic(const unsigned char* p, std::size_t n) noexcept {
 
 // --- writer -----------------------------------------------------------------
 
-struct BinaryLogfileWriter::FileState {
-  std::filesystem::path path;
-  std::string logname;
-  std::uint8_t machine = 0;
-  std::uint16_t process = 0;
-  std::uint64_t record_count = 0;
-  std::uint32_t stripe_count = 0;
-  std::uint64_t payload_bytes = 0;
-  Xxh64 checksum;  // running digest over every payload byte written
-  SymbolDict dict;
-  std::vector<TraceRecord> pending;  // current stripe, arrival order
-};
+namespace {
 
-BinaryLogfileWriter::BinaryLogfileWriter(std::filesystem::path directory)
-    : dir_(std::move(directory)) {
-  std::filesystem::create_directories(dir_);
-}
-
-BinaryLogfileWriter::~BinaryLogfileWriter() {
-  try {
-    close();
-  } catch (...) {
-    // Destructors must not throw; an explicit close() reports errors.
-  }
-}
-
-BinaryLogfileWriter::FileState& BinaryLogfileWriter::file_for(
-    const TraceRecord& record) {
-  // (machine, process, day) packs into one integer key, so the hot path
-  // never materializes the logname string the CSV writer rebuilds per
-  // record. The day index must mirror trace_date(): pre-trace bootstrap
-  // records (t < 0) all land on the epoch date, so they must share the
-  // epoch file — a second key for the same logname would clobber it.
-  const std::int64_t day = record.t < 0 ? 0 : record.t / kDay;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(record.machine.value) << 48) |
-      (static_cast<std::uint64_t>(record.process.value) << 32) |
-      static_cast<std::uint32_t>(day);
-  const auto it = files_.find(key);
-  if (it != files_.end()) return *it->second;
-
-  auto file = std::make_unique<FileState>();
-  file->logname = record.logname();
-  file->path = dir_ / (file->logname + std::string(kBinaryLogfileExt));
-  file->machine = static_cast<std::uint8_t>(record.machine.value);
-  file->process = record.process.value;
-  // Create the file behind a zero header now, while the run is still
-  // going, and close it again: write_out reopens it.
-  std::ofstream out(file->path, std::ios::binary | std::ios::trunc);
-  const std::array<char, kFileHeaderBytes> placeholder{};
-  out.write(placeholder.data(), placeholder.size());
-  out.close();
-  if (!out)
-    throw std::runtime_error("BinaryLogfileWriter: cannot open " +
-                             file->path.string());
-  bytes_written_ += kFileHeaderBytes;
-  file->pending.reserve(stripe_records_);
-  return *files_.emplace(key, std::move(file)).first->second;
-}
-
-void BinaryLogfileWriter::append(const TraceRecord& record) {
-  FileState& file = file_for(record);
-  file.pending.push_back(record);
-  ++records_;
-  if (file.pending.size() >= stripe_records_) {
-    encode_stripe(file);
-    write_out(file, nullptr);
-  }
-}
-
-void BinaryLogfileWriter::append_batch(const TraceRecord* records,
-                                       std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) append(records[i]);
-}
-
-void BinaryLogfileWriter::encode_stripe(FileState& file) {
-  scratch_.clear();
-  if (file.pending.empty()) return;
-  const auto count = static_cast<std::uint32_t>(file.pending.size());
-
+/// Encodes `recs` as one stripe (header, then payload) into `out`,
+/// assigning dictionary ids to labels on first use.
+void encode_stripe(const std::vector<TraceRecord>& recs, SymbolDict& dict,
+                   std::vector<std::uint8_t>& out) {
+  const auto count = static_cast<std::uint32_t>(recs.size());
   std::array<std::vector<std::uint32_t>, kRecordTypeCount> idx;
   for (std::uint32_t i = 0; i < count; ++i)
-    idx[static_cast<std::size_t>(file.pending[i].type)].push_back(i);
+    idx[static_cast<std::size_t>(recs[i].type)].push_back(i);
 
-  scratch_.resize(kStripeHeaderBytes);  // filled in below
+  out.assign(kStripeHeaderBytes, 0);  // filled in below
   for (std::uint32_t i = 0; i < count; ++i)
-    scratch_.push_back(static_cast<std::uint8_t>(file.pending[i].type));
+    out.push_back(static_cast<std::uint8_t>(recs[i].type));
   for (std::size_t t = 0; t < kRecordTypeCount; ++t)
-    if (!idx[t].empty())
-      encode_segment(file.pending, idx[t], file.dict, scratch_);
+    if (!idx[t].empty()) encode_segment(recs, idx[t], dict, out);
 
-  std::uint8_t* header = scratch_.data();
-  put_le32(header,
-           static_cast<std::uint32_t>(scratch_.size() - kStripeHeaderBytes));
+  std::uint8_t* header = out.data();
+  put_le32(header, static_cast<std::uint32_t>(out.size() - kStripeHeaderBytes));
   put_le32(header + 4, count);
   for (std::size_t t = 0; t < kRecordTypeCount; ++t)
     put_le32(header + 8 + 4 * t, static_cast<std::uint32_t>(idx[t].size()));
-
-  file.checksum.update(scratch_.data(), scratch_.size());
-  file.payload_bytes += scratch_.size();
-  file.record_count += count;
-  file.stripe_count += 1;
-  file.pending.clear();
 }
 
-void BinaryLogfileWriter::write_out(FileState& file,
-                                    const std::uint8_t* header) {
-  // In-place update: no truncation, so earlier stripes stay.
-  std::fstream out(file.path, std::ios::binary | std::ios::in | std::ios::out);
-  if (!out.is_open())
-    throw std::runtime_error("BinaryLogfileWriter: cannot open " +
-                             file.path.string());
-  out.seekp(0, std::ios::end);
-  out.write(reinterpret_cast<const char*>(scratch_.data()),
-            static_cast<std::streamsize>(scratch_.size()));
-  bytes_written_ += scratch_.size();
-  if (header != nullptr) {
-    out.seekp(0);
-    out.write(reinterpret_cast<const char*>(header), kFileHeaderBytes);
+/// One `.u1b` logfile and its `.u1s` sidecar. The full stripes are on
+/// disk as soon as they fill; the last, partial stripe stays in
+/// `pending_` until finish() writes it behind them.
+class BinaryLogfile final : public LogfileSink::File {
+ public:
+  BinaryLogfile(const TraceRecord& first, const std::filesystem::path& stem,
+                std::size_t stripe_records)
+      : machine_(static_cast<std::uint8_t>(first.machine.value)),
+        process_(first.process.value),
+        stripe_records_(stripe_records) {
+    path_ = stem;
+    path_ += kBinaryLogfileExt;
   }
-  out.close();
-  if (!out)
-    throw std::runtime_error("BinaryLogfileWriter: write failed for " +
-                             file.logname);
-}
 
-void BinaryLogfileWriter::finalize(FileState& file) {
-  encode_stripe(file);
-
-  std::array<std::uint8_t, kFileHeaderBytes> header{};
-  std::memcpy(header.data(), kLogMagic.data(), kLogMagic.size());
-  put_le32(header.data() + 8, kFormatVersion);
-  put_le32(header.data() + 12, kFileHeaderBytes);
-  header[16] = file.machine;
-  put_le16(header.data() + 18, file.process);
-  put_le32(header.data() + 20, file.stripe_count);
-  put_le64(header.data() + 24, file.record_count);
-  put_le64(header.data() + 32, file.payload_bytes);
-  put_le64(header.data() + 40, file.checksum.digest());
-  write_out(file, header.data());
-
-  // Symbol sidecar: the strings this file references, in local-id order.
-  std::vector<std::uint8_t> payload;
-  for (const Symbol global : file.dict.globals()) {
-    const std::string_view text = global_symbols().resolve(global);
-    put_varint(payload, text.size());
-    payload.insert(payload.end(), text.begin(), text.end());
+  void add(const TraceRecord& record) override {
+    pending_.push_back(record);
+    if (pending_.size() < stripe_records_) return;
+    std::vector<std::uint8_t> stripe;
+    encode_stripe(pending_, dict_, stripe);
+    write(stripe, nullptr);
+    checksum_.update(stripe.data(), stripe.size());
+    payload_bytes_ += stripe.size();
+    record_count_ += pending_.size();
+    stripe_count_ += 1;
+    pending_.clear();
   }
-  std::array<std::uint8_t, kSidecarHeaderBytes> sym_header{};
-  std::memcpy(sym_header.data(), kSymMagic.data(), kSymMagic.size());
-  put_le32(sym_header.data() + 8, kFormatVersion);
-  put_le32(sym_header.data() + 12,
-           static_cast<std::uint32_t>(file.dict.size()));
-  put_le64(sym_header.data() + 16, payload.size());
-  put_le64(sym_header.data() + 24, xxh64(payload.data(), payload.size()));
-  const std::filesystem::path path =
-      dir_ / (file.logname + std::string(kSymbolSidecarExt));
-  std::ofstream sidecar(path, std::ios::binary | std::ios::trunc);
-  if (!sidecar.is_open())
-    throw std::runtime_error("BinaryLogfileWriter: cannot open " +
-                             path.string());
-  sidecar.write(reinterpret_cast<const char*>(sym_header.data()),
-                static_cast<std::streamsize>(sym_header.size()));
-  sidecar.write(reinterpret_cast<const char*>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-  sidecar.flush();
-  if (!sidecar)
-    throw std::runtime_error("BinaryLogfileWriter: write failed for " +
-                             path.string());
-  bytes_written_ += sym_header.size() + payload.size();
-}
 
-void BinaryLogfileWriter::close() {
-  for (auto& [key, file] : files_) finalize(*file);
-  files_.clear();
+  std::uint64_t finish() override {
+    // The last stripe goes behind the full ones, but the state below
+    // keeps describing the full stripes only, so reopen() can cut it.
+    std::vector<std::uint8_t> stripe;
+    tail_dict_ = dict_.size();
+    if (!pending_.empty()) encode_stripe(pending_, dict_, stripe);
+    Xxh64 digest = checksum_;
+    digest.update(stripe.data(), stripe.size());
+
+    std::array<std::uint8_t, kFileHeaderBytes> header{};
+    std::memcpy(header.data(), kLogMagic.data(), kLogMagic.size());
+    put_le32(header.data() + 8, kFormatVersion);
+    put_le32(header.data() + 12, kFileHeaderBytes);
+    header[16] = machine_;
+    put_le16(header.data() + 18, process_);
+    put_le32(header.data() + 20, stripe_count_ + (stripe.empty() ? 0 : 1));
+    put_le64(header.data() + 24, record_count_ + pending_.size());
+    put_le64(header.data() + 32, payload_bytes_ + stripe.size());
+    put_le64(header.data() + 40, digest.digest());
+    write(stripe, header.data());
+    tail_bytes_ = stripe.size();
+    std::vector<TraceRecord>().swap(pending_);
+    return kFileHeaderBytes + payload_bytes_ + tail_bytes_ + write_sidecar();
+  }
+
+  void reopen() override {
+    if (tail_bytes_ == 0) return;  // a new record starts a new stripe
+    const std::uint64_t offset = kFileHeaderBytes + payload_bytes_;
+    std::vector<std::uint8_t> stripe(tail_bytes_);
+    std::ifstream in(path_, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(reinterpret_cast<char*>(stripe.data()),
+            static_cast<std::streamsize>(stripe.size()));
+    std::uint32_t type_counts[kRecordTypeCount];
+    for (std::size_t t = 0; t < kRecordTypeCount; ++t)
+      type_counts[t] = get_le32(stripe.data() + 8 + 4 * t);
+    std::vector<Symbol> local_to_global{kEmptySymbol};
+    local_to_global.insert(local_to_global.end(), dict_.globals().begin(),
+                           dict_.globals().end());
+    if (!in ||
+        !decode_stripe(stripe.data() + kStripeHeaderBytes,
+                       stripe.data() + stripe.size(),
+                       get_le32(stripe.data() + 4), type_counts, machine_,
+                       process_, local_to_global, pending_))
+      throw std::runtime_error("BinaryLogfileWriter: cannot reopen " +
+                               path_.string());
+    dict_.truncate(tail_dict_);
+    std::filesystem::resize_file(path_, offset);
+    tail_bytes_ = 0;
+  }
+
+ private:
+  /// Writes `stripe` behind the full stripes and `header` (if given) over
+  /// the file's header, in one open. The first write creates the file,
+  /// behind a zero header until the real one is patched in.
+  void write(const std::vector<std::uint8_t>& stripe,
+             const std::uint8_t* header) {
+    std::fstream out(path_, std::ios::binary | std::ios::out |
+                                (created_ ? std::ios::in : std::ios::trunc));
+    if (!out.is_open())
+      throw std::runtime_error("BinaryLogfileWriter: cannot open " +
+                               path_.string());
+    if (header != nullptr || !created_) {
+      const std::array<std::uint8_t, kFileHeaderBytes> zeros{};
+      out.write(reinterpret_cast<const char*>(header ? header : zeros.data()),
+                kFileHeaderBytes);
+    }
+    out.seekp(static_cast<std::streamoff>(kFileHeaderBytes + payload_bytes_));
+    out.write(reinterpret_cast<const char*>(stripe.data()),
+              static_cast<std::streamsize>(stripe.size()));
+    out.close();
+    if (!out)
+      throw std::runtime_error("BinaryLogfileWriter: write failed for " +
+                               path_.string());
+    created_ = true;
+  }
+
+  /// Writes the symbol sidecar — the strings this file references, in
+  /// local-id order — and returns its size.
+  std::uint64_t write_sidecar() const {
+    std::vector<std::uint8_t> payload;
+    for (const Symbol global : dict_.globals()) {
+      const std::string_view text = global_symbols().resolve(global);
+      put_varint(payload, text.size());
+      payload.insert(payload.end(), text.begin(), text.end());
+    }
+    std::array<std::uint8_t, kSidecarHeaderBytes> header{};
+    std::memcpy(header.data(), kSymMagic.data(), kSymMagic.size());
+    put_le32(header.data() + 8, kFormatVersion);
+    put_le32(header.data() + 12, static_cast<std::uint32_t>(dict_.size()));
+    put_le64(header.data() + 16, payload.size());
+    put_le64(header.data() + 24, xxh64(payload.data(), payload.size()));
+    const std::filesystem::path path = sidecar_path(path_);
+    std::ofstream sidecar(path, std::ios::binary | std::ios::trunc);
+    if (!sidecar.is_open())
+      throw std::runtime_error("BinaryLogfileWriter: cannot open " +
+                               path.string());
+    sidecar.write(reinterpret_cast<const char*>(header.data()),
+                  static_cast<std::streamsize>(header.size()));
+    sidecar.write(reinterpret_cast<const char*>(payload.data()),
+                  static_cast<std::streamsize>(payload.size()));
+    sidecar.flush();
+    if (!sidecar)
+      throw std::runtime_error("BinaryLogfileWriter: write failed for " +
+                               path.string());
+    return header.size() + payload.size();
+  }
+
+  std::filesystem::path path_;
+  bool created_ = false;  // the file exists on disk
+  std::uint8_t machine_;
+  std::uint16_t process_;
+  std::size_t stripe_records_;
+  // The full stripes on disk.
+  std::uint64_t record_count_ = 0;
+  std::uint32_t stripe_count_ = 0;
+  std::uint64_t payload_bytes_ = 0;
+  Xxh64 checksum_;  // over their payload bytes
+  SymbolDict dict_;
+  std::vector<TraceRecord> pending_;  // the last stripe, arrival order
+  // What the last finish() wrote behind the full stripes: its bytes, and
+  // the dictionary size before it assigned ids.
+  std::size_t tail_bytes_ = 0;
+  std::size_t tail_dict_ = 0;
+};
+
+}  // namespace
+
+BinaryLogfileWriter::BinaryLogfileWriter(std::filesystem::path directory)
+    : LogfileSink(std::move(directory)) {}
+
+std::unique_ptr<LogfileSink::File> BinaryLogfileWriter::start(
+    const TraceRecord& first, const std::filesystem::path& stem) {
+  return std::make_unique<BinaryLogfile>(first, stem, stripe_records_);
 }
 
 // --- reader -----------------------------------------------------------------

@@ -26,12 +26,24 @@
 //                segment), presence bitmap + raw bytes for UUID/SHA-1
 //                columns, plain u8 arrays for the enum/flag columns
 //
-// Records are buffered per file and flushed as a stripe every
-// kStripeRecords appends, so writer memory stays bounded no matter how
-// long the run is. `machine` and `process` are file constants (the file
-// IS one process-day) and live in the header, never per record; `type`
-// is a segment constant. The SHA-1 in the header covers every byte after
-// the header and is patched in at close, together with the counts.
+// A file's records collect in its current stripe, which is encoded and
+// appended as soon as it holds BinaryLogfileWriter::kStripeRecords
+// records. The last, partial stripe is encoded when the file is
+// finished: after the day rollover, on the writer core's finisher thread
+// (trace/logfile.hpp), or at close(). That write also patches in the
+// header, and the sidecar is written then, so the writer holds about two
+// days of records, not the run. `machine` and `process` are file
+// constants (the file IS one process-day) and live in the header, never
+// per record; `type` is a segment constant. The XXH64 in the header
+// covers every byte after the header.
+//
+// A late record for a finished file reopens it: the last partial stripe
+// is read back and decoded, cut off the file, and the file's dictionary
+// is cut back to the ids used before it, so the stripe is re-encoded
+// with the new record exactly as if the file had never been finished.
+// After a full last stripe the record simply starts a new stripe. Stripe
+// boundaries thus depend only on each file's own record order, never on
+// how records of different files interleave.
 //
 // Symbols: the `label` column stores file-local dictionary ids. The
 // dictionary — exactly the strings this one logfile references, in
@@ -51,11 +63,9 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/logfile.hpp"
@@ -83,57 +93,28 @@ inline constexpr std::string_view kSymbolSidecarExt = ".u1s";
 bool is_binary_logfile_magic(const unsigned char* p, std::size_t n) noexcept;
 
 /// Writes records into per-(machine, process, day) `.u1b` files plus one
-/// `.u1s` symbol sidecar each. Same sharding rule — and therefore the
+/// `.u1s` symbol sidecar each, through the LogfileSink core: same
+/// sharding rule, day rollover and late-record rule — and therefore the
 /// same file set — as the CSV LogfileWriter. Records must carry global
 /// label ids (every sink-visible record does).
 class BinaryLogfileWriter final : public LogfileSink {
  public:
+  /// Records per stripe unless a test sets another count.
+  static constexpr std::size_t kStripeRecords = 8192;
+
   explicit BinaryLogfileWriter(std::filesystem::path directory);
-  ~BinaryLogfileWriter() override;
 
-  void append(const TraceRecord& record) override;
-  void append_batch(const TraceRecord* records, std::size_t count) override;
-  /// Flushes trailing stripes, patches headers/checksums, writes the
-  /// sidecars and closes every file.
-  void close() override;
-
-  /// Files started since the last close() (0 after close()), mirroring
-  /// LogfileWriter semantics.
-  std::size_t files_written() const noexcept override {
-    return files_.size();
-  }
-  std::uint64_t records_written() const noexcept { return records_; }
-  /// Bytes handed to the filesystem so far (headers, stripes, sidecars).
-  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
-
-  /// Records buffered per file before a stripe is cut. Tests shrink this
-  /// to exercise multi-stripe files without bulk data.
+  /// Records per stripe, for files started after the call. Tests shrink
+  /// it to exercise multi-stripe files without bulk data.
   void set_stripe_records(std::size_t n) noexcept {
     stripe_records_ = n < 1 ? 1 : n;
   }
 
  private:
-  struct FileState;
+  std::unique_ptr<File> start(const TraceRecord& first,
+                              const std::filesystem::path& stem) override;
 
-  FileState& file_for(const TraceRecord& record);
-  /// Encodes the file's pending records as one stripe (header, payload)
-  /// into scratch_; leaves scratch_ empty when nothing is pending.
-  void encode_stripe(FileState& file);
-  /// Appends scratch_ to the file and writes `header` (if given) over its
-  /// placeholder header. The file is open only for this call, so a
-  /// writer never holds more than one file open however many logfiles a
-  /// run makes.
-  void write_out(FileState& file, const std::uint8_t* header);
-  void finalize(FileState& file);
-
-  std::filesystem::path dir_;
-  // Keyed by (machine, process, day) packed into one integer — no
-  // logname string is built on the hot path.
-  std::unordered_map<std::uint64_t, std::unique_ptr<FileState>> files_;
-  std::vector<std::uint8_t> scratch_;  // stripe encode buffer, reused
-  std::size_t stripe_records_ = 8192;
-  std::uint64_t records_ = 0;
-  std::uint64_t bytes_written_ = 0;
+  std::size_t stripe_records_ = kStripeRecords;
 };
 
 /// Reads one `.u1b` logfile (and its `.u1s` sidecar), appending decoded

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <exception>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <system_error>
 #include <thread>
 
@@ -12,12 +14,12 @@
 
 namespace u1 {
 
-LogfileWriter::LogfileWriter(std::filesystem::path directory)
+LogfileSink::LogfileSink(std::filesystem::path directory)
     : dir_(std::move(directory)) {
   std::filesystem::create_directories(dir_);
 }
 
-LogfileWriter::~LogfileWriter() {
+LogfileSink::~LogfileSink() {
   try {
     close();
   } catch (...) {
@@ -25,49 +27,129 @@ LogfileWriter::~LogfileWriter() {
   }
 }
 
-void LogfileWriter::append(const TraceRecord& record) {
-  // Pre-trace bootstrap records (t < 0) go to day 0's files.
+void LogfileSink::append(const TraceRecord& record) {
+  // Pre-trace bootstrap records (t < 0) go to day 0's files: trace_date()
+  // names them all after the epoch, so they must share its file.
   const std::int64_t day = record.t < 0 ? 0 : record.t / kDay;
-  if (day > day_) {
-    for (auto& [name, file] : files_) {
-      if (file.day >= day) continue;
-      if (!file.pending.empty()) write_out(name, file);
-      std::string().swap(file.pending);  // the file is complete
-    }
-    day_ = day;
+  if (day > day_) roll_over(day);
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(record.machine.value) << 48) |
+      (static_cast<std::uint64_t>(record.process.value) << 32) |
+      static_cast<std::uint32_t>(day);
+  auto it = files_.find(key);
+  if (it == files_.end()) {
+    std::string name = record.logname();
+    std::unique_ptr<File> file = start(record, dir_ / name);
+    it = files_.emplace(key, Slot{std::move(name), day, std::move(file)})
+             .first;
+  } else if (it->second.finished) {
+    // A late record: its day rolled over. The finisher may still hold
+    // the file, so it is joined before the file is touched.
+    join_finisher();
+    it->second.file->reopen();
+    it->second.finished = false;
   }
-  const auto [it, fresh] = files_.try_emplace(record.logname());
-  FileState& file = it->second;
-  row_.str({});
-  CsvWriter writer(row_);
-  if (fresh) {
-    file.day = day;
-    writer.write_row(TraceRecord::csv_header());
-  }
-  writer.write_row(record.to_csv());
-  file.pending += row_.view();
-  if (file.pending.size() >= kFileBufferBytes) write_out(it->first, file);
+  it->second.file->add(record);
+  ++records_;
 }
 
-void LogfileWriter::write_out(const std::string& name, FileState& file) {
-  const std::filesystem::path path = dir_ / (name + ".csv");
-  std::ofstream out(path, file.created ? std::ios::app : std::ios::trunc);
-  if (!out.is_open())
-    throw std::runtime_error("LogfileWriter: cannot open " + path.string());
-  out.write(file.pending.data(),
-            static_cast<std::streamsize>(file.pending.size()));
-  out.close();
-  if (!out)
-    throw std::runtime_error("LogfileWriter: write failed for " +
-                             path.string());
-  file.created = true;
-  file.pending.clear();  // keeps its capacity for the file's next rows
+void LogfileSink::append_batch(const TraceRecord* records,
+                               std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) append(records[i]);
 }
 
-void LogfileWriter::close() {
-  for (auto& [name, file] : files_)
-    if (!file.pending.empty()) write_out(name, file);
+std::vector<LogfileSink::Slot*> LogfileSink::unfinished_before(
+    std::int64_t day) {
+  std::vector<Slot*> out;
+  for (auto& [key, slot] : files_)
+    if (!slot.finished && slot.day < day) out.push_back(&slot);
+  std::sort(out.begin(), out.end(),
+            [](const Slot* a, const Slot* b) { return a->name < b->name; });
+  return out;
+}
+
+void LogfileSink::roll_over(std::int64_t day) {
+  join_finisher();
+  day_ = day;
+  std::vector<Slot*> done = unfinished_before(day);
+  if (done.empty()) return;
+  finisher_ = std::async(std::launch::async, [done] {
+    for (Slot* slot : done) slot->bytes = slot->file->finish();
+  });
+  // Until the finisher is joined, the appending thread touches only
+  // `finished` of these slots, which the finisher never reads.
+  for (Slot* slot : done) slot->finished = true;
+}
+
+void LogfileSink::join_finisher() {
+  if (finisher_.valid()) finisher_.get();
+}
+
+void LogfileSink::close() {
+  join_finisher();
+  const auto end = std::numeric_limits<std::int64_t>::max();
+  for (Slot* slot : unfinished_before(end)) {
+    slot->bytes = slot->file->finish();
+    slot->finished = true;
+  }
+  for (const auto& [key, slot] : files_) bytes_ += slot.bytes;
   files_.clear();
+  day_ = 0;
+}
+
+namespace {
+
+/// One CSV logfile: the header row, then a row per record in arrival
+/// order. The first write creates the file; later ones append.
+class CsvLogfile final : public LogfileSink::File {
+ public:
+  explicit CsvLogfile(std::filesystem::path path) : path_(std::move(path)) {
+    write_csv_row(pending_, TraceRecord::csv_header());
+  }
+
+  void add(const TraceRecord& record) override {
+    write_csv_row(pending_, record.to_csv());
+    if (pending_.size() >= LogfileWriter::kFileBufferBytes) write_out();
+  }
+
+  std::uint64_t finish() override {
+    if (!pending_.empty()) write_out();
+    std::string().swap(pending_);
+    return on_disk_;
+  }
+
+  void reopen() override {}  // later rows are appended
+
+ private:
+  void write_out() {
+    std::ofstream out(path_, on_disk_ > 0 ? std::ios::app : std::ios::trunc);
+    if (!out.is_open())
+      throw std::runtime_error("LogfileWriter: cannot open " +
+                               path_.string());
+    out.write(pending_.data(), static_cast<std::streamsize>(pending_.size()));
+    out.close();
+    if (!out)
+      throw std::runtime_error("LogfileWriter: write failed for " +
+                               path_.string());
+    on_disk_ += pending_.size();
+    pending_.clear();  // keeps its capacity for the file's next rows
+  }
+
+  std::filesystem::path path_;
+  std::string pending_;        // rows not yet on disk
+  std::uint64_t on_disk_ = 0;  // bytes already in the file
+};
+
+}  // namespace
+
+LogfileWriter::LogfileWriter(std::filesystem::path directory)
+    : LogfileSink(std::move(directory)) {}
+
+std::unique_ptr<LogfileSink::File> LogfileWriter::start(
+    const TraceRecord&, const std::filesystem::path& stem) {
+  std::filesystem::path path = stem;
+  path += ".csv";
+  return std::make_unique<CsvLogfile>(std::move(path));
 }
 
 namespace {

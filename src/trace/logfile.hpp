@@ -15,9 +15,10 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
-#include <sstream>
+#include <future>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -25,24 +26,103 @@
 
 namespace u1 {
 
-/// Common interface of the per-(machine, process, day) logfile writers —
-/// CSV LogfileWriter and binary BinaryLogfileWriter — so engines, tools
-/// and benches select a trace format without caring which.
+/// The writer core both logfile formats share: it owns the
+/// per-(machine, process, day) file map, the day rollover and close(),
+/// and leaves the bytes to one File per logfile — CSV rows
+/// (LogfileWriter) or `.u1b` stripes (BinaryLogfileWriter).
+///
+/// Day rollover: when the first record of day d+1 arrives, every file of
+/// an earlier day is finished. A background finisher thread, started at
+/// the rollover (never by the constructor), finishes them in file-name
+/// order: each file writes what it still holds, so the day is complete
+/// on disk, and frees its records. Memory thus holds about two days of
+/// records, not the run. At most one finished day is in flight: the next
+/// rollover and close() join the finisher and rethrow its error.
+///
+/// Late records: records need not come in day order (the engine can
+/// deliver records of a day's last hours after the next day began,
+/// DESIGN.md §8). A record for a finished file joins the finisher and
+/// reopens the file; the bytes come out exactly as if the file had never
+/// been finished.
+///
+/// Files are opened only for each write, so each of the two threads holds
+/// at most one file open however many logfiles a run makes. A file is
+/// created by its first write, so most files (and every `.u1s` sidecar)
+/// are created by the finisher, off the appending thread. Creating a day's
+/// files on the appending thread while the finisher wrote the previous
+/// day's contended on the directory's lock (DESIGN.md §8).
 class LogfileSink : public TraceSink {
  public:
-  /// Flushes and closes all open files; idempotent.
-  virtual void close() = 0;
+  /// One logfile and its encoder. The appending thread owns it, except
+  /// while its day is with the finisher.
+  class File {
+   public:
+    virtual ~File() = default;
+    /// Takes the file's next record; may write part of the file.
+    virtual void add(const TraceRecord& record) = 0;
+    /// Writes whatever add() left and frees the records, so the file is
+    /// complete on disk. Returns its bytes on disk, sidecar included.
+    virtual std::uint64_t finish() = 0;
+    /// Makes a finished file take records again, with the bytes it would
+    /// have had if finish() had not run.
+    virtual void reopen() = 0;
+  };
+
+  LogfileSink(const LogfileSink&) = delete;
+  LogfileSink& operator=(const LogfileSink&) = delete;
+  /// Closes the writer, joining the finisher; an explicit close() is
+  /// what reports errors.
+  ~LogfileSink() override;
+
+  void append(const TraceRecord& record) final;
+  void append_batch(const TraceRecord* records, std::size_t count) final;
+  /// Joins the finisher and finishes every file; the directory is then
+  /// complete. Rethrows the first write error.
+  void close();
+
   /// Files started since the last close() (0 after close()).
-  virtual std::size_t files_written() const noexcept = 0;
+  std::size_t files_written() const noexcept { return files_.size(); }
+  std::uint64_t records_written() const noexcept { return records_; }
+  /// Bytes of the files closed so far: after close(), the directory's
+  /// byte total, a reopened file counted once.
+  std::uint64_t bytes_written() const noexcept { return bytes_; }
+
+ protected:
+  explicit LogfileSink(std::filesystem::path directory);
+
+ private:
+  struct Slot {
+    std::string name;  // logname: the file-name order
+    std::int64_t day = 0;
+    std::unique_ptr<File> file;
+    bool finished = false;   // handed to the finisher or closed
+    std::uint64_t bytes = 0;  // set by finish()
+  };
+
+  /// Starts the logfile `first` belongs to; `stem` is its path without
+  /// the extension.
+  virtual std::unique_ptr<File> start(const TraceRecord& first,
+                                      const std::filesystem::path& stem) = 0;
+  void roll_over(std::int64_t day);
+  /// Unfinished files of days before `day`, in file-name order.
+  std::vector<Slot*> unfinished_before(std::int64_t day);
+  void join_finisher();
+
+  std::filesystem::path dir_;
+  // Keyed by (machine, process, day) packed into one integer, so the hot
+  // path builds no logname string. Slots never move: the finisher keeps
+  // pointers to them.
+  std::unordered_map<std::uint64_t, Slot> files_;
+  std::int64_t day_ = 0;  // latest trace day appended
+  std::uint64_t records_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::future<void> finisher_;  // the day in flight, if any
 };
 
 /// Writes records into per-(machine, process, day) CSV logfiles under a
 /// directory. Files carry a header row. Rows collect in a buffer per file,
-/// which is appended to the file once it holds kFileBufferBytes, when the
-/// first record of a later day arrives (records come in time order, so
-/// that day's files are then complete), and at close(). A file is open
-/// only for such a write, so the writer never holds more than one file
-/// open however many logfiles a run makes.
+/// which is appended to the file once it holds kFileBufferBytes and when
+/// the file is finished; a late row is appended to its finished file.
 class LogfileWriter final : public LogfileSink {
  public:
   /// Buffered bytes that make a file's rows go to disk (DESIGN.md §8
@@ -50,28 +130,10 @@ class LogfileWriter final : public LogfileSink {
   static constexpr std::size_t kFileBufferBytes = std::size_t{16} << 10;
 
   explicit LogfileWriter(std::filesystem::path directory);
-  ~LogfileWriter() override;
-
-  void append(const TraceRecord& record) override;
-  /// Writes every buffered row out; the files are then complete.
-  void close() override;
-
-  std::size_t files_written() const noexcept override {
-    return files_.size();
-  }
 
  private:
-  struct FileState {
-    std::int64_t day = 0;  // trace day the file covers
-    std::string pending;   // rows not yet on disk
-    bool created = false;  // later write-outs append
-  };
-  void write_out(const std::string& name, FileState& file);
-
-  std::filesystem::path dir_;
-  std::map<std::string, FileState> files_;
-  std::ostringstream row_;  // one formatted row, reused
-  std::int64_t day_ = 0;    // latest trace day appended
+  std::unique_ptr<File> start(const TraceRecord& first,
+                              const std::filesystem::path& stem) override;
 };
 
 struct ReadStats {

@@ -171,6 +171,13 @@ class SymbolDict {
     if (fresh) globals_.push_back(global);
     return it->second;
   }
+  /// Forgets the ids after the first `n`, as if only those had been
+  /// assigned: the next new symbol gets local id n+1 again.
+  void truncate(std::size_t n) {
+    for (std::size_t i = n; i < globals_.size(); ++i)
+      to_local_.erase(globals_[i]);
+    if (n < globals_.size()) globals_.resize(n);
+  }
   /// Global ids in local-id order: globals()[i] has local id i+1.
   const std::vector<Symbol>& globals() const noexcept { return globals_; }
   std::size_t size() const noexcept { return globals_.size(); }

@@ -15,22 +15,29 @@ bool needs_quoting(std::string_view field, char delim) {
 
 }  // namespace
 
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
+void write_csv_row(std::string& out, const std::vector<std::string>& fields,
+                   char delim) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out_->put(delim_);
+    if (i > 0) out.push_back(delim);
     const std::string& f = fields[i];
-    if (needs_quoting(f, delim_)) {
-      out_->put('"');
+    if (needs_quoting(f, delim)) {
+      out.push_back('"');
       for (const char c : f) {
-        if (c == '"') out_->put('"');
-        out_->put(c);
+        if (c == '"') out.push_back('"');
+        out.push_back(c);
       }
-      out_->put('"');
+      out.push_back('"');
     } else {
-      out_->write(f.data(), static_cast<std::streamsize>(f.size()));
+      out += f;
     }
   }
-  out_->put('\n');
+  out.push_back('\n');
+}
+
+void CsvWriter::write_row(const std::vector<std::string>& fields) {
+  std::string row;
+  write_csv_row(row, fields, delim_);
+  out_->write(row.data(), static_cast<std::streamsize>(row.size()));
 }
 
 bool parse_csv_line(std::string_view line, char delim,

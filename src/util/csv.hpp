@@ -25,6 +25,10 @@ class CsvWriter {
   char delim_;
 };
 
+/// Appends one row to `out`, quoted as CsvWriter writes it.
+void write_csv_row(std::string& out, const std::vector<std::string>& fields,
+                   char delim = ',');
+
 /// Parses a single CSV line into fields, honoring RFC 4180 quoting.
 /// Returns false on malformed input (unterminated quote) — the paper
 /// reports ~1% of trace lines failed parsing, and our reader surfaces the

@@ -44,22 +44,30 @@ bool starts_with(std::string_view text, std::string_view prefix) {
          text.substr(0, prefix.size()) == prefix;
 }
 
-std::optional<std::int64_t> parse_i64(std::string_view text) {
-  std::int64_t value = 0;
-  const char* first = text.data();
+namespace {
+
+/// Strict from_chars parse: the whole of `text`, nothing else.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
   const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
   if (ec != std::errc() || ptr != last) return std::nullopt;
   return value;
 }
 
+}  // namespace
+
+std::optional<std::int64_t> parse_i64(std::string_view text) {
+  return parse_whole<std::int64_t>(text);
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  return parse_whole<std::uint64_t>(text);
+}
+
 std::optional<double> parse_double(std::string_view text) {
-  double value = 0;
-  const char* first = text.data();
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc() || ptr != last) return std::nullopt;
-  return value;
+  return parse_whole<double>(text);
 }
 
 std::string format_bytes(double bytes) {

@@ -22,6 +22,7 @@ bool starts_with(std::string_view text, std::string_view prefix);
 
 /// Strict integer / double parsing; std::nullopt on any trailing garbage.
 std::optional<std::int64_t> parse_i64(std::string_view text);
+std::optional<std::uint64_t> parse_u64(std::string_view text);
 std::optional<double> parse_double(std::string_view text);
 
 /// "12.3 MB", "980 KB", "1.2 GB" — used in reports; 1 KB = 1024 bytes.

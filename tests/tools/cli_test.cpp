@@ -237,6 +237,38 @@ TEST_F(CliPipeline, GenerateRejectsOutOfRangeCounts) {
   }
 }
 
+TEST_F(CliPipeline, GenerateRejectsBadSeeds) {
+  // 2^64 and a negative seed do not fit a u64; neither may fall back to
+  // the default seed.
+  for (const std::string flag : {"seed", "fault-seed"}) {
+    for (const std::string value :
+         {"many", "-1", "18446744073709551616", ""}) {
+      std::ostringstream out, err;
+      EXPECT_EQ(run({"generate", "--out", dir_, "--" + flag, value}, out,
+                    err),
+                2)
+          << flag << "=" << value;
+      EXPECT_NE(err.str().find("--" + flag +
+                               " must be an unsigned 64-bit integer"),
+                std::string::npos)
+          << err.str();
+      EXPECT_FALSE(std::filesystem::exists(dir_)) << flag << "=" << value;
+    }
+  }
+}
+
+TEST_F(CliPipeline, GenerateRunsSeedsAboveInt64Max) {
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"generate", "--out", dir_, "--users", "20", "--days", "1",
+                 "--seed", "14755780954196306249", "--fault-seed",
+                 "18446744073709551615"},
+                out, err),
+            0)
+      << err.str();
+  EXPECT_NE(out.str().find("seed=14755780954196306249 "), std::string::npos)
+      << out.str();
+}
+
 TEST_F(CliPipeline, GenerateTraceIdenticalAcrossThreadCounts) {
   const std::string one = dir_ + "_t1";
   const std::string three = dir_ + "_t3";

@@ -173,23 +173,5 @@ TEST_F(WriterOpenFiles, ByteIdenticalUnderLowOpenFileLimit) {
   }
 }
 
-// A day's CSV files are complete on disk once a later day's record
-// arrives, so the writer buffers about one day of files, not the run.
-TEST_F(WriterOpenFiles, CsvDayIsOnDiskWhenTheNextDayStarts) {
-  std::vector<TraceRecord> day0;
-  for (std::uint64_t i = 0; i < 20; ++i)
-    day0.push_back(make_record(i, 0, 1 + i % 2, 1, static_cast<int>(i)));
-  const TraceRecord day1 = make_record(20, 1, 1, 1, 0);
-
-  LogfileWriter csv(dir_ / "csv");
-  for (const TraceRecord& r : day0) csv.append(r);
-  csv.append(day1);
-  EXPECT_TRUE(dir_contents(dir_) == csv_reference(day0));
-
-  csv.close();
-  day0.push_back(day1);
-  EXPECT_TRUE(dir_contents(dir_) == csv_reference(day0));
-}
-
 }  // namespace
 }  // namespace u1

@@ -109,8 +109,8 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "generate: --out DIR is required\n";
     return 2;
   }
-  // Out-of-range or non-numeric counts fail here, by flag name, before
-  // anything touches the output directory.
+  // Out-of-range or non-numeric counts and seeds fail here, by flag name,
+  // before anything touches the output directory.
   const auto count_flag = [&](const char* name, std::int64_t fallback,
                               std::int64_t min) -> std::optional<std::int64_t> {
     if (!args.flag(name)) return fallback;
@@ -122,15 +122,26 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
     }
     return value;
   };
+  const auto seed_flag = [&](const char* name, std::uint64_t fallback)
+      -> std::optional<std::uint64_t> {
+    const auto text = args.flag(name);
+    if (!text) return fallback;
+    const auto value = parse_u64(*text);
+    if (!value)
+      err << "generate: --" << name
+          << " must be an unsigned 64-bit integer\n";
+    return value;
+  };
   const auto users = count_flag("users", 2000, 1);
   const auto days = count_flag("days", 7, 1);
   const auto threads = count_flag("threads", 1, 0);
-  if (!users || !days || !threads) return 2;
+  const auto seed = seed_flag("seed", 20140111);
+  const auto fault_seed = seed_flag("fault-seed", 0);
+  if (!users || !days || !threads || !seed || !fault_seed) return 2;
   SimulationConfig cfg;
   cfg.users = static_cast<std::size_t>(*users);
   cfg.days = static_cast<int>(*days);
-  cfg.seed =
-      static_cast<std::uint64_t>(args.int_flag("seed").value_or(20140111));
+  cfg.seed = *seed;
   cfg.enable_ddos = !args.has_switch("no-ddos");
   if (const auto plan = args.flag("fault-plan")) {
     if (*plan == "standard") {
@@ -167,8 +178,7 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
       }
     }
   }
-  cfg.fault_seed =
-      static_cast<std::uint64_t>(args.int_flag("fault-seed").value_or(0));
+  cfg.fault_seed = *fault_seed;
   // --format wins; otherwise U1SIM_TRACE_FORMAT; otherwise CSV.
   TraceFormat format = trace_format_from_env();
   if (const auto f = args.flag("format")) {
