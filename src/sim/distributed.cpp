@@ -1,21 +1,26 @@
 #include "sim/distributed.hpp"
 
-#include <fcntl.h>
+#include <limits.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <exception>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -27,38 +32,62 @@ namespace u1 {
 namespace {
 
 // ---------------------------------------------------------------------------
-// EINTR-safe fd plumbing. The control sockets and segment files are
-// plain blocking fds; every transfer loops over short results and
-// retries EINTR, so a signal delivered mid-epoch can never shear a
-// frame (the same robustness contract as net/client.cpp).
+// EINTR-safe socket plumbing. Every fd here is a blocking socket; every
+// transfer loops over short results and retries EINTR, so a signal
+// delivered mid-epoch can never shear a frame (the same robustness
+// contract as net/client.cpp). Sends never raise SIGPIPE: a peer that
+// went away is an error the caller reports, not a process kill.
 
-void write_exact(int fd, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
+/// Sends every byte of `iov[0, n)` (no entry may be empty), consuming
+/// the array as it goes.
+void send_all(int fd, iovec* iov, std::size_t n) {
   while (n > 0) {
-    const ssize_t k = ::write(fd, p, n);
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = std::min<std::size_t>(n, IOV_MAX);
+    const ssize_t k = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (k < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error(std::string("distributed: write failed: ") +
                                std::strerror(errno));
     }
     if (k == 0) throw std::runtime_error("distributed: write returned 0");
-    p += static_cast<std::size_t>(k);
-    n -= static_cast<std::size_t>(k);
+    for (auto left = static_cast<std::size_t>(k); left > 0;) {
+      const std::size_t step = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      left -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --n;
+      }
+    }
+  }
+}
+
+void write_exact(int fd, const void* data, std::size_t n) {
+  iovec v{const_cast<void*>(data), n};
+  send_all(fd, &v, 1);
+}
+
+/// Reads up to `n` bytes; returns 0 only at end of stream.
+std::size_t read_some(int fd, void* data, std::size_t n) {
+  for (;;) {
+    const ssize_t k = ::read(fd, data, n);
+    if (k >= 0) return static_cast<std::size_t>(k);
+    if (errno != EINTR)
+      throw std::runtime_error(std::string("distributed: read failed: ") +
+                               std::strerror(errno));
   }
 }
 
 void read_exact(int fd, void* data, std::size_t n) {
   auto* p = static_cast<std::uint8_t*>(data);
   while (n > 0) {
-    const ssize_t k = ::read(fd, p, n);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("distributed: read failed: ") +
-                               std::strerror(errno));
-    }
+    const std::size_t k = read_some(fd, p, n);
     if (k == 0) throw std::runtime_error("distributed: peer closed mid-frame");
-    p += static_cast<std::size_t>(k);
-    n -= static_cast<std::size_t>(k);
+    p += k;
+    n -= k;
   }
 }
 
@@ -99,16 +128,10 @@ ProtoOp recv_frame(int fd, std::vector<std::uint8_t>& buf,
 }
 
 // ---------------------------------------------------------------------------
-// Segment file codec. Workers spool their finished trace chunks to a
-// local scratch file — records never cross the sockets — and the
-// coordinator streams the files back one chunk at a time at close, so
-// its own resident set stays one epoch deep. Layout per chunk:
-//
-//   varint chunk_seq
-//   per local group, ascending:
-//     varint n_syms    then n_syms × (varint worker_global_id,
-//                                     varint len, len raw bytes)
-//     varint n_records then n_records × sizeof(TraceRecord) raw bytes
+// Chunk-stream codec helpers (layout in distributed.hpp).
+
+constexpr std::uint64_t kMaxLabelBytes = std::uint64_t{1} << 20;
+constexpr std::uint64_t kMaxChunkRecords = std::uint64_t{1} << 31;
 
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   while (v >= 0x80) {
@@ -118,16 +141,73 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-std::uint64_t get_varint(int fd) {
+std::uint64_t get_varint(ByteSource& src) {
   std::uint64_t v = 0;
   for (unsigned shift = 0; shift < 64; shift += 7) {
     std::uint8_t byte = 0;
-    read_exact(fd, &byte, 1);
+    src.read(&byte, 1);
     v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) return v;
   }
-  throw std::runtime_error("distributed: overlong varint in segment");
+  throw std::runtime_error("distributed: overlong varint in chunk stream");
 }
+
+[[noreturn]] void throw_truncated() {
+  throw std::runtime_error("distributed: chunk stream truncated");
+}
+
+/// Buffered reads from one worker's chunk-stream socket. A read larger
+/// than the buffer goes straight into the caller's memory once the
+/// buffered bytes are used up, so record payloads are copied once:
+/// socket to records vector.
+class FdByteSource final : public ByteSource {
+ public:
+  explicit FdByteSource(int fd) : fd_(fd), buf_(kBufBytes) {}
+
+  void read(void* dst, std::size_t n) override {
+    if (n == 0) return;
+    auto* out = static_cast<std::uint8_t*>(dst);
+    for (;;) {
+      const std::size_t take = std::min(n, end_ - pos_);
+      std::memcpy(out, buf_.data() + pos_, take);
+      pos_ += take;
+      out += take;
+      n -= take;
+      if (n == 0) return;
+      if (n >= buf_.size()) {
+        for (; n > 0;) {
+          const std::size_t k = fill(out, n);
+          out += k;
+          n -= k;
+        }
+        return;
+      }
+      pos_ = 0;
+      end_ = fill(buf_.data(), buf_.size());
+    }
+  }
+
+  /// True once the socket reported end of stream: the worker exited.
+  bool ended() const noexcept { return eof_; }
+
+ private:
+  static constexpr std::size_t kBufBytes = std::size_t{1} << 16;
+
+  std::size_t fill(std::uint8_t* dst, std::size_t n) {
+    const std::size_t k = read_some(fd_, dst, n);
+    if (k == 0) {
+      eof_ = true;
+      throw_truncated();
+    }
+    return k;
+  }
+
+  int fd_;
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
 
 std::uint64_t peak_rss_kb() {
   rusage ru{};
@@ -194,7 +274,7 @@ ChunkMetaMsg pack_meta(const SimulationReport& rep,
 
 // ---------------------------------------------------------------------------
 // Group slicing: contiguous ascending ranges, so worker rank order IS
-// global group order — the k-way feed merge and the segment readback
+// global group order — the k-way feed merge and the chunk-stream merge
 // both lean on it.
 
 struct Slice {
@@ -253,22 +333,13 @@ std::vector<Slice> slice_groups(std::size_t groups, std::size_t workers,
 // Worker side.
 
 /// The worker's EpochPeer: barriers over the control socket, finished
-/// chunks to the local segment file. exchange() runs on the engine's
+/// chunks over the chunk-stream socket. exchange() runs on the engine's
 /// coordinator thread and write_chunk() on its writer thread; they touch
-/// disjoint fds, so the two never race.
+/// disjoint sockets, so the two never race.
 class WorkerPeer final : public EpochPeer {
  public:
-  WorkerPeer(int socket_fd, const std::string& segment_path,
-             std::uint32_t first_group)
-      : fd_(socket_fd), first_group_(first_group) {
-    seg_fd_ = ::open(segment_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (seg_fd_ < 0)
-      throw std::runtime_error("distributed: cannot create segment file " +
-                               segment_path);
-  }
-  ~WorkerPeer() override {
-    if (seg_fd_ >= 0) ::close(seg_fd_);
-  }
+  WorkerPeer(int control_fd, int stream_fd, std::uint32_t first_group)
+      : fd_(control_fd), stream_fd_(stream_fd), first_group_(first_group) {}
 
   BarrierIn exchange(std::uint64_t seq, bool tail,
                      std::vector<std::vector<std::uint8_t>> dedup_logs,
@@ -317,76 +388,55 @@ class WorkerPeer final : public EpochPeer {
       const std::vector<std::vector<std::pair<Symbol, std::string>>>&
           new_symbols,
       std::size_t first_group, std::size_t group_count) override {
-    buf_.clear();
-    put_varint(buf_, chunk_seq_++);
-    for (std::size_t i = 0; i < group_count; ++i) {
-      const std::size_t g = first_group + i;
-      put_varint(buf_, new_symbols[g].size());
-      for (const auto& [sym, label] : new_symbols[g]) {
-        put_varint(buf_, sym);
-        put_varint(buf_, label.size());
-        buf_.insert(buf_.end(), label.begin(), label.end());
-      }
-      const std::vector<TraceRecord>& chunk = chunks[g];
-      put_varint(buf_, chunk.size());
-      // Record payloads go straight from the engine's chunk buffer to
-      // the fd — same segment bytes, no serialized copy. The bootstrap
-      // chunk and the DDoS-hour epochs run to tens of MB per group; a
-      // full byte-buffer copy of them sat on top of the worker's peak.
-      flush_buf();
-      write_exact(seg_fd_, chunk.data(), chunk.size() * sizeof(TraceRecord));
-    }
-    flush_buf();
+    encode_chunk(chunk_seq_++, chunks, new_symbols, first_group, group_count,
+                 meta_, parts_);
+    iov_.clear();
+    for (const std::span<const std::uint8_t> part : parts_)
+      if (!part.empty())
+        iov_.push_back(iovec{const_cast<std::uint8_t*>(part.data()),
+                             part.size()});
+    send_all(stream_fd_, iov_.data(), iov_.size());
   }
 
-  void flush_buf() {
-    if (buf_.empty()) return;
-    write_exact(seg_fd_, buf_.data(), buf_.size());
-    buf_.clear();
-  }
-
-  void close_segment() {
-    if (seg_fd_ >= 0) {
-      ::close(seg_fd_);
-      seg_fd_ = -1;
-    }
-  }
   std::uint64_t chunks_written() const noexcept { return chunk_seq_; }
 
  private:
   int fd_;
-  int seg_fd_ = -1;
+  int stream_fd_;
   std::uint32_t first_group_;
   std::uint64_t chunk_seq_ = 0;
   std::vector<std::uint8_t> rx_;
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> meta_;
+  std::vector<std::span<const std::uint8_t>> parts_;
+  std::vector<iovec> iov_;
 };
 
 /// Whole worker-process lifetime: run the engine in worker mode, ship
-/// the manifest, wait for the shutdown frame. Never throws — a failure
-/// is reported to the coordinator as a Shutdown{1} frame and a nonzero
-/// exit code.
-int worker_main(const SimulationConfig& config, std::size_t threads,
-                const Slice& slice, int fd,
-                const std::string& segment_path) noexcept {
+/// the manifest, wait for the shutdown frame, then _exit at once — the
+/// engine's destructors would only free memory the exit frees anyway,
+/// and the coordinator's waitpid would wait through them. Never throws:
+/// a failure is reported to the coordinator as a Shutdown{1} frame and a
+/// nonzero exit code.
+[[noreturn]] void worker_main(const SimulationConfig& config,
+                              std::size_t threads, const Slice& slice,
+                              int fd, int stream_fd) noexcept {
   try {
     NullSink null;
     ParallelSimulation sim(config, null, threads);
-    WorkerPeer peer(fd, segment_path,
-                    static_cast<std::uint32_t>(slice.first));
+    WorkerPeer peer(fd, stream_fd, static_cast<std::uint32_t>(slice.first));
     sim.enable_worker_mode(peer, slice.first, slice.count);
     const SimulationReport rep = sim.run();
-    peer.close_segment();
 
     const ChunkMetaMsg meta = pack_meta(rep, sim, peer.chunks_written());
     send_frame(fd, ProtoOp::kChunkMeta, encode_chunk_meta(meta));
 
     std::vector<std::uint8_t> rx;
     std::span<const std::uint8_t> payload;
-    if (recv_frame(fd, rx, payload) != ProtoOp::kShutdown) return 2;
     ShutdownMsg bye;
-    if (decode_shutdown(payload, bye) != Status::kOk) return 2;
-    return static_cast<int>(bye.code);
+    if (recv_frame(fd, rx, payload) != ProtoOp::kShutdown ||
+        decode_shutdown(payload, bye) != Status::kOk)
+      ::_exit(2);
+    ::_exit(static_cast<int>(bye.code));
   } catch (const std::exception& e) {
     ShutdownMsg err;
     err.code = 1;
@@ -395,10 +445,9 @@ int worker_main(const SimulationConfig& config, std::size_t threads,
       send_frame(fd, ProtoOp::kShutdown, encode_shutdown(err));
     } catch (...) {
     }
-    return 1;
   } catch (...) {
-    return 1;
   }
+  ::_exit(1);
 }
 
 // ---------------------------------------------------------------------------
@@ -406,9 +455,9 @@ int worker_main(const SimulationConfig& config, std::size_t threads,
 
 struct Worker {
   pid_t pid = -1;
-  int fd = -1;
+  int fd = -1;         // control socket
+  int stream_fd = -1;  // chunk stream
   Slice slice;
-  std::string segment_path;
   ChunkMetaMsg meta;
 };
 
@@ -419,8 +468,10 @@ class ChildReaper {
   explicit ChildReaper(std::vector<Worker>& workers) : workers_(workers) {}
   ~ChildReaper() {
     for (Worker& w : workers_) {
-      if (w.fd >= 0) ::close(w.fd);
-      w.fd = -1;
+      for (int* fd : {&w.fd, &w.stream_fd}) {
+        if (*fd >= 0) ::close(*fd);
+        *fd = -1;
+      }
       if (w.pid > 0) {
         ::kill(w.pid, SIGKILL);
         int status = 0;
@@ -456,131 +507,238 @@ EpochDoneMsg recv_epoch_done(Worker& w, std::vector<std::uint8_t>& rx,
   return done;
 }
 
-}  // namespace
-
-std::size_t env_proc_count() {
-  if (const char* v = std::getenv("U1SIM_PROCS")) {
-    const long n = std::atol(v);
-    if (n >= 1) return static_cast<std::size_t>(n);
-  }
-  return 1;
-}
-
-MailboxBatchMsg drain_to_batch(EpochMailbox<UserId>& mail, std::uint64_t seq) {
-  MailboxBatchMsg batch;
-  batch.seq = seq;
-  mail.drain([&batch](std::size_t lane, UserId user) {
-    batch.entries.push_back(
-        MailboxEntry{static_cast<std::uint32_t>(lane), user.value});
-  });
-  return batch;
-}
-
-void post_batch(const MailboxBatchMsg& batch, EpochMailbox<UserId>& mail) {
-  for (const MailboxEntry& e : batch.entries)
-    mail.post(static_cast<std::size_t>(e.lane), UserId{e.value});
-}
-
-DistributedSimulation::DistributedSimulation(const SimulationConfig& config,
-                                             TraceSink& sink,
-                                             std::size_t procs,
-                                             std::size_t threads)
-    : config_(config),
-      sink_(&sink),
-      procs_(procs == 0 ? env_proc_count() : procs),
-      threads_(threads == 0 ? 1 : threads) {
-  if (config.backend.shards == 0)
-    throw std::invalid_argument("DistributedSimulation: shards must be > 0");
-  procs_ = std::min(procs_, static_cast<std::size_t>(config.backend.shards));
-}
-
-void DistributedSimulation::attach_analyzer(ShardedAnalyzer& analyzer) {
-  if (ran_)
-    throw std::logic_error(
-        "DistributedSimulation::attach_analyzer: call before run()");
-  analyzers_.push_back(&analyzer);
-}
-
-SimulationReport DistributedSimulation::run() {
-  if (ran_) throw std::logic_error("DistributedSimulation::run: already ran");
-  ran_ = true;
-  return procs_ <= 1 ? run_inline() : run_forked();
-}
-
-SimulationReport DistributedSimulation::run_inline() {
-  ParallelSimulation sim(config_, *sink_, threads_);
-  for (ShardedAnalyzer* a : analyzers_) sim.attach_analyzer(*a);
-  const SimulationReport rep = sim.run();
-  records_flushed_ = sim.records_flushed();
-  cross_group_dead_blobs_ = sim.cross_group_dead_blobs();
-  worker_rss_kb_ = {peak_rss_kb()};
-  return rep;
-}
-
-SimulationReport DistributedSimulation::run_forked() {
-  const std::size_t n_groups = config_.backend.shards;
-  const std::size_t n_workers = procs_;
-  const std::vector<Slice> slices = slice_groups(
-      n_groups, n_workers,
-      ParallelSimulation::estimate_group_setup_weights(config_));
-
-  char scratch_tmpl[] = "/tmp/u1dist.XXXXXX";
-  if (::mkdtemp(scratch_tmpl) == nullptr)
-    throw std::runtime_error("distributed: mkdtemp failed");
-  const std::string scratch(scratch_tmpl);
-
-  std::vector<Worker> workers(n_workers);
-  ChildReaper reaper(workers);
-
-  // Fork the fleet FIRST — before any engine state exists in this
-  // process — so each child starts from a near-empty heap and its peak
-  // RSS reflects only its own slice's steady state (plus the shared
-  // setup replay). The coordinator never builds a simulation.
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    workers[w].slice = slices[w];
-    workers[w].segment_path =
-        scratch + "/worker-" + std::to_string(w) + ".seg";
-    int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-      throw std::runtime_error("distributed: socketpair failed");
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(sv[0]);
-      ::close(sv[1]);
-      throw std::runtime_error("distributed: fork failed");
-    }
-    if (pid == 0) {
-      // Child: drop every parent-side fd inherited so far, then run the
-      // worker to completion. _exit skips atexit/static teardown — the
-      // coordinator owns the process-wide resources.
-      ::close(sv[0]);
-      for (std::size_t p = 0; p < w; ++p)
-        if (workers[p].fd >= 0) ::close(workers[p].fd);
-      const int code = worker_main(config_, threads_, slices[w], sv[1],
-                                   workers[w].segment_path);
-      ::_exit(code);
-    }
-    ::close(sv[1]);
-    workers[w].pid = pid;
-    workers[w].fd = sv[0];
+/// The coordinator's half of the chunk streams. One reader thread per
+/// worker pulls whole chunks off that worker's socket as the bytes
+/// arrive, holding at most `depth` decoded chunks (the workers' flush
+/// ring K); the merge thread takes chunk b from every worker in rank
+/// order, replays its symbols, feeds the analyzer shards and writes the
+/// merged epoch to the sink. Neither thread ever waits on the barrier
+/// relay, and the relay never waits on them (DESIGN.md §12 has the
+/// deadlock-freedom argument). The first error from any thread — or the
+/// relay's, via fail() — stops the rest and is rethrown by join().
+class ChunkMerger {
+ public:
+  ChunkMerger(const std::vector<Worker>& workers, std::size_t n_groups,
+              std::uint64_t chunks, std::size_t depth, TraceSink* sink,
+              std::vector<std::vector<std::unique_ptr<AnalyzerShard>>>& shards)
+      : workers_(workers),
+        n_groups_(n_groups),
+        chunks_(chunks),
+        depth_(depth),
+        sink_(sink),
+        shards_(shards),
+        inbox_(workers.size()) {
+    decoders_.reserve(workers.size());
+    for (const Worker& w : workers) decoders_.emplace_back(w.slice.count);
   }
 
-  // --- Barrier relay. B non-tail barriers (one per engine epoch) and
-  // the two run-tail exchanges; every worker hits every barrier in
-  // lockstep, and the reply carries the cluster-wide replay set.
-  const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;
-  const SimTime epoch = epoch_length(config_);
-  const auto non_tail =
-      static_cast<std::uint64_t>((horizon + epoch - 1) / epoch);
-  const std::uint64_t total_barriers = non_tail + 2;
+  ChunkMerger(const ChunkMerger&) = delete;
+  ChunkMerger& operator=(const ChunkMerger&) = delete;
 
-  const bool guard_on = config_.auto_countermeasures;
+  ~ChunkMerger() {
+    stop();
+    join_threads();
+  }
+
+  void start() {
+    for (std::size_t w = 0; w < workers_.size(); ++w)
+      readers_.emplace_back([this, w] { read_loop(w); });
+    merger_ = std::thread([this] { merge_loop(); });
+  }
+
+  /// Every worker's manifest is in, so every chunk is already on its
+  /// way: a stream that ended short is now an error, not a race with
+  /// the relay's own report of the worker's failure.
+  void relay_done() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      relay_done_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Records `error` unless an earlier one is recorded, and stops the
+  /// readers and the merge. Each worker's next chunk send then fails, so
+  /// it reports Shutdown{1} and exits, and the relay throws at its next
+  /// frame from that worker.
+  void fail(std::exception_ptr error) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (!error_) error_ = error;
+    }
+    stop();
+  }
+
+  /// Waits for the readers and the merge; rethrows the first error.
+  void join() {
+    join_threads();
+    if (error_) std::rethrow_exception(error_);
+  }
+
+  std::uint64_t records() const noexcept { return records_; }
+
+ private:
+  struct Inbox {
+    std::deque<WireChunk> ready;
+    bool ended = false;  // the worker closed its stream (exited)
+  };
+
+  void stop() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (stop_) return;
+      stop_ = true;
+    }
+    cv_.notify_all();
+    // A reader parked in read() sees end of stream; a worker's send fails.
+    for (const Worker& w : workers_) ::shutdown(w.stream_fd, SHUT_RDWR);
+  }
+
+  void join_threads() {
+    for (std::thread& t : readers_)
+      if (t.joinable()) t.join();
+    if (merger_.joinable()) merger_.join();
+  }
+
+  void read_loop(std::size_t w) {
+    try {
+      read_chunks(w);
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+
+  void read_chunks(std::size_t w) {
+    FdByteSource src(workers_[w].stream_fd);
+    try {
+      for (std::uint64_t b = 0; b < chunks_; ++b) {
+        {
+          std::unique_lock<std::mutex> lock(mu_);
+          cv_.wait(lock, [&] {
+            return stop_ || broken_ || inbox_[w].ready.size() < depth_;
+          });
+          if (stop_) return;
+        }
+        WireChunk chunk;
+        decoders_[w].read(src, chunk);
+        {
+          const std::lock_guard<std::mutex> lock(mu_);
+          inbox_[w].ready.push_back(std::move(chunk));
+        }
+        cv_.notify_all();
+      }
+    } catch (const std::runtime_error&) {
+      if (!src.ended()) throw;
+      // The worker exited short of its last chunk. Its own failure
+      // report is on the control socket; lift the buffering cap so the
+      // others can never stall the relay before it reads that report.
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        inbox_[w].ended = true;
+        broken_ = true;
+      }
+      cv_.notify_all();
+    }
+  }
+
+  /// Next chunk from worker `w`; false once stopped.
+  bool pop(std::size_t w, std::uint64_t b, WireChunk& out) {
+    std::unique_lock<std::mutex> lock(mu_);
+    Inbox& in = inbox_[w];
+    cv_.wait(lock, [&] {
+      return stop_ || !in.ready.empty() || (in.ended && relay_done_);
+    });
+    if (stop_) return false;
+    if (in.ready.empty())
+      throw std::runtime_error("distributed: worker " + std::to_string(w) +
+                               " chunk stream ended before chunk " +
+                               std::to_string(b));
+    out = std::move(in.ready.front());
+    in.ready.pop_front();
+    lock.unlock();
+    cv_.notify_all();
+    return true;
+  }
+
+  void merge_loop() {
+    try {
+      // Per chunk, resolving each worker's groups in (rank, local group)
+      // order == global group order replays the oracle's global-symbol
+      // interning sequence exactly, so remapped labels — and every
+      // Symbol-keyed analyzer sketch — match the in-process run bit for
+      // bit.
+      std::vector<WireChunk> wire(workers_.size());
+      std::vector<std::vector<TraceRecord>> chunks(n_groups_);
+      std::vector<MergeRef> plan;
+      for (std::uint64_t b = 0; b < chunks_; ++b) {
+        for (std::size_t w = 0; w < workers_.size(); ++w) {
+          if (!pop(w, b, wire[w])) return;
+          records_ += decoders_[w].resolve(wire[w], global_symbols());
+          for (std::size_t i = 0; i < wire[w].groups.size(); ++i)
+            chunks[workers_[w].slice.first + i] =
+                std::move(wire[w].groups[i].records);
+        }
+        for (auto& per_group : shards_)
+          for (std::size_t g = 0; g < n_groups_; ++g)
+            per_group[g]->consume(chunks[g].data(), chunks[g].size());
+        if (sink_ != nullptr) {
+          // Same maximal-run batching as the in-process stage B, so the
+          // sink sees identical append_batch granularity and byte order.
+          build_merge_plan(chunks, plan);
+          const MergeRef* refs = plan.data();
+          const std::size_t n = plan.size();
+          for (std::size_t i = 0; i < n;) {
+            const std::uint32_t group = refs[i].group;
+            const std::uint32_t first = refs[i].offset;
+            std::size_t j = i + 1;
+            while (j < n && refs[j].group == group &&
+                   refs[j].offset == refs[j - 1].offset + 1)
+              ++j;
+            sink_->append_batch(&chunks[group][first], j - i);
+            i = j;
+          }
+        }
+      }
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  }
+
+  const std::vector<Worker>& workers_;
+  std::size_t n_groups_;
+  std::uint64_t chunks_;
+  std::size_t depth_;
+  TraceSink* sink_;  // nullptr: analysis only
+  std::vector<std::vector<std::unique_ptr<AnalyzerShard>>>& shards_;
+  std::vector<ChunkStreamDecoder> decoders_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Inbox> inbox_;     // mu_
+  bool stop_ = false;            // mu_
+  bool broken_ = false;          // mu_: a stream ended early
+  bool relay_done_ = false;      // mu_
+  std::exception_ptr error_;     // mu_; read by join() after the joins
+  std::uint64_t records_ = 0;    // merge thread; read after join()
+
+  std::vector<std::thread> readers_;
+  std::thread merger_;
+};
+
+/// Barrier relay: B non-tail barriers (one per engine epoch) and the two
+/// run-tail exchanges; every worker hits every barrier in lockstep, and
+/// the reply carries the cluster-wide replay set. Returns once every
+/// worker's ChunkMeta manifest is in. Never waits on the chunk streams.
+void relay_barriers(std::vector<Worker>& workers, std::size_t n_groups,
+                    bool guard_on, std::uint64_t non_tail,
+                    std::uint64_t total_barriers) {
+  const std::size_t n_workers = workers.size();
   AnomalyGuard guard;
   std::vector<std::unordered_set<UserId>> purge_seen(n_groups);
   std::vector<std::size_t> group_rank(n_groups);
   for (std::size_t w = 0; w < n_workers; ++w)
-    for (std::size_t i = 0; i < slices[w].count; ++i)
-      group_rank[slices[w].first + i] = w;
+    for (std::size_t i = 0; i < workers[w].slice.count; ++i)
+      group_rank[workers[w].slice.first + i] = w;
   std::vector<std::uint8_t> rx;
 
   for (std::uint64_t seq = 0; seq < total_barriers; ++seq) {
@@ -650,7 +808,7 @@ SimulationReport DistributedSimulation::run_forked() {
     }
   }
 
-  // --- Collect manifests, release the fleet.
+  // --- Collect the manifests.
   for (Worker& w : workers) {
     std::span<const std::uint8_t> payload;
     const ProtoOp op = recv_frame(w.fd, rx, payload);
@@ -661,48 +819,228 @@ SimulationReport DistributedSimulation::run_forked() {
     }
     if (op != ProtoOp::kChunkMeta)
       throw std::runtime_error("distributed: expected ChunkMeta");
-    if (const Status s = decode_chunk_meta(payload, w.meta); s != Status::kOk)
+    if (const Status s = decode_chunk_meta(payload, w.meta);
+        s != Status::kOk)
       throw_status("ChunkMeta decode", s);
     if (w.meta.counters.size() != kCtrCount ||
         w.meta.counters[kCtrChunks] != total_barriers)
       throw std::runtime_error("distributed: bad ChunkMeta manifest");
   }
-  for (Worker& w : workers) {
-    send_frame(w.fd, ProtoOp::kShutdown, encode_shutdown(ShutdownMsg{}));
-    ::close(w.fd);
-    w.fd = -1;
-    int status = 0;
-    const pid_t pid = w.pid;
-    w.pid = -1;
-    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0)
-      throw std::runtime_error("distributed: worker exited abnormally");
-  }
+}
 
-  // --- Segment readback: stream every worker's chunks in lockstep, one
-  // chunk index at a time. Per chunk, replaying each group's new-symbol
-  // list in (rank, local group) order == global group order reproduces
-  // the oracle's global-symbol interning sequence exactly, so remapped
-  // labels — and every Symbol-keyed analyzer sketch — match the
-  // in-process run bit for bit.
-  const bool write_trace = dynamic_cast<NullSink*>(sink_) == nullptr;
-  std::vector<int> seg(n_workers, -1);
-  struct SegCloser {
-    std::vector<int>& fds;
-    ~SegCloser() {
-      for (int fd : fds)
-        if (fd >= 0) ::close(fd);
+}  // namespace
+
+void encode_chunk(
+    std::uint64_t seq, const std::vector<std::vector<TraceRecord>>& chunks,
+    const std::vector<std::vector<std::pair<Symbol, std::string>>>&
+        new_symbols,
+    std::size_t first_group, std::size_t group_count,
+    std::vector<std::uint8_t>& meta,
+    std::vector<std::span<const std::uint8_t>>& parts) {
+  // First pass: every varint and label into `meta`, remembering where
+  // each group's record payload goes; spans into `meta` are taken only
+  // once it has stopped growing.
+  meta.clear();
+  parts.clear();
+  put_varint(meta, seq);
+  std::vector<std::size_t> cuts;
+  cuts.reserve(group_count);
+  for (std::size_t i = 0; i < group_count; ++i) {
+    const std::size_t g = first_group + i;
+    put_varint(meta, new_symbols[g].size());
+    for (const auto& [sym, label] : new_symbols[g]) {
+      put_varint(meta, sym);
+      put_varint(meta, label.size());
+      meta.insert(meta.end(), label.begin(), label.end());
     }
-  } seg_closer{seg};
+    put_varint(meta, chunks[g].size());
+    cuts.push_back(meta.size());
+  }
+  std::size_t from = 0;
+  for (std::size_t i = 0; i < group_count; ++i) {
+    const std::vector<TraceRecord>& records = chunks[first_group + i];
+    parts.emplace_back(meta.data() + from, cuts[i] - from);
+    parts.emplace_back(reinterpret_cast<const std::uint8_t*>(records.data()),
+                       records.size() * sizeof(TraceRecord));
+    from = cuts[i];
+  }
+}
+
+void SpanByteSource::read(void* dst, std::size_t n) {
+  if (n > bytes_.size()) throw_truncated();
+  if (n == 0) return;
+  std::memcpy(dst, bytes_.data(), n);
+  bytes_ = bytes_.subspan(n);
+}
+
+void ChunkStreamDecoder::read(ByteSource& src, WireChunk& out) {
+  const std::uint64_t seq = get_varint(src);
+  if (seq != next_seq_)
+    throw std::runtime_error("distributed: chunk " + std::to_string(seq) +
+                             " out of order, expected " +
+                             std::to_string(next_seq_));
+  ++next_seq_;
+  out.groups.resize(group_count_);
+  for (WireChunk::Group& group : out.groups) {
+    const std::uint64_t n_syms = get_varint(src);
+    group.symbols.clear();
+    for (std::uint64_t s = 0; s < n_syms; ++s) {
+      const std::uint64_t id = get_varint(src);
+      if (id == 0 || id > std::numeric_limits<std::uint32_t>::max())
+        throw std::runtime_error("distributed: chunk symbol id " +
+                                 std::to_string(id) + " out of range");
+      const std::uint64_t len = get_varint(src);
+      if (len > kMaxLabelBytes)
+        throw std::runtime_error("distributed: chunk label of " +
+                                 std::to_string(len) +
+                                 " bytes exceeds 1 MiB");
+      std::string label(len, '\0');
+      src.read(label.data(), len);
+      group.symbols.emplace_back(static_cast<std::uint32_t>(id),
+                                 std::move(label));
+    }
+    const std::uint64_t n_records = get_varint(src);
+    if (n_records > kMaxChunkRecords)
+      throw std::runtime_error("distributed: chunk of " +
+                               std::to_string(n_records) +
+                               " records exceeds 2^31");
+    group.records.resize(n_records);
+    src.read(group.records.data(), n_records * sizeof(TraceRecord));
+  }
+}
+
+std::uint64_t ChunkStreamDecoder::resolve(WireChunk& chunk,
+                                          SymbolTable& symbols) {
+  std::uint64_t records = 0;
+  for (WireChunk::Group& group : chunk.groups) {
+    for (const auto& [id, label] : group.symbols) {
+      if (id >= map_.size()) map_.resize(std::size_t{id} + 1, kEmptySymbol);
+      map_[id] = symbols.intern(label);
+    }
+    for (TraceRecord& r : group.records) {
+      if (r.label == kEmptySymbol) continue;
+      if (r.label >= map_.size() || map_[r.label] == kEmptySymbol)
+        throw std::runtime_error("distributed: chunk record label " +
+                                 std::to_string(r.label) +
+                                 " was never defined");
+      r.label = map_[r.label];
+    }
+    records += group.records.size();
+  }
+  return records;
+}
+
+MailboxBatchMsg drain_to_batch(EpochMailbox<UserId>& mail, std::uint64_t seq) {
+  MailboxBatchMsg batch;
+  batch.seq = seq;
+  mail.drain([&batch](std::size_t lane, UserId user) {
+    batch.entries.push_back(
+        MailboxEntry{static_cast<std::uint32_t>(lane), user.value});
+  });
+  return batch;
+}
+
+void post_batch(const MailboxBatchMsg& batch, EpochMailbox<UserId>& mail) {
+  for (const MailboxEntry& e : batch.entries)
+    mail.post(static_cast<std::size_t>(e.lane), UserId{e.value});
+}
+
+DistributedSimulation::DistributedSimulation(const SimulationConfig& config,
+                                             TraceSink& sink,
+                                             std::size_t procs,
+                                             std::size_t threads)
+    : config_(config),
+      sink_(&sink),
+      procs_(procs),
+      threads_(threads == 0 ? 1 : threads) {
+  if (procs == 0)
+    throw std::invalid_argument("DistributedSimulation: procs must be >= 1");
+  if (config.backend.shards == 0)
+    throw std::invalid_argument("DistributedSimulation: shards must be > 0");
+  procs_ = std::min(procs_, static_cast<std::size_t>(config.backend.shards));
+}
+
+void DistributedSimulation::attach_analyzer(ShardedAnalyzer& analyzer) {
+  if (ran_)
+    throw std::logic_error(
+        "DistributedSimulation::attach_analyzer: call before run()");
+  analyzers_.push_back(&analyzer);
+}
+
+SimulationReport DistributedSimulation::run() {
+  if (ran_) throw std::logic_error("DistributedSimulation::run: already ran");
+  ran_ = true;
+  return procs_ == 1 ? run_inline() : run_forked();
+}
+
+SimulationReport DistributedSimulation::run_inline() {
+  ParallelSimulation sim(config_, *sink_, threads_);
+  for (ShardedAnalyzer* a : analyzers_) sim.attach_analyzer(*a);
+  const SimulationReport rep = sim.run();
+  records_flushed_ = sim.records_flushed();
+  cross_group_dead_blobs_ = sim.cross_group_dead_blobs();
+  worker_rss_kb_ = {peak_rss_kb()};
+  return rep;
+}
+
+SimulationReport DistributedSimulation::run_forked() {
+  const std::size_t n_groups = config_.backend.shards;
+  const std::size_t n_workers = procs_;
+  const std::vector<Slice> slices = slice_groups(
+      n_groups, n_workers,
+      ParallelSimulation::estimate_group_setup_weights(config_));
+
+  std::vector<Worker> workers(n_workers);
+  ChildReaper reaper(workers);
+
+  // Fork the fleet FIRST — before any engine state exists in this
+  // process — so each child starts from a near-empty heap and its peak
+  // RSS reflects only its own slice's steady state (plus the shared
+  // setup replay). The coordinator never builds a simulation, and starts
+  // its merge threads only once every child is forked.
   for (std::size_t w = 0; w < n_workers; ++w) {
-    seg[w] = ::open(workers[w].segment_path.c_str(), O_RDONLY);
-    if (seg[w] < 0)
-      throw std::runtime_error("distributed: cannot open segment " +
-                               workers[w].segment_path);
+    workers[w].slice = slices[w];
+    int ctl[2];
+    int stream[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, ctl) != 0)
+      throw std::runtime_error("distributed: socketpair failed");
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, stream) != 0) {
+      ::close(ctl[0]);
+      ::close(ctl[1]);
+      throw std::runtime_error("distributed: socketpair failed");
+    }
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      for (const int fd : {ctl[0], ctl[1], stream[0], stream[1]}) ::close(fd);
+      throw std::runtime_error("distributed: fork failed");
+    }
+    if (pid == 0) {
+      // Child: drop every parent-side fd inherited so far, then run the
+      // worker to completion. worker_main _exits — no atexit/static
+      // teardown; the coordinator owns the process-wide resources.
+      ::close(ctl[0]);
+      ::close(stream[0]);
+      for (std::size_t p = 0; p < w; ++p) {
+        ::close(workers[p].fd);
+        ::close(workers[p].stream_fd);
+      }
+      worker_main(config_, threads_, slices[w], ctl[1], stream[1]);
+    }
+    ::close(ctl[1]);
+    ::close(stream[1]);
+    workers[w].pid = pid;
+    workers[w].fd = ctl[0];
+    workers[w].stream_fd = stream[0];
   }
 
-  std::vector<std::vector<Symbol>> wmap(n_workers);  // worker ids -> ours
-  for (auto& m : wmap) m.assign(1, kEmptySymbol);
+  const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;
+  const SimTime epoch = epoch_length(config_);
+  const auto non_tail =
+      static_cast<std::uint64_t>((horizon + epoch - 1) / epoch);
+  const std::uint64_t total_barriers = non_tail + 2;
+
+  // --- Chunk merge: one chunk per barrier per worker, merged on the
+  // coordinator's merge thread while the relay below keeps going.
   std::vector<std::vector<std::unique_ptr<AnalyzerShard>>> shards(
       analyzers_.size());
   for (std::size_t a = 0; a < analyzers_.size(); ++a) {
@@ -710,77 +1048,40 @@ SimulationReport DistributedSimulation::run_forked() {
     for (std::size_t g = 0; g < n_groups; ++g)
       shards[a].push_back(analyzers_[a]->make_shard());
   }
+  const bool write_trace = dynamic_cast<NullSink*>(sink_) == nullptr;
+  ChunkMerger merger(workers, n_groups, total_barriers,
+                     ParallelSimulation::worker_flush_depth(),
+                     write_trace ? sink_ : nullptr, shards);
+  merger.start();
 
-  std::uint64_t records_seen = 0;
-  std::vector<std::vector<TraceRecord>> chunks(n_groups);
-  std::vector<MergeRef> plan;
-  std::string text;
-  for (std::uint64_t b = 0; b < total_barriers; ++b) {
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      if (get_varint(seg[w]) != b)
-        throw std::runtime_error("distributed: segment chunk out of order");
-      for (std::size_t i = 0; i < slices[w].count; ++i) {
-        const std::size_t g = slices[w].first + i;
-        const std::uint64_t n_syms = get_varint(seg[w]);
-        for (std::uint64_t s = 0; s < n_syms; ++s) {
-          const std::uint64_t wid = get_varint(seg[w]);
-          const std::uint64_t len = get_varint(seg[w]);
-          if (wid == 0 || wid > 0xffffffffull || len > (1u << 20))
-            throw std::runtime_error("distributed: corrupt segment symbol");
-          text.resize(len);
-          read_exact(seg[w], text.data(), len);
-          if (wid >= wmap[w].size()) wmap[w].resize(wid + 1, kEmptySymbol);
-          wmap[w][wid] = global_symbols().intern(text);
-        }
-        const std::uint64_t n_records = get_varint(seg[w]);
-        if (n_records > (1ull << 31))
-          throw std::runtime_error("distributed: corrupt segment chunk");
-        chunks[g].resize(n_records);
-        read_exact(seg[w], chunks[g].data(),
-                   n_records * sizeof(TraceRecord));
-        for (TraceRecord& r : chunks[g]) {
-          if (r.label == kEmptySymbol) continue;
-          if (r.label >= wmap[w].size() || wmap[w][r.label] == kEmptySymbol)
-            throw std::runtime_error("distributed: unmapped segment symbol");
-          r.label = wmap[w][r.label];
-        }
-        records_seen += n_records;
-      }
-    }
-    for (std::size_t a = 0; a < analyzers_.size(); ++a)
-      for (std::size_t g = 0; g < n_groups; ++g)
-        shards[a][g]->consume(chunks[g].data(), chunks[g].size());
-    if (write_trace) {
-      // Same maximal-run batching as the in-process stage B, so the
-      // sink sees identical append_batch granularity and byte order.
-      build_merge_plan(chunks, plan);
-      const MergeRef* refs = plan.data();
-      const std::size_t n = plan.size();
-      for (std::size_t i = 0; i < n;) {
-        const std::uint32_t group = refs[i].group;
-        const std::uint32_t first = refs[i].offset;
-        std::size_t j = i + 1;
-        while (j < n && refs[j].group == group &&
-               refs[j].offset == refs[j - 1].offset + 1)
-          ++j;
-        sink_->append_batch(&chunks[group][first], j - i);
-        i = j;
-      }
-    }
-    for (auto& chunk : chunks) chunk.clear();
+  try {
+    relay_barriers(workers, n_groups, config_.auto_countermeasures, non_tail,
+                   total_barriers);
+    merger.relay_done();
+    for (Worker& w : workers)
+      send_frame(w.fd, ProtoOp::kShutdown, encode_shutdown(ShutdownMsg{}));
+  } catch (...) {
+    merger.fail(std::current_exception());
+  }
+  merger.join();  // rethrows the first error; the reaper kills the fleet
+
+  for (Worker& w : workers) {
+    ::close(w.fd);
+    ::close(w.stream_fd);
+    w.fd = -1;
+    w.stream_fd = -1;
+    int status = 0;
+    const pid_t pid = w.pid;
+    w.pid = -1;
+    if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 0)
+      throw std::runtime_error("distributed: worker exited abnormally");
   }
   for (std::size_t a = 0; a < analyzers_.size(); ++a) {
     for (std::size_t g = 0; g < n_groups; ++g)
       analyzers_[a]->merge_shard(*shards[a][g]);
     analyzers_[a]->finish();
   }
-
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    ::close(seg[w]);
-    seg[w] = -1;
-    ::unlink(workers[w].segment_path.c_str());
-  }
-  ::rmdir(scratch.c_str());
 
   // --- Merge the per-worker reports. Per-group quantities sum; the
   // setup-replayed global quantities (bootstrap files, fault events,
@@ -816,9 +1117,10 @@ SimulationReport DistributedSimulation::run_forked() {
       rep.first_auto_response_delay = static_cast<SimTime>(c[kCtrFirstDelay]);
     }
   }
-  if (records_seen != records_flushed_)
+  if (merger.records() != records_flushed_)
     throw std::runtime_error(
-        "distributed: segment record count disagrees with worker manifests");
+        "distributed: chunk-stream record count disagrees with worker "
+        "manifests");
   return rep;
 }
 

@@ -114,13 +114,17 @@ void ParallelSimulation::enable_worker_mode(EpochPeer& peer,
   // even though its own sink is a NullSink; analysis-only is a
   // coordinator-side decision in distributed runs.
   analysis_only_ = false;
-  set_flush_depth(env_flush_depth().value_or(2));
+  set_flush_depth(worker_flush_depth());
   // Detection needs the cluster-merged stream, so the AnomalyGuard runs
   // on the coordinator; this process only extracts the observation feed.
   if (guard_) {
     guard_.reset();
     collect_feed_ = true;
   }
+}
+
+std::size_t ParallelSimulation::worker_flush_depth() {
+  return std::min<std::size_t>(env_flush_depth().value_or(2), 8);
 }
 
 std::size_t ParallelSimulation::group_of(UserId user) const noexcept {
@@ -665,9 +669,9 @@ void ParallelSimulation::run_stage_b(FlushSlot& slot) {
   const auto t0 = Clock::now();
   if (peer_ != nullptr) {
     // Worker mode: the local groups' sorted, globally-labelled segments
-    // go to the peer's shard stream (FIFO in epoch order — the writer
+    // go to the peer's chunk stream (FIFO in epoch order — the writer
     // thread preserves submission order); the coordinator k-way merges
-    // them at readback.
+    // each chunk as soon as every worker has sent it.
     peer_->write_chunk(slot.chunks, slot.new_syms, local_first_, local_count_);
     for (auto& chunk : slot.chunks) chunk.clear();
     for (auto& syms : slot.new_syms) syms.clear();

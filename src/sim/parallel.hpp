@@ -109,7 +109,8 @@ namespace u1 {
 /// serialized dedup logs / pool deltas / guard feed to the coordinator
 /// and returns the cluster-wide replay set, so every process's global
 /// replicas stay byte-identical; stage B hands finished trace chunks to
-/// write_chunk (a local shard stream) instead of the sink.
+/// write_chunk (the worker's chunk stream to the coordinator) instead of
+/// the sink.
 class EpochPeer {
  public:
   struct BarrierIn {
@@ -134,7 +135,7 @@ class EpochPeer {
       std::vector<std::vector<std::uint8_t>> pool_deltas,
       std::vector<GuardFeedEntry> feed) = 0;
 
-  /// Stage-B replacement: persists one chunk's local-group segments
+  /// Stage-B replacement: sends one chunk's local-group segments
   /// ([first_group, first_group + group_count) of `chunks`; sorted,
   /// labels already remapped to this process's global table).
   /// `new_symbols[g]` lists the (this-process global id, string) pairs
@@ -142,7 +143,11 @@ class EpochPeer {
   /// in-process engine would have interned at that point, so the
   /// coordinator can replay the global-table growth in (chunk, group)
   /// order and reproduce the oracle's symbol ids bit for bit. Called on
-  /// the writer thread, FIFO in epoch order.
+  /// the writer thread, FIFO in epoch order — or inline at threads = 1,
+  /// where a send that blocks stalls the compute too. The call for chunk
+  /// c comes after barrier c-1 (chunk 0 during setup), and the engine
+  /// enters barrier s only once the calls for every chunk up to s-K have
+  /// returned (K = flush_depth(): the ring slot it reuses must be free).
   virtual void write_chunk(
       const std::vector<std::vector<TraceRecord>>& chunks,
       const std::vector<std::vector<std::pair<Symbol, std::string>>>&
@@ -243,6 +248,11 @@ class ParallelSimulation {
     flush_depth_ = k < 1 ? 1 : (k > 8 ? 8 : k);
   }
   std::size_t flush_depth() const noexcept { return flush_depth_; }
+
+  /// The K a worker-mode engine runs with: U1SIM_FLUSH_DEPTH clamped to
+  /// [1, 8], default 2. The distributed coordinator buffers at most this
+  /// many chunks per worker (DESIGN.md §12).
+  static std::size_t worker_flush_depth();
 
   /// Per-phase wall-clock breakdown of the finished run.
   const EpochPhases& phases() const noexcept { return phases_; }

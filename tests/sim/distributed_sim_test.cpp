@@ -4,12 +4,20 @@
 // split. The coordinator forks real worker processes and relays real
 // control frames over socketpairs, so these tests cover the whole wire
 // path: epoch-barrier replay, guard-feed merging, purge routing, the
-// segment readback and the symbol-id replay that keeps Symbol-keyed
-// sketches (analysis/file_types.cpp) identical across processes.
+// chunk-stream merge and the symbol-id replay that keeps Symbol-keyed
+// sketches (analysis/file_types.cpp) identical across processes. The
+// chunk-stream decoder also faces hostile bytes, and a coordinator-side
+// failure must surface promptly with every worker reaped.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -204,6 +212,197 @@ TEST(DistributedSim, SingleProcessDelegatesToInProcessEngine) {
   DistributedSimulation sim(cfg, sink, 1, 1);
   sim.run();
   ASSERT_EQ(sim.worker_peak_rss_kb().size(), 1u);
+}
+
+TEST(DistributedSim, RejectsZeroProcs) {
+  InMemorySink sink;
+  try {
+    DistributedSimulation sim(small_config(), sink, 0, 1);
+    FAIL() << "procs = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("procs"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Throws from its Nth append: a coordinator-side failure in the middle
+/// of the merge, while the workers are still simulating.
+class ThrowingSink final : public TraceSink {
+ public:
+  explicit ThrowingSink(std::size_t n) : left_(n) {}
+  void append(const TraceRecord&) override {
+    if (--left_ == 0) throw std::runtime_error("sink refused record");
+  }
+
+ private:
+  std::size_t left_;
+};
+
+TEST(DistributedSim, SinkFailureRethrowsAndReapsEveryWorker) {
+  const SimulationConfig cfg = small_config();
+  const std::size_t half = oracle_trace(cfg).size() / 2;
+  ASSERT_GT(half, 0u);
+
+  ThrowingSink sink(half);
+  DistributedSimulation sim(cfg, sink, 2, 1);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    sim.run();
+    FAIL() << "run() returned despite the sink failing";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink refused record");
+  }
+  // A full 2x1 run of this config takes well under a second; a stalled
+  // relay or merge thread would sit here until the test timeout.
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            30.0);
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << "a worker was left behind";
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk-stream decoder: a valid stream round-trips; every malformed one
+// is refused with an error naming its cause.
+
+void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+TraceRecord labelled(SimTime t, Symbol label) {
+  TraceRecord r;
+  r.t = t;
+  r.label = label;
+  return r;
+}
+
+/// Two local groups (global 3 and 4) defining worker ids 5 and 300 — the
+/// latter a two-byte varint — and records that use them.
+std::vector<std::uint8_t> encoded_chunk(std::uint64_t seq) {
+  std::vector<std::vector<TraceRecord>> chunks(5);
+  std::vector<std::vector<std::pair<Symbol, std::string>>> syms(5);
+  syms[3] = {{5, ".jpg"}};
+  chunks[3] = {labelled(1, 5), labelled(2, kEmptySymbol)};
+  syms[4] = {{300, ".mp3"}};
+  chunks[4] = {labelled(1, 300), labelled(3, 5)};
+  std::vector<std::uint8_t> meta;
+  std::vector<std::span<const std::uint8_t>> parts;
+  encode_chunk(seq, chunks, syms, 3, 2, meta, parts);
+  std::vector<std::uint8_t> bytes;
+  for (const auto part : parts)
+    bytes.insert(bytes.end(), part.begin(), part.end());
+  return bytes;
+}
+
+/// What decoding `bytes` as chunk 0 of a two-group stream throws.
+std::string decode_error(const std::vector<std::uint8_t>& bytes,
+                         std::size_t groups = 2) {
+  SymbolTable table;
+  ChunkStreamDecoder decoder(groups);
+  SpanByteSource src(bytes);
+  try {
+    WireChunk chunk;
+    decoder.read(src, chunk);
+    decoder.resolve(chunk, table);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(no error)";
+}
+
+void expect_error(const std::string& got, const std::string& cause) {
+  EXPECT_NE(got.find(cause), std::string::npos)
+      << "want \"" << cause << "\", got \"" << got << "\"";
+}
+
+TEST(ChunkStream, RoundTripRemapsLabelsInStreamOrder) {
+  SymbolTable table;
+  ChunkStreamDecoder decoder(2);
+  std::vector<std::uint8_t> bytes = encoded_chunk(0);
+  const std::vector<std::uint8_t> second = encoded_chunk(1);
+  bytes.insert(bytes.end(), second.begin(), second.end());
+  SpanByteSource src(bytes);
+  for (int i = 0; i < 2; ++i) {  // chunks 0 and 1, in stream order
+    WireChunk chunk;
+    decoder.read(src, chunk);
+    ASSERT_EQ(chunk.groups.size(), 2u);
+    EXPECT_EQ(decoder.resolve(chunk, table), 4u);
+    const auto& g3 = chunk.groups[0].records;
+    const auto& g4 = chunk.groups[1].records;
+    ASSERT_EQ(g3.size(), 2u);
+    ASSERT_EQ(g4.size(), 2u);
+    EXPECT_EQ(table.resolve(g3[0].label), ".jpg");
+    EXPECT_EQ(g3[1].label, kEmptySymbol);
+    EXPECT_EQ(table.resolve(g4[0].label), ".mp3");
+    EXPECT_EQ(table.resolve(g4[1].label), ".jpg");
+    EXPECT_EQ(g4[1].t, 3);
+  }
+  EXPECT_EQ(src.remaining(), 0u);
+}
+
+TEST(ChunkStream, RefusesTruncationInsideVarintAndRecord) {
+  const std::vector<std::uint8_t> bytes = encoded_chunk(0);
+  // Group 4's symbol list starts right after group 3's two records:
+  // n_syms (1 byte), then worker id 300 as the varint {0xac, 0x02}.
+  const std::size_t g4 = bytes.size() - 2 * sizeof(TraceRecord) - 9;
+  ASSERT_EQ(bytes[g4], 1u);
+  ASSERT_EQ(bytes[g4 + 1], 0xacu);
+  expect_error(decode_error({bytes.begin(), bytes.begin() + g4 + 2}),
+               "truncated");
+  expect_error(decode_error({bytes.begin(), bytes.end() - 7}), "truncated");
+  expect_error(decode_error({}), "truncated");
+}
+
+TEST(ChunkStream, RefusesOutOfOrderSeq) {
+  expect_error(decode_error(encoded_chunk(1)), "out of order");
+}
+
+TEST(ChunkStream, RefusesSymbolIdZeroOrAbove32Bits) {
+  for (const std::uint64_t id : {std::uint64_t{0}, std::uint64_t{1} << 32}) {
+    std::vector<std::uint8_t> bytes;
+    put_varint(bytes, 0);   // seq
+    put_varint(bytes, 1);   // n_syms
+    put_varint(bytes, id);
+    put_varint(bytes, 1);
+    bytes.push_back('x');
+    put_varint(bytes, 0);   // n_records
+    expect_error(decode_error(bytes, 1), "out of range");
+  }
+}
+
+TEST(ChunkStream, RefusesLabelOverOneMiB) {
+  std::vector<std::uint8_t> bytes;
+  put_varint(bytes, 0);
+  put_varint(bytes, 1);
+  put_varint(bytes, 7);
+  put_varint(bytes, (std::uint64_t{1} << 20) + 1);
+  expect_error(decode_error(bytes, 1), "exceeds 1 MiB");
+}
+
+TEST(ChunkStream, RefusesRecordCountAbove2To31) {
+  std::vector<std::uint8_t> bytes;
+  put_varint(bytes, 0);
+  put_varint(bytes, 0);
+  put_varint(bytes, (std::uint64_t{1} << 31) + 1);
+  expect_error(decode_error(bytes, 1), "exceeds 2^31");
+}
+
+TEST(ChunkStream, RefusesUnmappedLabel) {
+  std::vector<std::uint8_t> bytes;
+  put_varint(bytes, 0);
+  put_varint(bytes, 0);  // no symbols defined ...
+  put_varint(bytes, 1);  // ... yet one record labelled 9
+  const TraceRecord r = labelled(1, 9);
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(&r);
+  bytes.insert(bytes.end(), raw, raw + sizeof(r));
+  expect_error(decode_error(bytes, 1), "never defined");
 }
 
 // ---------------------------------------------------------------------------
