@@ -6,7 +6,29 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/parallel.hpp"
+
 namespace u1 {
+namespace {
+
+/// The KS sup over a tail that is already sorted and holds exactly the
+/// values >= x_min.
+double sorted_tail_ks(std::span<const double> tail, double x_min,
+                      double alpha) {
+  const double n = static_cast<double>(tail.size());
+  double ks = 0;
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    // Model CDF (of the conditional tail distribution).
+    const double model = 1.0 - std::pow(x_min / tail[i], alpha);
+    const double emp_hi = static_cast<double>(i + 1) / n;
+    const double emp_lo = static_cast<double>(i) / n;
+    ks = std::max(ks, std::max(std::abs(emp_hi - model),
+                               std::abs(emp_lo - model)));
+  }
+  return ks;
+}
+
+}  // namespace
 
 double hill_alpha(std::span<const double> sample, double x_min) {
   if (x_min <= 0) throw std::invalid_argument("hill_alpha: x_min <= 0");
@@ -30,17 +52,7 @@ double ks_distance(std::span<const double> sample, double x_min,
     if (x >= x_min) tail.push_back(x);
   if (tail.empty()) throw std::invalid_argument("ks_distance: empty tail");
   std::sort(tail.begin(), tail.end());
-  const double n = static_cast<double>(tail.size());
-  double ks = 0;
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    // Model CDF (of the conditional tail distribution).
-    const double model = 1.0 - std::pow(x_min / tail[i], alpha);
-    const double emp_hi = static_cast<double>(i + 1) / n;
-    const double emp_lo = static_cast<double>(i) / n;
-    ks = std::max(ks, std::max(std::abs(emp_hi - model),
-                               std::abs(emp_lo - model)));
-  }
-  return ks;
+  return sorted_tail_ks(tail, x_min, alpha);
 }
 
 PowerLawFit fit_power_law(std::span<const double> sample,
@@ -67,27 +79,34 @@ PowerLawFit fit_power_law(std::span<const double> sample,
     }
   }
 
+  // The tail of a candidate is the sorted suffix from its lower bound:
+  // hill_alpha over the whole sorted sample adds the same terms in the
+  // same order, and ks_distance's copy-and-sort yields the same values,
+  // so both are computed on the suffix in place. Candidates fit
+  // independently, in parallel; the argmin below stays serial and in
+  // candidate order, so ties still go to the earliest candidate.
+  std::vector<PowerLawFit> fits(candidates.size());
+  parallel_for(candidates.size(), [&](std::size_t c) {
+    const double xm = candidates[c];
+    const std::span<const double> tail(
+        std::lower_bound(positive.begin(), positive.end(), xm),
+        positive.end());
+    PowerLawFit& fit = fits[c];
+    fit.ks = std::numeric_limits<double>::quiet_NaN();  // not viable
+    if (tail.size() < 10) return;
+    double sum_log = 0;
+    for (const double x : tail) sum_log += std::log(x / xm);
+    if (sum_log <= 0) return;  // hill_alpha's "insufficient tail"
+    fit.alpha = static_cast<double>(tail.size()) / sum_log;
+    fit.x_min = xm;
+    fit.ks = sorted_tail_ks(tail, xm, fit.alpha);
+    fit.tail_n = tail.size();
+  });
+
   PowerLawFit best;
   best.ks = std::numeric_limits<double>::infinity();
-  for (const double xm : candidates) {
-    std::size_t tail_n =
-        positive.end() -
-        std::lower_bound(positive.begin(), positive.end(), xm);
-    if (tail_n < 10) continue;
-    double alpha;
-    try {
-      alpha = hill_alpha(positive, xm);
-    } catch (const std::invalid_argument&) {
-      continue;
-    }
-    const double ks = ks_distance(positive, xm, alpha);
-    if (ks < best.ks) {
-      best.alpha = alpha;
-      best.x_min = xm;
-      best.ks = ks;
-      best.tail_n = tail_n;
-    }
-  }
+  for (const PowerLawFit& fit : fits)
+    if (fit.ks < best.ks) best = fit;
   if (!std::isfinite(best.ks))
     throw std::invalid_argument("fit_power_law: no viable x_min candidate");
   return best;

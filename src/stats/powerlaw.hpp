@@ -28,10 +28,17 @@ double hill_alpha(std::span<const double> sample, double x_min);
 double ks_distance(std::span<const double> sample, double x_min,
                    double alpha);
 
-/// Full fit: scans candidate x_min values over the sample's distinct
-/// values (subsampled to at most `max_candidates`) and returns the fit
-/// minimizing the KS distance. Throws std::invalid_argument if the sample
-/// has fewer than 10 positive values.
+/// Full fit: scans candidate x_min values and returns the fit minimizing
+/// the KS distance, ties to the smallest candidate. The candidates are
+/// the distinct values among every step-th of the lowest 90% of the
+/// sorted positive sample, step = max(1, floor(upper / max_candidates))
+/// for `upper` such values: up to 2 * max_candidates - 1 of them, not
+/// max_candidates (upper = 399 distinct values and max_candidates = 200
+/// give step 1 and 399 candidates). The candidates fit on hardware_concurrency() threads, the
+/// caller's included; the result does not depend on the thread count.
+/// Throws std::invalid_argument if the sample has fewer than 10 positive
+/// values, or if no candidate has a viable tail (at least 10 values
+/// >= x_min, not all equal to it).
 PowerLawFit fit_power_law(std::span<const double> sample,
                           std::size_t max_candidates = 200);
 

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "util/sim_time.hpp"
 
@@ -359,10 +361,12 @@ void encode_segment(const std::vector<TraceRecord>& recs,
   out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
+/// Decodes one segment. Labels keep their file-local ids, each checked
+/// to be below `label_count` (the sidecar's strings plus the empty one).
 bool decode_segment(Cursor& c, RecordType type,
                     const std::vector<std::uint32_t>& idx, TraceRecord* recs,
-                    const std::vector<Symbol>& local_to_global,
-                    std::uint8_t machine, std::uint16_t process) {
+                    std::size_t label_count, std::uint8_t machine,
+                    std::uint16_t process) {
   SimTime prev = 0;
   for (const std::uint32_t i : idx) {
     prev += unzigzag(c.varint());
@@ -389,8 +393,8 @@ bool decode_segment(Cursor& c, RecordType type,
   }
   for (const std::uint32_t i : idx) {
     const std::uint64_t local = c.varint();
-    if (local >= local_to_global.size()) return false;
-    recs[i].label = local_to_global[local];
+    if (local >= label_count) return false;
+    recs[i].label = static_cast<Symbol>(local);
   }
   for (const std::uint32_t i : idx) {
     const std::uint64_t v = c.varint();
@@ -512,11 +516,13 @@ std::filesystem::path sidecar_path(const std::filesystem::path& logfile) {
   return p;
 }
 
-/// Loads and verifies a `.u1s` sidecar, interning every string into the
-/// global table. local_to_global[0] is the empty symbol. Adds the
-/// sidecar's bytes to `stats`; false on any integrity problem.
+/// Loads and verifies a `.u1s` sidecar, copying its strings into
+/// `labels` (local id i + 1 is labels[i]; 0 is the empty string). Adds
+/// the sidecar's bytes to `stats`; false on any integrity problem. A
+/// sidecar that checksums but fails partway leaves the strings before
+/// the failure in `labels`.
 bool load_sidecar(const std::filesystem::path& path,
-                  std::vector<Symbol>& local_to_global, ReadStats& stats) {
+                  std::vector<std::string>& labels, ReadStats& stats) {
   Mapping map;
   if (!map_file(path, map)) return false;
   stats.bytes_read += map.size;
@@ -531,26 +537,25 @@ bool load_sidecar(const std::filesystem::path& path,
   if (xxh64(payload, static_cast<std::size_t>(payload_bytes)) !=
       get_le64(map.data + 24))
     return false;
-  local_to_global.clear();
-  local_to_global.reserve(count + 1);
-  local_to_global.push_back(kEmptySymbol);
+  labels.clear();
+  labels.reserve(std::min<std::uint64_t>(count, payload_bytes / 2));
   Cursor c{payload, payload + payload_bytes};
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t len = c.varint();
     const std::uint8_t* bytes = c.take(static_cast<std::size_t>(len));
     if (!c.ok || len == 0) return false;  // the empty string is id 0, always
-    local_to_global.push_back(global_symbols().intern(
-        std::string_view(reinterpret_cast<const char*>(bytes),
-                         static_cast<std::size_t>(len))));
+    labels.emplace_back(reinterpret_cast<const char*>(bytes),
+                        static_cast<std::size_t>(len));
   }
   return c.p == c.end;
 }
 
+/// Appends one stripe's records to `out`, labels as file-local ids below
+/// `label_count`; on any error `out` is left as it was.
 bool decode_stripe(const std::uint8_t* begin, const std::uint8_t* end,
                    std::uint32_t count, const std::uint32_t* type_counts,
                    std::uint8_t machine, std::uint16_t process,
-                   const std::vector<Symbol>& local_to_global,
-                   std::vector<TraceRecord>& out) {
+                   std::size_t label_count, std::vector<TraceRecord>& out) {
   const std::size_t base = out.size();
   out.resize(base + count);
   Cursor c{begin, end};
@@ -578,8 +583,7 @@ bool decode_stripe(const std::uint8_t* begin, const std::uint8_t* end,
   for (std::size_t t = 0; t < kRecordTypeCount; ++t) {
     if (slots[t].empty()) continue;
     if (!decode_segment(c, static_cast<RecordType>(t), slots[t],
-                        out.data() + base, local_to_global, machine,
-                        process) ||
+                        out.data() + base, label_count, machine, process) ||
         !c.ok) {
       out.resize(base);
       return false;
@@ -590,6 +594,12 @@ bool decode_stripe(const std::uint8_t* begin, const std::uint8_t* end,
     return false;
   }
   return true;
+}
+
+/// Rewrites the file-local label ids of `recs` to global ids.
+void remap_labels(std::span<TraceRecord> recs,
+                  const std::vector<Symbol>& local_to_global) noexcept {
+  for (TraceRecord& r : recs) r.label = local_to_global[r.label];
 }
 
 }  // namespace
@@ -715,9 +725,10 @@ class BinaryLogfile final : public LogfileSink::File {
         !decode_stripe(stripe.data() + kStripeHeaderBytes,
                        stripe.data() + stripe.size(),
                        get_le32(stripe.data() + 4), type_counts, machine_,
-                       process_, local_to_global, pending_))
+                       process_, local_to_global.size(), pending_))
       throw std::runtime_error("BinaryLogfileWriter: cannot reopen " +
                                path_.string());
+    remap_labels(pending_, local_to_global);
     dict_.truncate(tail_dict_);
     std::filesystem::resize_file(path_, offset);
     tail_bytes_ = 0;
@@ -813,12 +824,11 @@ std::unique_ptr<LogfileSink::File> BinaryLogfileWriter::start(
 namespace {
 
 /// The checks a read makes before it decodes any stripe: header, payload
-/// digest, then sidecar. On success the sidecar's strings are interned
-/// and `local_to_global` maps the file's label ids; on failure `stats`
-/// holds the file's verdict and nothing may be decoded.
+/// digest, then sidecar. On success `labels` holds the sidecar's strings;
+/// on failure `stats` holds the file's verdict and nothing may be decoded.
 bool open_binary_logfile(const std::filesystem::path& file,
                          const Mapping& map, ReadStats& stats,
-                         std::vector<Symbol>& local_to_global) {
+                         std::vector<std::string>& labels) {
   // A file too short for a header, or with the wrong magic/version,
   // carries no trustworthy record count: it is one malformed unit.
   if (map.size < kFileHeaderBytes ||
@@ -849,7 +859,7 @@ bool open_binary_logfile(const std::filesystem::path& file,
     }
   }
 
-  if (!load_sidecar(sidecar_path(file), local_to_global, stats)) {
+  if (!load_sidecar(sidecar_path(file), labels, stats)) {
     stats.malformed = std::max<std::uint64_t>(record_count, 1);
     stats.rows = stats.malformed;
     return false;
@@ -859,24 +869,13 @@ bool open_binary_logfile(const std::filesystem::path& file,
 
 }  // namespace
 
-std::uint64_t intern_binary_logfile_symbols(
-    const std::filesystem::path& file) {
-  Mapping map;
-  if (!map_file(file, map)) return 0;  // the read itself reports it
-  ReadStats stats;
-  std::vector<Symbol> local_to_global;
-  if (!open_binary_logfile(file, map, stats, local_to_global)) return 0;
-  // The header count is not covered by the digest; every record costs at
-  // least its type byte, so the payload size bounds an honest count.
-  return std::min<std::uint64_t>(get_le64(map.data + 24),
-                                 map.size - kFileHeaderBytes);
-}
-
-ReadStats read_binary_logfile(const std::filesystem::path& file,
-                              std::vector<TraceRecord>& out) {
+ReadStats decode_binary_logfile(const std::filesystem::path& file,
+                                std::vector<TraceRecord>& out,
+                                std::vector<std::string>& labels) {
   ReadStats stats;
   stats.files = 1;
   stats.files_binary = 1;
+  labels.clear();
 
   Mapping map;
   if (!map_file(file, map))
@@ -884,8 +883,7 @@ ReadStats read_binary_logfile(const std::filesystem::path& file,
                              file.string());
   stats.bytes_read += map.size;
 
-  std::vector<Symbol> local_to_global;
-  if (!open_binary_logfile(file, map, stats, local_to_global)) return stats;
+  if (!open_binary_logfile(file, map, stats, labels)) return stats;
   const std::uint8_t machine = map.data[16];
   const std::uint16_t process = get_le16(map.data + 18);
   const std::uint32_t stripe_count = get_le32(map.data + 20);
@@ -893,6 +891,15 @@ ReadStats read_binary_logfile(const std::filesystem::path& file,
   const std::uint64_t payload_declared = get_le64(map.data + 32);
   const std::uint8_t* payload = map.data + kFileHeaderBytes;
   const std::uint64_t payload_actual = map.size - kFileHeaderBytes;
+
+  // The header count is not covered by the digest; every record costs at
+  // least its type byte, so the payload size bounds an honest count.
+  // Growth stays geometric for a caller appending many files.
+  const std::size_t need =
+      out.size() + static_cast<std::size_t>(
+                       std::min(record_count, payload_actual));
+  if (need > out.capacity())
+    out.reserve(std::max(need, 2 * out.capacity()));
 
   const std::uint8_t* p = payload;
   const std::uint8_t* end =
@@ -916,7 +923,7 @@ ReadStats read_binary_logfile(const std::filesystem::path& file,
       break;  // stripe body truncated
     const std::uint8_t* body = p + kStripeHeaderBytes;
     if (decode_stripe(body, body + stripe_bytes, count, type_counts, machine,
-                      process, local_to_global, out))
+                      process, labels.size() + 1, out))
       decoded += count;
     p += kStripeHeaderBytes + stripe_bytes;
   }
@@ -924,6 +931,24 @@ ReadStats read_binary_logfile(const std::filesystem::path& file,
   stats.parsed = decoded;
   stats.rows = std::max<std::uint64_t>(record_count, decoded);
   stats.malformed = stats.rows - decoded;
+  return stats;
+}
+
+std::vector<Symbol> intern_labels(const std::vector<std::string>& labels) {
+  std::vector<Symbol> local_to_global;
+  local_to_global.reserve(labels.size() + 1);
+  local_to_global.push_back(kEmptySymbol);
+  for (const std::string& label : labels)
+    local_to_global.push_back(global_symbols().intern(label));
+  return local_to_global;
+}
+
+ReadStats read_binary_logfile(const std::filesystem::path& file,
+                              std::vector<TraceRecord>& out) {
+  const std::size_t base = out.size();
+  std::vector<std::string> labels;
+  const ReadStats stats = decode_binary_logfile(file, out, labels);
+  remap_labels(std::span(out).subspan(base), intern_labels(labels));
   return stats;
 }
 

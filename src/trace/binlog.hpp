@@ -49,9 +49,12 @@
 // dictionary — exactly the strings this one logfile references, in
 // first-use order — is written once to a `.u1s` sidecar next to the
 // file (magic, version, count, checksum, then length-prefixed strings).
-// The reader interns the sidecar strings back into the global
-// SymbolTable and rewrites labels to global ids, so decoded records are
-// indistinguishable from engine-emitted ones.
+// The reader decodes labels as file-local ids, then interns the sidecar
+// strings back into the global SymbolTable and rewrites labels to global
+// ids, so delivered records are indistinguishable from engine-emitted
+// ones. The two steps are separate so that files can decode on any
+// thread while the interning, which fixes the global ids, runs in one
+// deterministic order (trace/logfile.hpp, read_logfiles).
 //
 // The reader memory-maps the file (falling back to a plain read when
 // mmap is unavailable) and decodes columns straight out of the mapping —
@@ -65,6 +68,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -127,14 +131,23 @@ class BinaryLogfileWriter final : public LogfileSink {
 ReadStats read_binary_logfile(const std::filesystem::path& file,
                               std::vector<TraceRecord>& out);
 
-/// The symbol half of read_binary_logfile: makes the same header, digest
-/// and sidecar checks and, when they pass, interns the sidecar's strings
-/// into the global SymbolTable exactly as a read of the file would.
-/// Returns the header's record count (bounded by the payload size), or 0
-/// when a read would reject the file before its sidecar. Interning every
-/// file this way in a fixed order first lets the files then decode in
-/// any order, on any thread, with no new global id left to assign.
-std::uint64_t intern_binary_logfile_symbols(const std::filesystem::path& file);
+/// read_binary_logfile up to, not including, the global symbol ids: the
+/// same checks, stats and records, but each record's label stays the
+/// file-local id and nothing is interned. The sidecar strings those ids
+/// index (local id i + 1 is labels[i], 0 the empty string) come back in
+/// `labels`, as far as the sidecar parsed, so interning them in order
+/// assigns exactly the ids a read_binary_logfile would: nothing for a
+/// file that fails its digest, the parsed prefix for a sidecar that
+/// checksums but fails partway. Touches no shared state, so files decode
+/// on any thread in any order; the mapping is released before it returns.
+ReadStats decode_binary_logfile(const std::filesystem::path& file,
+                                std::vector<TraceRecord>& out,
+                                std::vector<std::string>& labels);
+
+/// Interns a decoded file's `labels` into the global SymbolTable, in
+/// order, and returns the file's local -> global id map (element 0 is
+/// kEmptySymbol, element i + 1 the id of labels[i]).
+std::vector<Symbol> intern_labels(const std::vector<std::string>& labels);
 
 /// The writer for `format` behind the common LogfileSink interface.
 std::unique_ptr<LogfileSink> make_logfile_writer(

@@ -1,16 +1,15 @@
 #include "trace/logfile.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <system_error>
-#include <thread>
 
 #include "trace/binlog.hpp"
 #include "util/csv.hpp"
+#include "util/parallel.hpp"
 
 namespace u1 {
 
@@ -208,8 +207,11 @@ ReadStats read_csv_logfile(const std::filesystem::path& file,
 struct LogfileRun {
   std::filesystem::path path;
   bool binary = false;
-  std::uint64_t expected = 0;  // header record count, for the reserve
   std::vector<TraceRecord> records;  // in t order, from t = 0 on
+  // Binary runs: the sidecar strings their records' file-local label ids
+  // index, and (once interned) the map from those ids to global ones.
+  std::vector<std::string> labels;
+  std::vector<Symbol> local_to_global;
   std::size_t next = 0;  // first record the merge has not delivered
   ReadStats stats;
   std::exception_ptr error;
@@ -219,13 +221,9 @@ bool earlier(const TraceRecord& a, const TraceRecord& b) noexcept {
   return a.t < b.t;
 }
 
-/// Decodes a binary run (CSV runs were parsed in the serial pass), puts
-/// it in timestamp order and skips its pre-window records.
-void prepare_run(LogfileRun& run) {
-  if (run.binary) {
-    run.records.reserve(run.expected);
-    run.stats = read_binary_logfile(run.path, run.records);
-  }
+/// Puts a parsed or decoded run in timestamp order and skips its
+/// pre-window records.
+void order_run(LogfileRun& run) {
   if (!std::is_sorted(run.records.begin(), run.records.end(), earlier))
     std::stable_sort(run.records.begin(), run.records.end(), earlier);
   // CSV serialization prints t as unsigned, so pre-trace bootstrap
@@ -247,33 +245,30 @@ void prepare_run(LogfileRun& run) {
   run.stats.malformed += dropped;
 }
 
-/// Runs prepare_run over every run on hardware_concurrency() threads,
-/// the caller's included; with one hardware thread none is started.
-/// Runs are claimed in name order; a failure stays with its run.
-void prepare_runs(std::vector<LogfileRun>& runs) {
-  std::atomic<std::size_t> next_run{0};
-  const auto work = [&runs, &next_run] {
-    for (std::size_t i; (i = next_run.fetch_add(1)) < runs.size();) {
-      try {
-        prepare_run(runs[i]);
-      } catch (...) {
-        runs[i].error = std::current_exception();
-      }
+/// Sniffs every run's format and maps, verifies, decodes and orders each
+/// binary one — with file-local label ids, so nothing is interned — on
+/// hardware_concurrency() threads, the caller's included; with one
+/// hardware thread none is started. A failure stays with its run.
+void decode_binary_runs(std::vector<LogfileRun>& runs) {
+  parallel_for(runs.size(), [&runs](std::size_t i) {
+    LogfileRun& run = runs[i];
+    try {
+      run.binary = sniff_binary(run.path);
+      if (!run.binary) return;
+      run.stats = decode_binary_logfile(run.path, run.records, run.labels);
+      order_run(run);
+    } catch (...) {
+      run.error = std::current_exception();
     }
-  };
-  const std::size_t workers = std::min<std::size_t>(
-      std::max(1u, std::thread::hardware_concurrency()), runs.size());
-  std::vector<std::jthread> helpers;
-  helpers.reserve(workers > 0 ? workers - 1 : 0);
-  for (std::size_t i = 1; i < workers; ++i) helpers.emplace_back(work);
-  work();
+  });
 }
 
 /// K-way merge of the prepared runs into `sink`, in batches of
-/// kMergeBatch. Keys are (t, run index): equal timestamps go to the
-/// earlier file name and, within a file, keep file order — exactly the
-/// order one stable sort of the name-ordered concatenation gives. Each
-/// run's memory is released as soon as the merge has drained it.
+/// kMergeBatch, binary runs' labels rewritten to global ids on the way.
+/// Keys are (t, run index): equal timestamps go to the earlier file name
+/// and, within a file, keep file order — exactly the order one stable
+/// sort of the name-ordered concatenation gives. Each run's memory is
+/// released as soon as the merge has drained it.
 void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
   struct Head {
     SimTime t;
@@ -306,6 +301,8 @@ void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
     // Drain this run for as long as it stays ahead of every other run.
     do {
       batch.push_back(run.records[run.next++]);
+      if (run.binary)
+        batch.back().label = run.local_to_global[batch.back().label];
       if (batch.size() == kMergeBatch) {
         sink.append_batch(batch.data(), batch.size());
         batch.clear();
@@ -349,20 +346,21 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
             [](const LogfileRun& a, const LogfileRun& b) {
               return a.path < b.path;
             });
+  decode_binary_runs(runs);
   // Serial pass, in name order: everything that assigns global symbol
-  // ids — CSV parsing and sidecar interning — so the ids come out as one
-  // file-after-file read would assign them, whatever the thread count.
-  for (LogfileRun& run : runs) {
-    run.binary = sniff_binary(run.path);
-    if (run.binary)
-      run.expected = intern_binary_logfile_symbols(run.path);
-    else
-      run.stats = read_csv_logfile(run.path, run.records);
-  }
-  prepare_runs(runs);
+  // ids — CSV parsing and interning each binary file's sidecar strings —
+  // so the ids come out as one file-after-file read would assign them,
+  // whatever the thread count. It does no I/O for binary files. A failed
+  // file is re-thrown at its place in name order.
   ReadStats stats;
   for (LogfileRun& run : runs) {
     if (run.error) std::rethrow_exception(run.error);
+    if (run.binary) {
+      run.local_to_global = intern_labels(run.labels);
+    } else {
+      run.stats = read_csv_logfile(run.path, run.records);
+      order_run(run);
+    }
     stats.add(run.stats);
   }
   merge_runs(runs, sink);

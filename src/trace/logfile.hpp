@@ -164,6 +164,8 @@ struct ReadStats {
 /// Pre-window records (t < 0) are dropped and counted malformed. Binary
 /// files decode on hardware_concurrency() threads and stream through a
 /// k-way merge; the sink is only ever called from the calling thread.
+/// New labels get global symbol ids in the order a file-after-file read
+/// in name order would give them, whatever the thread count.
 /// Returns parsing statistics; a decode failure is re-thrown here.
 ReadStats read_logfiles(const std::filesystem::path& directory,
                         TraceSink& sink);

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -178,6 +180,25 @@ class ReadMergeTest : public ::testing::Test {
     writer->close();
   }
 
+  /// Runs `body` in a forked child and expects it to succeed. Labels the
+  /// child interns never reach this process's symbol table, so files it
+  /// writes hold labels that are new to the reader.
+  static void in_child(const std::function<void()>& body) {
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      try {
+        body();
+      } catch (...) {
+        ::_exit(1);
+      }
+      ::_exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  }
+
   std::vector<fs::path> files_with(std::string_view ext) const {
     std::vector<fs::path> out;
     for (const auto& e : fs::directory_iterator(dir_))
@@ -307,9 +328,7 @@ TEST_F(ReadMergeTest, GlobalSymbolIdsFollowFileNameOrder) {
   files.push_back({make_record(0, 5, 1, 1).logname(),
                    {label(100), label(101), label(102)}});
 
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
+  in_child([&] {
     std::vector<TraceRecord> bin_records, csv_records;
     std::uint64_t i = 0;
     for (std::size_t f = 0; f < files.size(); ++f) {
@@ -322,17 +341,10 @@ TEST_F(ReadMergeTest, GlobalSymbolIdsFollowFileNameOrder) {
                                   machine, process, 3 * i++,
                                   files[f].labels[k]));
     }
-    try {
-      write(bin_records, TraceFormat::kBinary);
-      write(csv_records, TraceFormat::kCsv);
-    } catch (...) {
-      ::_exit(1);
-    }
-    ::_exit(0);
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    write(bin_records, TraceFormat::kBinary);
+    write(csv_records, TraceFormat::kCsv);
+  });
+  if (HasFatalFailure()) return;
   ASSERT_EQ(files_with(".u1b").size(), 16u);
   ASSERT_EQ(files_with(".csv").size(), 1u);
 
@@ -356,6 +368,98 @@ TEST_F(ReadMergeTest, GlobalSymbolIdsFollowFileNameOrder) {
     EXPECT_EQ(global_symbols().resolve(static_cast<Symbol>(base + k)),
               first_sight[k])
         << "id " << base + k;
+  expect_equivalent(dir_);
+}
+
+
+/// One storage record per label, a file per label list on machines
+/// 1..n (process 1): the file that comes j-th in name order uses
+/// labels[j], in order.
+std::vector<TraceRecord> labelled_files(
+    const std::vector<std::vector<std::string>>& labels) {
+  std::vector<std::uint64_t> machines;
+  for (std::uint64_t m = 1; m <= labels.size(); ++m) machines.push_back(m);
+  std::sort(machines.begin(), machines.end(),
+            [](std::uint64_t a, std::uint64_t b) {
+              return make_record(0, a, 1, 0).logname() <
+                     make_record(0, b, 1, 0).logname();
+            });
+  std::vector<TraceRecord> out;
+  std::uint64_t i = 0;
+  for (std::size_t j = 0; j < labels.size(); ++j)
+    for (std::size_t k = 0; k < labels[j].size(); ++k)
+      out.push_back(make_record(static_cast<SimTime>(100 + k) * kSecond,
+                                machines[j], 1, 3 * i++, labels[j][k]));
+  return out;
+}
+
+/// Expects the symbols interned since `base` to be exactly `want`, in
+/// order.
+void expect_new_symbols(std::size_t base,
+                        const std::vector<std::string>& want) {
+  ASSERT_EQ(global_symbols().size(), base + want.size());
+  for (std::size_t k = 0; k < want.size(); ++k)
+    EXPECT_EQ(global_symbols().resolve(static_cast<Symbol>(base + k)),
+              want[k])
+        << "id " << base + k;
+}
+
+TEST_F(ReadMergeTest, FileFailingItsDigestInternsNoneOfItsLabels) {
+  // Three binary files. The middle one in name order fails its digest: its own label "b" must never be interned, and
+  // "a", which it shares with the last file, gets its id there.
+  const std::string tag = "digest" + std::to_string(::getpid()) + "_";
+  const std::vector<std::vector<std::string>> labels = {
+      {tag + "p0", tag + "p1"}, {tag + "a", tag + "b"}, {tag + "q0", tag + "a"}};
+  in_child([&] { write(labelled_files(labels), TraceFormat::kBinary); });
+  if (HasFatalFailure()) return;
+  const auto logs = files_with(".u1b");
+  ASSERT_EQ(logs.size(), 3u);
+  ASSERT_GT(fs::file_size(logs[1]), 80u);
+  {  // flip one payload byte of the middle file
+    std::fstream f(logs[1], std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(80);
+    char c = 0;
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 0x5a);
+    f.seekp(80);
+    f.write(&c, 1);
+  }
+
+  const std::size_t base = global_symbols().size();
+  BatchSink got;
+  const ReadStats stats = read_logfiles(dir_, got);
+  EXPECT_EQ(stats.checksum_failures, 1u);
+  EXPECT_EQ(stats.parsed, 4u);
+  expect_new_symbols(base, {tag + "p0", tag + "p1", tag + "q0", tag + "a"});
+  expect_equivalent(dir_);
+}
+
+TEST_F(ReadMergeTest, SidecarFailingPartwayInternsItsPrefix) {
+  // The middle file's sidecar checksums but lists "a", "b", then a
+  // zero-length string, then "c": the record labelled with an id no
+  // table assigned resolves to "" when the writer lists it. A read
+  // interns "a" and "b", rejects the file at the empty string, and never
+  // reaches "c" — which the last file then interns in its own place.
+  const std::string tag = "prefix" + std::to_string(::getpid()) + "_";
+  const std::vector<std::vector<std::string>> labels = {
+      {tag + "p0"}, {tag + "a", tag + "b", tag + "x", tag + "c"},
+      {tag + "q0", tag + "c"}};
+  in_child([&] {
+    std::vector<TraceRecord> records = labelled_files(labels);
+    records[3].label = std::numeric_limits<Symbol>::max();  // "x"
+    write(records, TraceFormat::kBinary);
+  });
+  if (HasFatalFailure()) return;
+  ASSERT_EQ(files_with(".u1b").size(), 3u);
+
+  const std::size_t base = global_symbols().size();
+  BatchSink got;
+  const ReadStats stats = read_logfiles(dir_, got);
+  EXPECT_EQ(stats.checksum_failures, 0u);
+  EXPECT_EQ(stats.parsed, 3u);
+  EXPECT_EQ(stats.malformed, 4u);
+  expect_new_symbols(base,
+                     {tag + "p0", tag + "a", tag + "b", tag + "q0", tag + "c"});
   expect_equivalent(dir_);
 }
 
