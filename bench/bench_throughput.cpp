@@ -9,9 +9,11 @@
 // {2x1, 2x2, 4x1, 1x1} (sim/distributed.hpp): every cell must hash to
 // the SAME SHA as the in-process runs, and each cell records its
 // per-worker peak RSS — the 4-proc max-worker figure over the 1x1 peak
-// is the engine's 1/P memory claim, written to the JSON. Wall-clock, records/sec
-// and the per-epoch phase breakdown (compute / merge / flush /
-// flush-stall) are written to BENCH_throughput.json at the repo root
+// is the engine's 1/P memory claim, written to the JSON. Wall-clock, records/sec,
+// the per-epoch phase breakdown (compute / merge / flush / flush-stall)
+// and the trace-buffer memory counters (the flush ring's ring_bytes,
+// ring_bytes_max and ring_releases; in bin mode also the writer's
+// buffered_bytes_max) are written to BENCH_throughput.json at the repo root
 // (honest numbers: the file records the machine's hardware concurrency —
 // speedups are bounded by the cores actually present, and a single-core
 // host is flagged loudly because every thread count then shares one
@@ -106,6 +108,8 @@ struct RunResult {
   std::string trace_sha1;
   std::size_t flush_depth = 0;  // ring depth K the engine resolved
   u1::ParallelSimulation::EpochPhases phases;  // first repeat
+  /// bin only: BinaryLogfileWriter::buffered_bytes_max(), first repeat.
+  std::uint64_t writer_buffered_max = 0;
   u1::SimulationReport report;
 
   double wall_min() const {
@@ -196,6 +200,7 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
       if (rep == 0) {
         out.flush_depth = sim.flush_depth();
         out.phases = sim.phases();
+        out.writer_buffered_max = writer.buffered_bytes_max();
         out.report = report;
       }
     }
@@ -212,7 +217,8 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
   return out;
 }
 
-void print_phases(const u1::ParallelSimulation::EpochPhases& p) {
+void print_phases(const RunResult& r, u1::TraceFormat format) {
+  const auto& p = r.phases;
   std::printf("    phases: epochs=%llu compute=%.2fs merge=%.2fs "
               "flush=%.2fs write=%.2fs flush_stall=%.2fs ring_stall=%.2fs "
               "plan_rebuilds=%llu\n",
@@ -227,6 +233,15 @@ void print_phases(const u1::ParallelSimulation::EpochPhases& p) {
   std::printf("    calendar: rebuilds=%llu finds=%llu scanned_per_find=%.2f\n",
               static_cast<unsigned long long>(p.cal_rebuilds),
               static_cast<unsigned long long>(p.cal_finds), per_find);
+  std::printf("    memory: ring_bytes=%.1fMB ring_bytes_max=%.1fMB "
+              "ring_releases=%llu",
+              static_cast<double>(p.ring_bytes) / 1e6,
+              static_cast<double>(p.ring_bytes_max) / 1e6,
+              static_cast<unsigned long long>(p.ring_releases));
+  if (format == u1::TraceFormat::kBinary)
+    std::printf(" writer_buffered_max=%.1fMB",
+                static_cast<double>(r.writer_buffered_max) / 1e6);
+  std::printf("\n");
 }
 
 }  // namespace
@@ -337,7 +352,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.records),
                 static_cast<double>(r.records) / r.wall_min(),
                 r.trace_sha1.c_str());
-    print_phases(r.phases);
+    print_phases(r, format);
   }
 
   bool identical = true;
@@ -435,7 +450,8 @@ int main(int argc, char** argv) {
           "\"flush_stall_s\": %.3f, \"ring_stall_s\": %.3f, "
           "\"plan_rebuilds\": %llu, \"cal_rebuilds\": %llu, "
           "\"cal_finds\": %llu, \"cal_scanned\": %llu, "
-          "\"cal_scanned_per_find\": %.2f}}%s\n",
+          "\"cal_scanned_per_find\": %.2f, \"ring_bytes\": %llu, "
+          "\"ring_bytes_max\": %llu, \"ring_releases\": %llu}",
           r.threads, r.wall_min(), r.wall_median(),
           static_cast<unsigned long long>(r.records),
           static_cast<unsigned long long>(r.bytes),
@@ -450,7 +466,13 @@ int main(int argc, char** argv) {
           p.cal_finds > 0 ? static_cast<double>(p.cal_scanned) /
                                 static_cast<double>(p.cal_finds)
                           : 0.0,
-          i + 1 < runs.size() ? "," : "");
+          static_cast<unsigned long long>(p.ring_bytes),
+          static_cast<unsigned long long>(p.ring_bytes_max),
+          static_cast<unsigned long long>(p.ring_releases));
+      if (format == TraceFormat::kBinary)
+        std::fprintf(f, ",\n     \"writer_buffered_bytes_max\": %llu",
+                     static_cast<unsigned long long>(r.writer_buffered_max));
+      std::fprintf(f, "}%s\n", i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

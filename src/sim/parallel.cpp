@@ -8,12 +8,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#if defined(__linux__)
-#include <sys/resource.h>
-#include <cstdio>
-#include <unistd.h>
-#endif
-
 #include "sim/trace_merge.hpp"
 #include "util/sha1.hpp"
 
@@ -50,6 +44,16 @@ std::optional<std::size_t> env_flush_depth() {
 constexpr std::uint64_t kPlanRebuildFloor = 12;
 constexpr double kPlanDriftAlpha = 0.3;
 constexpr double kPlanDriftThreshold = 0.25;
+
+/// Stage B frees a chunk buffer whose capacity is more than
+/// kBurstFactor times the median capacity of its slot's chunks and more
+/// than kBurstFloorBytes (DESIGN.md §7). Capacities grow in doublings,
+/// so this takes four doublings past the median: steady-state chunks
+/// stay within three at 300 to 8000 users, while the Jan 16 DDoS grows
+/// its group's buffer four to seven. The floor keeps the first epochs,
+/// whose median is a handful of records, from freeing anything.
+constexpr std::size_t kBurstFactor = 8;
+constexpr std::size_t kBurstFloorBytes = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -257,6 +261,9 @@ void ParallelSimulation::bootstrap_phase() {
   // Pre-trace history, sequential. The shared registry and pool are LIVE
   // here (proxies point straight at the global structures), so bootstrap
   // gets full cross-group dedup.
+  // Worker mode: swap buffer for shedding remote users' trace records;
+  // it bounces capacity between sheds so the loop never reallocates.
+  std::vector<TraceRecord> shed_scratch;
   for (auto& grp : groups_) {
     grp->backend->set_dedup_proxy(&shared_dedup_->global());
     grp->pool_view->set_live(content_pool_.get());
@@ -293,8 +300,8 @@ void ParallelSimulation::bootstrap_phase() {
       Group& grp = *groups_[home_[i].group];
       grp.backend->shed_remote_user_state(UserId{i + 1});
       agent.shed_namespace_mirror();
-      shed_scratch_.clear();
-      grp.trace.swap_records(shed_scratch_);
+      shed_scratch.clear();
+      grp.trace.swap_records(shed_scratch);
     }
   }
   // Freeze: from here on workers only see epoch overlays.
@@ -559,9 +566,10 @@ void ParallelSimulation::fill_slot(FlushSlot& slot) {
             slot.sym_map[g][i],
             std::string(global_symbols().resolve(slot.sym_map[g][i])));
     }
-    // slot.chunks[g] was cleared (capacity kept) by the previous stage
-    // B, so this swap hands the group an empty, pre-sized buffer — in
-    // steady state the ring allocates nothing.
+    // slot.chunks[g] was cleared by the previous stage B, which keeps
+    // its capacity unless a burst grew it (recycle_slot), so this swap
+    // hands the group an empty, pre-sized buffer — in steady state the
+    // ring allocates nothing.
     groups_[g]->trace.swap_records(slot.chunks[g]);
     records_flushed_ += slot.chunks[g].size();
   }
@@ -582,6 +590,12 @@ void ParallelSimulation::prep_chunk(FlushSlot& slot, std::size_t group) {
 
 void ParallelSimulation::run_stage_a(FlushSlot& slot) {
   const auto t0 = Clock::now();
+  // The plan has reached its size for this epoch: record what the slot
+  // holds for ring_bytes until its next acquire.
+  const auto done = [&] {
+    slot.bytes = slot_bytes(slot);
+    phases_.flush_s += secs_since(t0);
+  };
   if (!sort_workers_.empty()) {
     {
       const std::lock_guard<std::mutex> lock(sort_mu_);
@@ -635,7 +649,7 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
       }
       slot.plan.clear();
     }
-    phases_.flush_s += secs_since(t0);
+    done();
     return;
   }
   // Analysis-only runs with no guard skip the k-way merge plan: nothing
@@ -645,7 +659,7 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
   // stays byte-identical to the trace-writing run.
   if (analysis_only_ && !guard_) {
     slot.plan.clear();
-    phases_.flush_s += secs_since(t0);
+    done();
     return;
   }
   build_merge_plan(slot.chunks, slot.plan);
@@ -662,10 +676,10 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
       }
     }
   }
-  phases_.flush_s += secs_since(t0);
+  done();
 }
 
-void ParallelSimulation::run_stage_b(FlushSlot& slot) {
+void ParallelSimulation::run_stage_b(FlushSlot& slot, bool release_all) {
   const auto t0 = Clock::now();
   if (peer_ != nullptr) {
     // Worker mode: the local groups' sorted, globally-labelled segments
@@ -673,9 +687,8 @@ void ParallelSimulation::run_stage_b(FlushSlot& slot) {
     // thread preserves submission order); the coordinator k-way merges
     // each chunk as soon as every worker has sent it.
     peer_->write_chunk(slot.chunks, slot.new_syms, local_first_, local_count_);
-    for (auto& chunk : slot.chunks) chunk.clear();
     for (auto& syms : slot.new_syms) syms.clear();
-    slot.plan.clear();
+    recycle_slot(slot, release_all);
     phases_.write_s += secs_since(t0);
     return;
   }
@@ -695,9 +708,69 @@ void ParallelSimulation::run_stage_b(FlushSlot& slot) {
     sink_->append_batch(&slot.chunks[group][first], j - i);
     i = j;
   }
-  for (auto& chunk : slot.chunks) chunk.clear();
-  slot.plan.clear();
+  recycle_slot(slot, release_all);
   phases_.write_s += secs_since(t0);
+}
+
+void ParallelSimulation::recycle_slot(FlushSlot& slot, bool release_all) {
+  // The reference is the median capacity of the slot's local chunks:
+  // the diurnal cycle moves every group together, a burst moves one.
+  std::vector<std::size_t> caps;
+  caps.reserve(groups_.size());
+  for (std::size_t g = 0; g < groups_.size(); ++g)
+    if (group_local(g)) caps.push_back(slot.chunks[g].capacity());
+  std::size_t limit = 0;
+  if (!caps.empty()) {
+    const auto mid = caps.begin() + static_cast<std::ptrdiff_t>(
+                                        (caps.size() - 1) / 2);
+    std::nth_element(caps.begin(), mid, caps.end());
+    limit = std::max(kBurstFactor * *mid * sizeof(TraceRecord),
+                     kBurstFloorBytes);
+  }
+  bool released = false;
+  for (auto& chunk : slot.chunks) {
+    if (chunk.capacity() > 0 &&
+        (release_all || chunk.capacity() * sizeof(TraceRecord) > limit)) {
+      std::vector<TraceRecord>().swap(chunk);
+      ++phases_.ring_releases;
+      released = true;
+    } else {
+      chunk.clear();
+    }
+  }
+  // The plan's capacity is the largest epoch the slot carried, so it
+  // goes with a burst chunk.
+  if (slot.plan.capacity() > 0 && (release_all || released)) {
+    std::vector<MergeRef>().swap(slot.plan);
+    ++phases_.ring_releases;
+  } else {
+    slot.plan.clear();
+  }
+}
+
+std::size_t ParallelSimulation::slot_bytes(const FlushSlot& slot) noexcept {
+  std::size_t bytes = slot.plan.capacity() * sizeof(MergeRef);
+  for (const auto& chunk : slot.chunks)
+    bytes += chunk.capacity() * sizeof(TraceRecord);
+  return bytes;
+}
+
+void ParallelSimulation::count_ring_bytes() {
+  std::size_t bytes = 0;
+  for (const auto& slot : slots_) bytes += slot->bytes;
+  for (const auto& grp : groups_)
+    bytes += grp->trace.capacity() * sizeof(TraceRecord);
+  phases_.ring_bytes = bytes;
+  phases_.ring_bytes_max = std::max<std::uint64_t>(phases_.ring_bytes_max,
+                                                   bytes);
+}
+
+void ParallelSimulation::flush_inline(bool release_all) {
+  FlushSlot& slot = acquire_slot();
+  fill_slot(slot);
+  run_stage_a(slot);
+  run_stage_b(slot, release_all);
+  slot.bytes = slot_bytes(slot);
 }
 
 void ParallelSimulation::sort_worker_loop() {
@@ -833,18 +906,23 @@ void ParallelSimulation::writer_loop() {
 ParallelSimulation::FlushSlot& ParallelSimulation::acquire_slot() {
   FlushSlot& slot = *slots_[slot_cursor_];
   slot_cursor_ = (slot_cursor_ + 1) % slots_.size();
-  if (!writer_.joinable()) return slot;  // inline mode: always free
-  const auto t0 = Clock::now();
-  bool failed = false;
-  {
-    std::unique_lock<std::mutex> lock(flush_mu_);
-    flush_cv_.wait(lock, [&] {
-      return slot.state == FlushSlot::State::kFree || flush_error_ != nullptr;
-    });
-    failed = flush_error_ != nullptr;
+  // Inline mode never waits: its slots are always free.
+  if (writer_.joinable()) {
+    const auto t0 = Clock::now();
+    bool failed = false;
+    {
+      std::unique_lock<std::mutex> lock(flush_mu_);
+      flush_cv_.wait(lock, [&] {
+        return slot.state == FlushSlot::State::kFree ||
+               flush_error_ != nullptr;
+      });
+      failed = flush_error_ != nullptr;
+    }
+    phases_.ring_stall_s += secs_since(t0);
+    if (failed) rethrow_flush_error();
   }
-  phases_.ring_stall_s += secs_since(t0);
-  if (failed) rethrow_flush_error();
+  // Stage B has recycled it: this is what the slot keeps for reuse.
+  slot.bytes = slot_bytes(slot);
   return slot;
 }
 
@@ -950,6 +1028,7 @@ void ParallelSimulation::merge_epoch(SimTime epoch_end) {
   phases_.merge_s += std::chrono::duration<double>(t2 - t1).count();
   FlushSlot& slot = acquire_slot();  // ring_stall_s while all K busy
   const auto t3 = Clock::now();
+  count_ring_bytes();
   fill_slot(slot);
   phases_.merge_s += secs_since(t3);
   submit_flush(slot);
@@ -1120,39 +1199,20 @@ void ParallelSimulation::stop_workers() {
   epoch_done_.reset();
 }
 
-
-namespace {
-void rss_probe(const char* tag) {
-  if (::getenv("U1SIM_RSS_DEBUG") == nullptr) return;
-  rusage ru{};
-  ::getrusage(RUSAGE_SELF, &ru);
-  std::fprintf(stderr, "[rss pid=%d] %-18s peak=%ld KiB\n",
-               static_cast<int>(::getpid()), tag,
-               static_cast<long>(ru.ru_maxrss));
-}
-}  // namespace
-
 SimulationReport ParallelSimulation::run() {
   if (ran_) throw std::logic_error("ParallelSimulation::run: already ran");
   ran_ = true;
 
   build_groups();
   register_population();
-  rss_probe("registered");
   grant_shares();
   bootstrap_phase();
-  rss_probe("bootstrap-done");
-  {
-    // Bootstrap records: merged and written once, pre-pipeline (the
-    // threads are not running yet, so the slot runs both stages inline).
-    FlushSlot& slot = acquire_slot();
-    fill_slot(slot);
-    run_stage_a(slot);
-    run_stage_b(slot);
-  }
+  // Bootstrap records: merged and written once, pre-pipeline (the
+  // threads are not running yet, so the slot runs both stages inline).
+  // No epoch needs buffers that size again, so the slot frees them all.
+  flush_inline(/*release_all=*/true);
   schedule_population_start();
   if (peer_ != nullptr) release_remote_groups();
-  rss_probe("setup-released");
 
   const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;
   const bool pooled = threads_ > 1 && active_groups_.size() > 1;
@@ -1181,19 +1241,16 @@ SimulationReport ParallelSimulation::run() {
   // queued epoch, and the records the purges emit get one final
   // synchronous flush (any purges *that* flush detects are applied too,
   // but — like the pre-ring engine — their records are not re-flushed).
-  rss_probe("epochs-done");
   join_flusher();
   // Distributed tail barrier #1: the last epoch chunk's guard feed is
   // complete (stage A joined) — ship it, collect the final purges.
   if (peer_ != nullptr) exchange_barrier(/*tail=*/true);
   deliver_purges(horizon);
   drain_writer();
-  {
-    FlushSlot& slot = acquire_slot();  // all free after the drain
-    fill_slot(slot);
-    run_stage_a(slot);
-    run_stage_b(slot);
-  }
+  flush_inline(/*release_all=*/false);  // every slot is free after the drain
+  // The pipeline is idle: the run's last ring_bytes is exact.
+  for (auto& slot : slots_) slot->bytes = slot_bytes(*slot);
+  count_ring_bytes();
   // Distributed tail barrier #2: the purge-records chunk was scanned
   // inline above; any purges it triggers apply at the horizon, exactly
   // like the in-process tail.

@@ -179,6 +179,17 @@ class ParallelSimulation {
     std::uint64_t cal_rebuilds = 0;
     std::uint64_t cal_finds = 0;
     std::uint64_t cal_scanned = 0;
+    /// Trace-buffer memory of the flush ring (DESIGN.md §7): the
+    /// capacity in bytes of every slot's chunks and merge plan plus every
+    /// group's trace buffer, taken at the last barrier, and its largest
+    /// value over all barriers. A slot still in flight counts what it
+    /// held when stage A finished with it, so both figures depend on the
+    /// seed and K, never on the thread count.
+    std::uint64_t ring_bytes = 0;
+    std::uint64_t ring_bytes_max = 0;
+    /// Buffers stage B freed instead of keeping for reuse: every chunk
+    /// and the plan of the bootstrap flush, then burst-sized ones.
+    std::uint64_t ring_releases = 0;
   };
 
   /// threads == 0 resolves to std::thread::hardware_concurrency().
@@ -363,7 +374,7 @@ class ParallelSimulation {
   ///   kStageA-> flusher sorts/remaps/plans/guard-scans (joined at the
   ///             next barrier)
   ///   kStageB-> writer walks the plan into the sink, then frees the
-  ///             slot (chunk capacity recycles K-deep)
+  ///             slot (chunk capacity recycles K-deep, see recycle_slot)
   struct FlushSlot {
     enum class State : std::uint8_t { kFree, kStageA, kStageB };
     State state = State::kFree;
@@ -374,6 +385,10 @@ class ParallelSimulation {
     /// chunk's barrier (global id in THIS process, string) — shipped to
     /// the peer so the coordinator can replay the table growth.
     std::vector<std::vector<std::pair<Symbol, std::string>>> new_syms;
+    /// Capacity bytes of chunks + plan, measured by the slot's owner
+    /// when it is acquired, when stage A ends and after an inline flush
+    /// (ring_bytes' share).
+    std::size_t bytes = 0;
   };
 
   // Flush ring machinery. Runs on flusher_/writer_ when pooled, inline
@@ -399,7 +414,18 @@ class ParallelSimulation {
   void writer_loop();
   void sort_worker_loop();
   void run_stage_a(FlushSlot& slot);
-  void run_stage_b(FlushSlot& slot);
+  void run_stage_b(FlushSlot& slot, bool release_all = false);
+  /// Ends stage B: clears the chunks and plan for the slot's next epoch,
+  /// but frees the buffers a burst grew (or all of them, after the
+  /// bootstrap flush). Same rule in-process and in worker mode.
+  void recycle_slot(FlushSlot& slot, bool release_all);
+  /// Fills the next slot and runs both stages on the calling thread
+  /// (setup and the run tail, pipeline idle).
+  void flush_inline(bool release_all);
+  /// Records ring_bytes / ring_bytes_max from the slots' `bytes` and the
+  /// groups' trace buffers. Workers must be parked.
+  void count_ring_bytes();
+  static std::size_t slot_bytes(const FlushSlot& slot) noexcept;
   /// Stage A per-group work: stable sort + label remap of one chunk.
   void prep_chunk(FlushSlot& slot, std::size_t group);
   [[noreturn]] void rethrow_flush_error();
@@ -485,10 +511,6 @@ class ParallelSimulation {
   bool collect_feed_ = false;
   std::vector<GuardFeedEntry> feed_buf_;
   std::uint64_t barrier_seq_ = 0;
-  /// Reusable swap buffer for shedding remote groups' bootstrap trace
-  /// records per user (bootstrap_phase); bounces capacity between sheds
-  /// so the hot path never reallocates.
-  std::vector<TraceRecord> shed_scratch_;
   /// Groups this process simulates, ascending. Identity when not in
   /// worker mode; every epoch loop iterates this, not groups_.
   std::vector<std::size_t> active_groups_;

@@ -669,9 +669,10 @@ class BinaryLogfile final : public LogfileSink::File {
     path_ += kBinaryLogfileExt;
   }
 
-  void add(const TraceRecord& record) override {
+  std::size_t add(const TraceRecord& record) override {
     pending_.push_back(record);
-    if (pending_.size() < stripe_records_) return;
+    if (pending_.size() < stripe_records_)
+      return pending_.size() * sizeof(TraceRecord);
     std::vector<std::uint8_t> stripe;
     encode_stripe(pending_, dict_, stripe);
     write(stripe, nullptr);
@@ -680,6 +681,7 @@ class BinaryLogfile final : public LogfileSink::File {
     record_count_ += pending_.size();
     stripe_count_ += 1;
     pending_.clear();
+    return 0;
   }
 
   std::uint64_t finish() override {

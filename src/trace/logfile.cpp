@@ -48,7 +48,11 @@ void LogfileSink::append(const TraceRecord& record) {
     it->second.file->reopen();
     it->second.finished = false;
   }
-  it->second.file->add(record);
+  Slot& slot = it->second;
+  const std::size_t held = slot.file->add(record);
+  buffered_ = buffered_ - slot.buffered + held;
+  slot.buffered = held;
+  buffered_max_ = std::max(buffered_max_, buffered_);
   ++records_;
 }
 
@@ -76,12 +80,20 @@ void LogfileSink::roll_over(std::int64_t day) {
     for (Slot* slot : done) slot->bytes = slot->file->finish();
   });
   // Until the finisher is joined, the appending thread touches only
-  // `finished` of these slots, which the finisher never reads.
-  for (Slot* slot : done) slot->finished = true;
+  // `finished` and `buffered` of these slots, which the finisher never
+  // reads.
+  for (Slot* slot : done) {
+    slot->finished = true;
+    finishing_ += slot->buffered;
+    slot->buffered = 0;
+  }
 }
 
 void LogfileSink::join_finisher() {
-  if (finisher_.valid()) finisher_.get();
+  if (!finisher_.valid()) return;
+  buffered_ -= finishing_;
+  finishing_ = 0;
+  finisher_.get();
 }
 
 void LogfileSink::close() {
@@ -91,6 +103,7 @@ void LogfileSink::close() {
     slot->bytes = slot->file->finish();
     slot->finished = true;
   }
+  buffered_ = 0;
   for (const auto& [key, slot] : files_) bytes_ += slot.bytes;
   files_.clear();
   day_ = 0;
@@ -106,9 +119,10 @@ class CsvLogfile final : public LogfileSink::File {
     write_csv_row(pending_, TraceRecord::csv_header());
   }
 
-  void add(const TraceRecord& record) override {
+  std::size_t add(const TraceRecord& record) override {
     write_csv_row(pending_, record.to_csv());
     if (pending_.size() >= LogfileWriter::kFileBufferBytes) write_out();
+    return pending_.size();
   }
 
   std::uint64_t finish() override {

@@ -59,7 +59,9 @@ class LogfileSink : public TraceSink {
    public:
     virtual ~File() = default;
     /// Takes the file's next record; may write part of the file.
-    virtual void add(const TraceRecord& record) = 0;
+    /// Returns the bytes of records or rows the file now holds in
+    /// memory, not yet written.
+    virtual std::size_t add(const TraceRecord& record) = 0;
     /// Writes whatever add() left and frees the records, so the file is
     /// complete on disk. Returns its bytes on disk, sidecar included.
     virtual std::uint64_t finish() = 0;
@@ -86,6 +88,10 @@ class LogfileSink : public TraceSink {
   /// Bytes of the files closed so far: after close(), the directory's
   /// byte total, a reopened file counted once.
   std::uint64_t bytes_written() const noexcept { return bytes_; }
+  /// The most bytes of records or rows that files not yet finished held
+  /// at once since construction; a day counts until its finisher is
+  /// joined. Counts what add() buffered, not vector slack.
+  std::uint64_t buffered_bytes_max() const noexcept { return buffered_max_; }
 
  protected:
   explicit LogfileSink(std::filesystem::path directory);
@@ -97,6 +103,7 @@ class LogfileSink : public TraceSink {
     std::unique_ptr<File> file;
     bool finished = false;   // handed to the finisher or closed
     std::uint64_t bytes = 0;  // set by finish()
+    std::size_t buffered = 0;  // what the last add() reported
   };
 
   /// Starts the logfile `first` belongs to; `stem` is its path without
@@ -116,6 +123,11 @@ class LogfileSink : public TraceSink {
   std::int64_t day_ = 0;  // latest trace day appended
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
+  // Bytes held by unfinished files, the part of it the day in flight
+  // holds, and the largest total seen.
+  std::uint64_t buffered_ = 0;
+  std::uint64_t finishing_ = 0;
+  std::uint64_t buffered_max_ = 0;
   std::future<void> finisher_;  // the day in flight, if any
 };
 

@@ -43,6 +43,8 @@ class InMemorySink final : public TraceSink {
     return records_;
   }
   void clear() noexcept { records_.clear(); }
+  /// Records the backing store holds room for.
+  std::size_t capacity() const noexcept { return records_.capacity(); }
   /// Exchanges the backing store with `other` — the double-buffer hook
   /// the parallel engine's pipelined flusher uses to freeze an epoch's
   /// records while the next epoch keeps appending (both vectors keep

@@ -1,8 +1,9 @@
 // Epoch-pipeline invariants: the k-way trace merge must reproduce the
 // stable_sort total order exactly; the calendar queue must pop in a
 // binary heap's exact order (FIFO ties included); the pipelined flusher
-// must leave the merged trace byte-identical; and the bounded MPSC
-// mailbox must drain deterministically.
+// must leave the merged trace byte-identical, and its trace buffers must
+// not outlive the bootstrap or a burst; and the bounded MPSC mailbox must
+// drain deterministically.
 #include <algorithm>
 #include <cstddef>
 #include <functional>
@@ -223,13 +224,19 @@ SimulationConfig small_config(bool auto_guard = false) {
   return cfg;
 }
 
-std::vector<std::string> run_trace_with(const SimulationConfig& cfg,
-                                        std::size_t threads,
-                                        std::size_t flush_depth) {
+std::vector<std::string> run_trace_with(
+    const SimulationConfig& cfg, std::size_t threads, std::size_t flush_depth,
+    ParallelSimulation::EpochPhases* phases = nullptr,
+    std::size_t* bootstrap_records = nullptr) {
   InMemorySink sink;
   ParallelSimulation sim(cfg, sink, threads);
   sim.set_flush_depth(flush_depth);
   sim.run();
+  if (phases != nullptr) *phases = sim.phases();
+  if (bootstrap_records != nullptr)
+    *bootstrap_records = static_cast<std::size_t>(
+        std::count_if(sink.records().begin(), sink.records().end(),
+                      [](const TraceRecord& r) { return r.t < 0; }));
   std::vector<std::string> lines;
   lines.reserve(sink.records().size());
   for (const TraceRecord& rec : sink.records()) {
@@ -268,6 +275,49 @@ TEST(EpochPipeline, FlushDepthDoesNotChangeTrace) {
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     const auto pooled = run_trace_with(cfg, 4, depth);
     expect_traces_equal(baseline, pooled, "4-thread ring vs inline K=1");
+  }
+}
+
+TEST(EpochPipeline, RingFreesBootstrapAndBurstBuffers) {
+  // Six days reach the Jan 16 DDoS (day 5), whose epochs grow one
+  // group's trace buffer far past the others. The buffers the bootstrap
+  // flush and that burst grew must not circulate for the rest of the
+  // run, and what the ring holds must not depend on the thread count.
+  SimulationConfig cfg = small_config();
+  cfg.users = 600;
+  cfg.days = 6;
+  // The bootstrap chunk is the pre-trace (t < 0) records.
+  std::size_t bootstrap_records = 0;
+  const auto baseline =
+      run_trace_with(cfg, 1, 1, nullptr, &bootstrap_records);
+  ASSERT_FALSE(baseline.empty());
+  ASSERT_GT(bootstrap_records, 0u);
+  const std::uint64_t bootstrap_bytes =
+      bootstrap_records * sizeof(TraceRecord);
+
+  for (const std::size_t depth :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ParallelSimulation::EpochPhases inline_run;
+    ParallelSimulation::EpochPhases pooled_run;
+    const auto inline_k = run_trace_with(cfg, 1, depth, &inline_run);
+    const auto pooled = run_trace_with(cfg, 4, depth, &pooled_run);
+    expect_traces_equal(baseline, pooled, "4-thread ring vs inline K=1");
+    expect_traces_equal(baseline, inline_k, "inline depth vs depth 1");
+    // Capacities are a function of the seed and K only.
+    EXPECT_EQ(inline_run.ring_bytes, pooled_run.ring_bytes) << "K=" << depth;
+    EXPECT_EQ(inline_run.ring_bytes_max, pooled_run.ring_bytes_max)
+        << "K=" << depth;
+    EXPECT_EQ(inline_run.ring_releases, pooled_run.ring_releases)
+        << "K=" << depth;
+    // Every group's bootstrap chunk and the plan, then at least one
+    // burst buffer.
+    EXPECT_GT(pooled_run.ring_releases, cfg.backend.shards + 1)
+        << "K=" << depth;
+    // The bootstrap buffers are gone at every barrier, and what is left
+    // at the end is less than half of them.
+    EXPECT_LT(pooled_run.ring_bytes_max, bootstrap_bytes) << "K=" << depth;
+    EXPECT_LT(pooled_run.ring_bytes * 2, bootstrap_bytes) << "K=" << depth;
+    EXPECT_LE(pooled_run.ring_bytes, pooled_run.ring_bytes_max);
   }
 }
 

@@ -238,6 +238,31 @@ TEST_F(WriterRollover, BytesWrittenCountReopenedFilesOnce) {
   EXPECT_EQ(csv_bytes, dir_bytes(dir_ / "csv"));
 }
 
+TEST_F(WriterRollover, BufferedBytesCountUnfinishedDays) {
+  // Three records per stripe: a file holds the records of its partial
+  // last stripe, and a day keeps counting while its finisher runs.
+  BinaryLogfileWriter bin(dir_ / "bin");
+  bin.set_stripe_records(3);
+  std::uint64_t i = 0;
+  const auto add = [&](std::int64_t day, std::uint64_t m) {
+    bin.append(make_record(i, day, m, 1, static_cast<std::int64_t>(i)));
+    ++i;
+  };
+  add(0, 1);
+  add(0, 1);
+  add(0, 2);
+  add(0, 2);  // 4 records held
+  add(0, 2);  // m2's full stripe is written: 2 held
+  add(0, 2);  // 3 held
+  EXPECT_EQ(bin.buffered_bytes_max(), 4 * sizeof(TraceRecord));
+  add(1, 1);  // day 0 goes to the finisher: 3 + 1 held
+  add(1, 1);  // 3 + 2 held
+  EXPECT_EQ(bin.buffered_bytes_max(), 5 * sizeof(TraceRecord));
+  add(2, 1);  // day 0 is joined, day 1 goes: 2 + 1 held
+  bin.close();
+  EXPECT_EQ(bin.buffered_bytes_max(), 5 * sizeof(TraceRecord));
+}
+
 TEST_F(WriterRollover, DestructorWithoutCloseJoinsTheFinisher) {
   const std::vector<TraceRecord> records = late_records();
   {
