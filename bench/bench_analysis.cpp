@@ -69,8 +69,7 @@ struct RankErr {
 /// counts) would charge the sketch for rank mass no estimator — not
 /// even an exact one — can split.
 void fold_stream(const std::vector<double>& approx,
-                 const std::vector<double>& exact, RankErr& acc,
-                 const char* name = "") {
+                 const std::vector<double>& exact, RankErr& acc) {
   if (approx.empty() || exact.size() < 1000) return;
   const Ecdf approx_cdf = Ecdf::from_sorted(approx);
   std::vector<double> sorted(exact);
@@ -87,9 +86,6 @@ void fold_stream(const std::vector<double>& approx,
                             sorted.begin()) /
         n;
     const double e = q < lo ? lo - q : (q > hi ? q - hi : 0.0);
-    if (std::getenv("U1SIM_RANK_DEBUG") && e > 0.002)
-      std::fprintf(stderr, "  rank-dbg %-28s q=%.2f n=%zu err=%.4f\n", name,
-                   q, exact.size(), e);
     acc.fold(q, e);
   }
 }
@@ -222,18 +218,15 @@ int main(int argc, char** argv) {
       if (exact.rpcs.count(op) < 1000 || exact.rpcs.count(op) > 100000)
         continue;
       fold_stream(suite.rpcs.service_times(op), exact.rpcs.service_times(op),
-                  err, to_string(op).data());
+                  err);
     }
     fold_stream(suite.sessions.session_lengths(),
-                exact.sessions.session_lengths(), err, "session_lengths");
+                exact.sessions.session_lengths(), err);
     fold_stream(suite.sessions.active_session_lengths(),
-                exact.sessions.active_session_lengths(), err,
-                "active_session_lengths");
+                exact.sessions.active_session_lengths(), err);
     fold_stream(suite.sessions.ops_per_active_session(),
-                exact.sessions.ops_per_active_session(), err,
-                "ops_per_active_session");
-    fold_stream(suite.types.all_sizes(), exact.types.all_sizes(), err,
-                "file_sizes");
+                exact.sessions.ops_per_active_session(), err);
+    fold_stream(suite.types.all_sizes(), exact.types.all_sizes(), err);
 
     std::printf("  oracle: wall=%.2fs (exact merged pass)\n", oracle_wall_s);
     std::printf("  rank error vs exact: p50=%.4f p90=%.4f p99=%.4f "

@@ -33,9 +33,9 @@
 //       scratch directory and hashes the output bytes (sorted by name),
 //       the determinism oracle for the binary format; write_s then
 //       measures binary serialization.
-//   U1SIM_CAL_SCAN_BAND=X        calendar-queue regression band: the run
-//       fails (exit 1) if scanned-per-find exceeds X (default 24.0) on
-//       any run with enough finds to be meaningful.
+//
+// The run also fails (exit 1) if the calendar queue's scanned-per-find
+// exceeds kCalScanBand on any run with enough finds to be meaningful.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -55,6 +55,9 @@
 #include "util/sha1.hpp"
 
 namespace {
+
+/// Ceiling on the calendar queue's mean buckets scanned per find.
+constexpr double kCalScanBand = 24.0;
 
 /// One multi-process cell: procs worker processes × threads per worker.
 struct DistResult {
@@ -280,11 +283,6 @@ int main(int argc, char** argv) {
       ("u1bench_bin_" +
        std::to_string(static_cast<unsigned long long>(
            std::chrono::steady_clock::now().time_since_epoch().count())));
-  double cal_band = 24.0;
-  if (const char* v = std::getenv("U1SIM_CAL_SCAN_BAND")) {
-    const double parsed = std::atof(v);
-    if (parsed > 0.0) cal_band = parsed;
-  }
 
   header("Throughput", "Deterministic shard-parallel engine scaling");
   std::printf("  users=%zu days=%d seed=%llu hardware_concurrency=%u "
@@ -380,15 +378,15 @@ int main(int argc, char** argv) {
     if (p.cal_finds < kCalMinFinds) continue;
     const double per_find = static_cast<double>(p.cal_scanned) /
                             static_cast<double>(p.cal_finds);
-    if (per_find > cal_band) {
+    if (per_find > kCalScanBand) {
       cal_ok = false;
       std::printf("  *** calendar-queue REGRESSION: threads=%zu "
                   "scanned_per_find=%.2f exceeds band %.2f ***\n",
-                  r.threads, per_find, cal_band);
+                  r.threads, per_find, kCalScanBand);
     }
   }
-  std::printf("  calendar scanned-per-find within band %.2f: %s\n", cal_band,
-              cal_ok ? "yes" : "NO — REGRESSION");
+  std::printf("  calendar scanned-per-find within band %.2f: %s\n",
+              kCalScanBand, cal_ok ? "yes" : "NO — REGRESSION");
 
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fprintf(f, "{\n");
@@ -400,7 +398,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"repeats\": %d,\n", repeats);
     std::fprintf(f, "  \"format\": \"%s\",\n",
                  std::string(to_string(format)).c_str());
-    std::fprintf(f, "  \"cal_scan_band\": %.2f,\n", cal_band);
+    std::fprintf(f, "  \"cal_scan_band\": %.2f,\n", kCalScanBand);
     std::fprintf(f, "  \"cal_band_ok\": %s,\n", cal_ok ? "true" : "false");
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
     std::fprintf(f, "  \"flush_depth\": %zu,\n",

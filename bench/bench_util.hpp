@@ -1,7 +1,7 @@
-// Shared harness for the figure/table benches: runs the standard
-// month-scale simulation once, streaming records into the caller's
-// analyzers, and provides small printing helpers so every bench reports
-// "paper vs measured" rows in the same format.
+// Shared harness for the benches: runs the standard month-scale
+// simulation once, streaming records into the caller's analyzers, and
+// provides small printing helpers so every bench reports "paper vs
+// measured" rows in the same format.
 //
 // Scale: the real trace covers 1.29M users; the default bench population
 // is 8,000 (override with the U1SIM_USERS environment variable). All

@@ -86,7 +86,7 @@ int main() {
               format_bytes(static_cast<double>(s.download_bytes)).c_str());
   std::printf("back-end dedup ratio so far: %.3f (paper: 0.171)\n",
               sim.contents().dedup_ratio());
-  std::printf("\nNext: run the figure benches in build/bench/ to reproduce "
-              "the paper's evaluation.\n");
+  std::printf("\nNext: run build/bench/bench_paper to reproduce the "
+              "paper's evaluation.\n");
   return 0;
 }

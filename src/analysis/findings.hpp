@@ -1,6 +1,6 @@
 // Table 1: the paper's summary of findings. This module composes the
-// per-figure analyzers into the ten headline numbers so the tab01 bench
-// can print paper-vs-measured side by side.
+// per-figure analyzers into the ten headline numbers so bench_paper can
+// print paper-vs-measured side by side.
 #pragma once
 
 #include <string>

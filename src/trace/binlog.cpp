@@ -618,10 +618,11 @@ std::optional<TraceFormat> trace_format_from_string(
 }
 
 TraceFormat trace_format_from_env() {
-  if (const char* v = std::getenv("U1SIM_TRACE_FORMAT")) {
-    if (const auto f = trace_format_from_string(v)) return *f;
-  }
-  return TraceFormat::kCsv;
+  const char* v = std::getenv("U1SIM_TRACE_FORMAT");
+  if (v == nullptr || *v == '\0') return TraceFormat::kCsv;
+  if (const auto f = trace_format_from_string(v)) return *f;
+  throw std::runtime_error(std::string("U1SIM_TRACE_FORMAT: unknown format '") +
+                           v + "' (want csv|bin)");
 }
 
 bool is_binary_logfile_magic(const unsigned char* p, std::size_t n) noexcept {

@@ -84,8 +84,9 @@ enum class TraceFormat : std::uint8_t { kCsv, kBinary };
 std::string_view to_string(TraceFormat f) noexcept;
 std::optional<TraceFormat> trace_format_from_string(
     std::string_view s) noexcept;
-/// U1SIM_TRACE_FORMAT, defaulting to kCsv (the historical format; the
-/// full-scale trace SHA-1 contract is pinned to it).
+/// U1SIM_TRACE_FORMAT, defaulting to kCsv when unset or empty (the
+/// historical format; the full-scale trace SHA-1 contract is pinned to
+/// it). Throws std::runtime_error naming any other value.
 TraceFormat trace_format_from_env();
 
 /// File extensions: logfiles are "<logname>.u1b", the symbol sidecar is

@@ -240,14 +240,12 @@ bool earlier(const TraceRecord& a, const TraceRecord& b) noexcept {
 void order_run(LogfileRun& run) {
   if (!std::is_sorted(run.records.begin(), run.records.end(), earlier))
     std::stable_sort(run.records.begin(), run.records.end(), earlier);
-  // CSV serialization prints t as unsigned, so pre-trace bootstrap
-  // records (t < 0) have never survived the text parse — they count as
-  // malformed rows. Binary files decode them losslessly; skip them here
-  // so analyzers see the identical stream whichever format the
-  // directory holds. (Raw per-file access — read_logfile, `u1trace
-  // convert` — still delivers every record.) Sorted, they lead the run;
-  // they are most of an epoch-day file, so their memory goes right away
-  // rather than when the merge drains the file.
+  // Pre-trace bootstrap records (t < 0) are not part of the trace
+  // window: skip them here, counted as malformed, whichever format the
+  // file holds. (Raw per-file access — read_logfile, `u1trace convert`
+  // — still delivers every record.) Sorted, they lead the run; they are
+  // most of an epoch-day file, so their memory goes right away rather
+  // than when the merge drains the file.
   const auto window = std::partition_point(
       run.records.begin(), run.records.end(),
       [](const TraceRecord& r) { return r.t < 0; });

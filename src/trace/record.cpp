@@ -236,9 +236,12 @@ std::optional<TraceRecord> TraceRecord::from_csv(
     const std::vector<std::string>& f) {
   if (f.size() != kCsvHeader.size()) return std::nullopt;
   TraceRecord r;
-  const auto t_us = parse_i64(f[0]);
+  // The writer prints t as its unsigned bit pattern, so a pre-window
+  // (t < 0) record reads back as 2^63 or more: take it as the two's
+  // complement it is.
+  const auto t_us = parse_u64(f[0]);
   if (!t_us) return std::nullopt;
-  r.t = *t_us;
+  r.t = static_cast<SimTime>(*t_us);
   const auto type = record_type_from_string(f[1]);
   if (!type) return std::nullopt;
   r.type = *type;

@@ -2,8 +2,6 @@
 
 #include "improve/anomaly_guard.hpp"
 #include "improve/content_cache.hpp"
-#include "improve/push_pull.hpp"
-#include "improve/warm_tier.hpp"
 #include "util/sha1.hpp"
 
 namespace u1 {
@@ -142,116 +140,6 @@ TEST(AnomalyGuard, ValidatesConfig) {
   cfg = AnomalyGuardConfig{};
   cfg.concentration_threshold = 1.5;
   EXPECT_THROW(AnomalyGuard{cfg}, std::invalid_argument);
-}
-
-// --- PushPullPolicy ----------------------------------------------------------
-
-TEST(PushPullPolicy, NewUsersGetPushGrace) {
-  PushPullPolicy policy;
-  EXPECT_EQ(policy.decide(UserId{1}), SessionMode::kPush);
-}
-
-TEST(PushPullPolicy, ColdUsersDemotedToPull) {
-  PushPullPolicy policy;
-  const UserId u{1};
-  for (int i = 0; i < 5; ++i) policy.report_session(u, 0, kHour);
-  EXPECT_EQ(policy.decide(u), SessionMode::kPull);
-  EXPECT_GT(policy.saved_connection_hours(), 0.0);
-}
-
-TEST(PushPullPolicy, ActiveUsersKeepPush) {
-  PushPullPolicy policy;
-  const UserId u{2};
-  for (int i = 0; i < 5; ++i) policy.report_session(u, 20, kHour);
-  EXPECT_EQ(policy.decide(u), SessionMode::kPush);
-  EXPECT_GT(policy.activity_estimate(u), 1.0);
-}
-
-TEST(PushPullPolicy, ReactivatedUserPromotedBack) {
-  PushPullPolicy policy;
-  const UserId u{3};
-  for (int i = 0; i < 6; ++i) policy.report_session(u, 0, kHour);
-  ASSERT_EQ(policy.decide(u), SessionMode::kPull);
-  // A burst of activity pulls the EWMA back above the threshold.
-  policy.report_session(u, 50, kHour);
-  EXPECT_EQ(policy.decide(u), SessionMode::kPush);
-  EXPECT_GE(policy.mispredicted_active(), 1u);
-}
-
-TEST(PushPullPolicy, AccountsSessions) {
-  PushPullPolicy policy;
-  const UserId cold{4}, hot{5};
-  for (int i = 0; i < 6; ++i) {
-    policy.report_session(cold, 0, 2 * kHour);
-    policy.report_session(hot, 30, 2 * kHour);
-  }
-  EXPECT_GT(policy.pull_sessions(), 0u);
-  EXPECT_GT(policy.push_sessions(), 0u);
-}
-
-TEST(PushPullPolicy, ValidatesConfig) {
-  PushPullConfig cfg;
-  cfg.alpha = 0;
-  EXPECT_THROW(PushPullPolicy{cfg}, std::invalid_argument);
-}
-
-// --- WarmTierManager ----------------------------------------------------------
-
-TEST(WarmTier, StoresHotAndDemotesIdle) {
-  WarmTierManager tier;
-  tier.on_store(cid(1), 1000, 0);
-  tier.on_store(cid(2), 2000, 0);
-  EXPECT_EQ(tier.tier_of(cid(1)), StorageTier::kHot);
-  EXPECT_EQ(tier.hot_bytes(), 3000u);
-  // Touch blob 2 so only blob 1 goes idle.
-  tier.on_read(cid(2), 10 * kDay);
-  EXPECT_EQ(tier.sweep(15 * kDay), 1u);
-  EXPECT_EQ(tier.tier_of(cid(1)), StorageTier::kCold);
-  EXPECT_EQ(tier.tier_of(cid(2)), StorageTier::kHot);
-  EXPECT_EQ(tier.cold_bytes(), 1000u);
-}
-
-TEST(WarmTier, ColdReadPromotesWithPenalty) {
-  WarmTierManager tier;
-  tier.on_store(cid(1), 1000, 0);
-  tier.sweep(20 * kDay);
-  ASSERT_EQ(tier.tier_of(cid(1)), StorageTier::kCold);
-  const SimTime penalty = tier.on_read(cid(1), 21 * kDay);
-  EXPECT_GT(penalty, 0);
-  EXPECT_EQ(tier.tier_of(cid(1)), StorageTier::kHot);
-  EXPECT_EQ(tier.cold_reads(), 1u);
-  // Hot read afterwards has no penalty.
-  EXPECT_EQ(tier.on_read(cid(1), 22 * kDay), 0);
-}
-
-TEST(WarmTier, BillReflectsTiering) {
-  WarmTierManager tier;
-  constexpr std::uint64_t GB = 1024ull * 1024 * 1024;
-  tier.on_store(cid(1), 100 * GB, 0);
-  tier.on_store(cid(2), 100 * GB, 0);
-  tier.on_read(cid(2), 13 * kDay);
-  tier.sweep(15 * kDay);  // blob 1 demoted
-  // 100GB hot @0.03 + 100GB cold @0.01 = 4$/month vs 6$ all-hot.
-  EXPECT_NEAR(tier.monthly_bill_usd(), 4.0, 0.01);
-  EXPECT_NEAR(tier.monthly_bill_all_hot_usd(), 6.0, 0.01);
-}
-
-TEST(WarmTier, DeleteAndOverwriteKeepBooks) {
-  WarmTierManager tier;
-  tier.on_store(cid(1), 500, 0);
-  tier.on_store(cid(1), 900, 1);  // overwrite
-  EXPECT_EQ(tier.hot_bytes(), 900u);
-  tier.on_delete(cid(1));
-  EXPECT_EQ(tier.hot_bytes(), 0u);
-  EXPECT_EQ(tier.tracked(), 0u);
-  tier.on_delete(cid(1));  // idempotent
-  EXPECT_THROW(tier.on_read(cid(1), 2), std::out_of_range);
-}
-
-TEST(WarmTier, ValidatesConfig) {
-  WarmTierConfig cfg;
-  cfg.demote_after = 0;
-  EXPECT_THROW(WarmTierManager{cfg}, std::invalid_argument);
 }
 
 }  // namespace

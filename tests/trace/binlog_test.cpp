@@ -194,26 +194,58 @@ TEST_F(BinlogTest, MixedFormatDirectoryMergesInTimestampOrder) {
 }
 
 TEST_F(BinlogTest, MergedReadDropsPreTraceRecordsForCsvParity) {
-  // The CSV text format prints t unsigned, so t < 0 records never
-  // survive the text parse; the merged read drops binary-decoded ones
-  // too (as malformed) so analyzers see the same stream per format.
-  {
-    BinaryLogfileWriter writer(dir_);
-    TraceRecord pre = sample(0, RecordType::kStorage);
-    pre.t = -kDay;
-    writer.append(pre);
-    writer.append(sample(1, RecordType::kStorage));
+  // The merged read drops pre-window (t < 0) records, counted as
+  // malformed, whichever format holds them, so analyzers see the same
+  // stream per format. Raw per-file access still delivers everything in
+  // both formats (convert depends on this for byte-faithful
+  // transcoding): CSV prints t < 0 as its unsigned bit pattern and reads
+  // it back signed.
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(std::string(to_string(format)));
+    std::filesystem::remove_all(dir_);
+    {
+      const auto writer = make_logfile_writer(dir_, format);
+      TraceRecord pre = sample(0, RecordType::kStorage);
+      pre.t = -kDay;
+      writer->append(pre);
+      writer->append(sample(1, RecordType::kStorage));
+    }
+    InMemorySink sink;
+    const ReadStats stats = read_logfiles(dir_, sink);
+    EXPECT_EQ(stats.rows, 2u);
+    EXPECT_EQ(stats.parsed, 1u);
+    EXPECT_EQ(stats.malformed, 1u);
+    ASSERT_EQ(sink.records().size(), 1u);
+    EXPECT_GT(sink.records()[0].t, 0);
+    std::vector<TraceRecord> raw;
+    const char* ext = format == TraceFormat::kCsv ? ".csv" : ".u1b";
+    EXPECT_EQ(read_logfile(only_file(ext), raw).parsed, 2u);
+    ASSERT_EQ(raw.size(), 2u);
+    EXPECT_EQ(raw[0].t, -kDay);
   }
-  InMemorySink sink;
-  const ReadStats stats = read_logfiles(dir_, sink);
-  EXPECT_EQ(stats.parsed, 1u);
-  EXPECT_EQ(stats.malformed, 1u);
-  ASSERT_EQ(sink.records().size(), 1u);
-  EXPECT_GT(sink.records()[0].t, 0);
-  // Raw per-file access still delivers everything (convert depends on
-  // this for byte-faithful transcoding).
-  std::vector<TraceRecord> raw;
-  EXPECT_EQ(read_binary_logfile(only_file(".u1b"), raw).parsed, 2u);
+}
+
+TEST(TraceFormatFromEnv, RejectsAnUnknownValue) {
+  const char* saved = std::getenv("U1SIM_TRACE_FORMAT");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("U1SIM_TRACE_FORMAT");
+  EXPECT_EQ(trace_format_from_env(), TraceFormat::kCsv);
+  ::setenv("U1SIM_TRACE_FORMAT", "bin", 1);
+  EXPECT_EQ(trace_format_from_env(), TraceFormat::kBinary);
+  ::setenv("U1SIM_TRACE_FORMAT", "parquet", 1);
+  try {
+    trace_format_from_env();
+    ADD_FAILURE() << "a bad U1SIM_TRACE_FORMAT must throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'parquet'"), std::string::npos) << what;
+    EXPECT_NE(what.find("csv|bin"), std::string::npos) << what;
+  }
+  if (saved != nullptr) {
+    ::setenv("U1SIM_TRACE_FORMAT", restore.c_str(), 1);
+  } else {
+    ::unsetenv("U1SIM_TRACE_FORMAT");
+  }
 }
 
 TEST_F(BinlogTest, LabelFreeFileHasEmptySidecarPayload) {

@@ -134,6 +134,20 @@ TEST(TraceRecord, CsvRoundTripSession) {
   EXPECT_EQ(parsed->duration, 45 * kMinute);
 }
 
+TEST(TraceRecord, CsvRoundTripsPreWindowTime) {
+  // Bootstrap records carry t < 0; the writer prints t as its unsigned
+  // bit pattern, and the parser must read that back as the same
+  // negative time rather than reject the row.
+  TraceRecord boot = sample_storage_record();
+  boot.t = -3 * kDay;
+  const auto fields = boot.to_csv();
+  EXPECT_EQ(fields[0], std::to_string(static_cast<std::uint64_t>(boot.t)));
+  const auto parsed = TraceRecord::from_csv(fields);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->t, -3 * kDay);
+  EXPECT_EQ(parsed->to_csv(), fields);
+}
+
 TEST(TraceRecord, FromCsvRejectsMalformed) {
   EXPECT_FALSE(TraceRecord::from_csv({}).has_value());
   EXPECT_FALSE(TraceRecord::from_csv({"only", "two"}).has_value());

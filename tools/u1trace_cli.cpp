@@ -180,7 +180,7 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   cfg.fault_seed = *fault_seed;
   // --format wins; otherwise U1SIM_TRACE_FORMAT; otherwise CSV.
-  TraceFormat format = trace_format_from_env();
+  TraceFormat format = TraceFormat::kCsv;
   if (const auto f = args.flag("format")) {
     const auto parsed = trace_format_from_string(*f);
     if (!parsed) {
@@ -188,6 +188,8 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
     format = *parsed;
+  } else {
+    format = trace_format_from_env();
   }
   const std::unique_ptr<LogfileSink> writer = make_logfile_writer(*dir, format);
   // The trace bytes are the same for every thread count.
