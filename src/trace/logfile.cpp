@@ -10,6 +10,7 @@
 #include "trace/binlog.hpp"
 #include "util/csv.hpp"
 #include "util/parallel.hpp"
+#include "util/sim_time.hpp"
 
 namespace u1 {
 
@@ -220,6 +221,7 @@ ReadStats read_csv_logfile(const std::filesystem::path& file,
 /// timestamp order, and the merge's cursor into them.
 struct LogfileRun {
   std::filesystem::path path;
+  std::int64_t day = 0;  // the trace day its name ends in
   bool binary = false;
   std::vector<TraceRecord> records;  // in t order, from t = 0 on
   // Binary runs: the sidecar strings their records' file-local label ids
@@ -235,11 +237,26 @@ bool earlier(const TraceRecord& a, const TraceRecord& b) noexcept {
   return a.t < b.t;
 }
 
+/// The day LogfileSink files a record under: pre-window records (t < 0)
+/// go to day 0.
+std::int64_t day_of(const TraceRecord& r) noexcept {
+  return r.t < 0 ? 0 : r.t / kDay;
+}
+
 /// Puts a parsed or decoded run in timestamp order and skips its
-/// pre-window records.
+/// pre-window records. Throws, naming the file, if a record lies outside
+/// the day the file is named for: the day-by-day merge relies on it.
 void order_run(LogfileRun& run) {
   if (!std::is_sorted(run.records.begin(), run.records.end(), earlier))
     std::stable_sort(run.records.begin(), run.records.end(), earlier);
+  if (!run.records.empty()) {
+    for (const TraceRecord* r : {&run.records.front(), &run.records.back()})
+      if (day_of(*r) != run.day)
+        throw std::runtime_error(
+            "read_logfiles: " + run.path.string() +
+            " holds a record of trace day " + std::to_string(day_of(*r)) +
+            " but is named for day " + std::to_string(run.day));
+  }
   // Pre-trace bootstrap records (t < 0) are not part of the trace
   // window: skip them here, counted as malformed, whichever format the
   // file holds. (Raw per-file access — read_logfile, `u1trace convert`
@@ -275,8 +292,9 @@ void decode_binary_runs(std::vector<LogfileRun>& runs) {
   });
 }
 
-/// K-way merge of the prepared runs into `sink`, in batches of
-/// kMergeBatch, binary runs' labels rewritten to global ids on the way.
+/// K-way merge of one day's prepared runs into `sink`, in batches of
+/// kMergeBatch (the last one flushed when the day ends), binary runs'
+/// labels rewritten to global ids on the way.
 /// Keys are (t, run index): equal timestamps go to the earlier file name
 /// and, within a file, keep file order — exactly the order one stable
 /// sort of the name-ordered concatenation gives. Each run's memory is
@@ -340,9 +358,9 @@ ReadStats read_logfile(const std::filesystem::path& file,
   return read_csv_logfile(file, out);
 }
 
-ReadStats read_logfiles(const std::filesystem::path& directory,
-                        TraceSink& sink) {
-  std::vector<LogfileRun> runs;
+std::vector<LogfileEntry> list_logfiles(
+    const std::filesystem::path& directory) {
+  std::vector<LogfileEntry> out;
   for (const auto& entry : std::filesystem::directory_iterator(directory)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
@@ -350,32 +368,82 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
     // Symbol sidecars ride along with their .u1b logfile; they are not
     // logfiles themselves.
     if (entry.path().extension() == kSymbolSidecarExt) continue;
-    runs.emplace_back().path = entry.path();
+    const std::string stem = entry.path().stem().string();
+    const std::size_t dash = stem.rfind('-');
+    const auto day = trace_day_of_date(std::string_view(stem).substr(
+        dash == std::string::npos ? 0 : dash + 1));
+    if (!day)
+      throw std::runtime_error("list_logfiles: " + entry.path().string() +
+                               " has no -YYYYMMDD trace date in its name");
+    out.push_back(LogfileEntry{*day, entry.path()});
   }
-  // Directory iteration order is unspecified; name order makes the merge
-  // (and its tie-breaking) deterministic across filesystems.
-  std::sort(runs.begin(), runs.end(),
-            [](const LogfileRun& a, const LogfileRun& b) {
-              return a.path < b.path;
+  // Directory iteration order is unspecified; (day, name) order makes the
+  // merge (and its tie-breaking) deterministic across filesystems.
+  std::sort(out.begin(), out.end(),
+            [](const LogfileEntry& a, const LogfileEntry& b) {
+              return a.day != b.day ? a.day < b.day : a.path < b.path;
             });
-  decode_binary_runs(runs);
-  // Serial pass, in name order: everything that assigns global symbol
-  // ids — CSV parsing and interning each binary file's sidecar strings —
-  // so the ids come out as one file-after-file read would assign them,
-  // whatever the thread count. It does no I/O for binary files. A failed
-  // file is re-thrown at its place in name order.
-  ReadStats stats;
-  for (LogfileRun& run : runs) {
-    if (run.error) std::rethrow_exception(run.error);
-    if (run.binary) {
-      run.local_to_global = intern_labels(run.labels);
-    } else {
-      run.stats = read_csv_logfile(run.path, run.records);
-      order_run(run);
-    }
-    stats.add(run.stats);
+  return out;
+}
+
+ReadStats read_logfiles(const std::filesystem::path& directory,
+                        TraceSink& sink) {
+  // Every record of a day has a smaller t than every record of a later
+  // day (LogfileSink files each record under its own day, t < 0 under day
+  // 0, and order_run checks it), so merging day after day delivers
+  // exactly what one merge of every file would.
+  std::vector<std::vector<LogfileRun>> days;
+  for (LogfileEntry& entry : list_logfiles(directory)) {
+    if (days.empty() || days.back().front().day != entry.day)
+      days.emplace_back();
+    LogfileRun& run = days.back().emplace_back();
+    run.path = std::move(entry.path);
+    run.day = entry.day;
   }
-  merge_runs(runs, sink);
+  const auto held = [](const std::vector<LogfileRun>& runs, bool only_binary) {
+    std::uint64_t n = 0;
+    for (const LogfileRun& run : runs)
+      if (run.binary || !only_binary) n += run.records.size();
+    return n;
+  };
+  ReadStats stats;
+  std::uint64_t merged_held = 0;  // the records of the day merged last
+  // Declared after `days`, so an exception joins the decode before the
+  // runs it writes are destroyed.
+  std::future<void> decoding;
+  for (std::size_t d = 0; d < days.size(); ++d) {
+    std::vector<LogfileRun>& runs = days[d];
+    if (d == 0)
+      decode_binary_runs(runs);
+    else
+      decoding.get();
+    if (d + 1 < days.size())
+      decoding = std::async(std::launch::async, [&next = days[d + 1]] {
+        decode_binary_runs(next);
+      });
+    // Day d's binary records were decoded while day d-1 merged.
+    stats.records_held_max =
+        std::max(stats.records_held_max, merged_held + held(runs, true));
+    // Serial pass, in name order: everything that assigns global symbol
+    // ids — CSV parsing and interning each binary file's sidecar strings
+    // — so the ids come out as one file-after-file read in (day, name)
+    // order would assign them, whatever the thread count. It does no I/O
+    // for binary files. A failed file is re-thrown at its place.
+    for (LogfileRun& run : runs) {
+      if (run.error) std::rethrow_exception(run.error);
+      if (run.binary) {
+        run.local_to_global = intern_labels(run.labels);
+      } else {
+        run.stats = read_csv_logfile(run.path, run.records);
+        order_run(run);
+      }
+      stats.add(run.stats);
+    }
+    merged_held = held(runs, false);
+    stats.records_held_max = std::max(stats.records_held_max, merged_held);
+    merge_runs(runs, sink);
+    std::vector<LogfileRun>().swap(runs);
+  }
   return stats;
 }
 

@@ -13,6 +13,7 @@
 // one timestamp-ordered stream.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <future>
@@ -157,6 +158,9 @@ struct ReadStats {
   std::uint64_t files_binary = 0;      // .u1b logfiles among `files`
   std::uint64_t bytes_read = 0;        // on-disk bytes, both formats
   std::uint64_t checksum_failures = 0; // binary files failing their digest
+  // read_logfiles: the most decoded, undelivered records held at once,
+  // counting a day from its decode until its merge ends (0 per file).
+  std::uint64_t records_held_max = 0;
 
   void add(const ReadStats& other) noexcept {
     rows += other.rows;
@@ -166,19 +170,38 @@ struct ReadStats {
     files_binary += other.files_binary;
     bytes_read += other.bytes_read;
     checksum_failures += other.checksum_failures;
+    records_held_max = std::max(records_held_max, other.records_held_max);
   }
 };
+
+/// A logfile of a trace directory and the trace day its name ends in.
+struct LogfileEntry {
+  std::int64_t day = 0;
+  std::filesystem::path path;
+};
+
+/// Every "production-*" logfile in a directory (symbol sidecars are not
+/// logfiles), in (day, name) order. The day is the trace day of the
+/// name's "-YYYYMMDD" suffix, the date LogfileSink names each file after;
+/// a name without one throws, naming the file. In this order every file
+/// of a day comes before any file of a later day.
+std::vector<LogfileEntry> list_logfiles(const std::filesystem::path& directory);
 
 /// Reads every "production-*" logfile in a directory — CSV, binary, or a
 /// mix (sniffed per file) — merges the records and delivers them to
 /// `sink` in global timestamp order, ties in file-name order then file
 /// order: the order of one stable sort of the name-ordered concatenation.
-/// Pre-window records (t < 0) are dropped and counted malformed. Binary
-/// files decode on hardware_concurrency() threads and stream through a
-/// k-way merge; the sink is only ever called from the calling thread.
-/// New labels get global symbol ids in the order a file-after-file read
-/// in name order would give them, whatever the thread count.
-/// Returns parsing statistics; a decode failure is re-thrown here.
+/// Pre-window records (t < 0) are dropped and counted malformed.
+///
+/// The read goes one day at a time, in list_logfiles order: while day d
+/// merges, day d+1's binary files decode on hardware_concurrency()
+/// threads in the background, so at most two days of records are held.
+/// The sink is only ever called from the calling thread. New labels get
+/// global symbol ids in the order a file-after-file read in (day, name)
+/// order would give them, whatever the thread count. A file holding a
+/// record of another day than its name's throws, naming the file.
+/// Returns parsing statistics; a decode failure is re-thrown here, after
+/// every earlier day has reached the sink.
 ReadStats read_logfiles(const std::filesystem::path& directory,
                         TraceSink& sink);
 

@@ -51,6 +51,27 @@ std::string trace_date(SimTime t) {
   return buf;
 }
 
+std::optional<int> trace_day_of_date(std::string_view date) {
+  if (date.size() != 8) return std::nullopt;
+  int digits[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (date[i] < '0' || date[i] > '9') return std::nullopt;
+    digits[i] = date[i] - '0';
+  }
+  const int year = digits[0] * 1000 + digits[1] * 100 + digits[2] * 10 +
+                   digits[3];
+  const int month = digits[4] * 10 + digits[5];
+  const int day = digits[6] * 10 + digits[7];
+  if (year < 2014 || month < 1 || month > 12 || day < 1 ||
+      day > days_in_month(year, month))
+    return std::nullopt;
+  int since_epoch = day - 11;  // the epoch is January 11th, 2014
+  for (int y = 2014; y < year; ++y) since_epoch += is_leap(y) ? 366 : 365;
+  for (int m = 1; m < month; ++m) since_epoch += days_in_month(year, m);
+  if (since_epoch < 0) return std::nullopt;
+  return since_epoch;
+}
+
 std::string format_timestamp(SimTime t) {
   const CalendarDate d = date_of(t);
   const SimTime within = t % kDay;

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace u1 {
 
@@ -57,6 +59,11 @@ constexpr bool is_weekend(SimTime t) noexcept { return weekday(t) >= 5; }
 /// (production-<machine>-<proc>-<date>). Handles the Jan->Feb rollover of
 /// the trace window and keeps going for longer simulations.
 std::string trace_date(SimTime t);
+
+/// The inverse of trace_date: the zero-based trace day a "YYYYMMDD" date
+/// names, or nullopt unless it is eight digits naming a real calendar
+/// date on or after the trace epoch.
+std::optional<int> trace_day_of_date(std::string_view date);
 
 /// Human-readable timestamp "YYYY-MM-DD HH:MM:SS.mmm" for log records.
 std::string format_timestamp(SimTime t);

@@ -1,10 +1,11 @@
-// read_logfiles equivalence: the parallel-decode, k-way-merge reader must
-// deliver exactly what the plain reader it replaced delivered — every
-// logfile concatenated in name order, pre-window (t < 0) records dropped,
-// then one stable sort by t. Each case builds a directory, reads it both
-// ways and compares the records (serialized row and label id) and every
-// ReadStats field. The reference lives here, in the test, on purpose: it
-// is the specification the streaming reader is held to.
+// read_logfiles equivalence: the day-by-day, parallel-decode, k-way-merge
+// reader must deliver exactly what the plain reader it replaced delivered
+// — every logfile concatenated in name order, pre-window (t < 0) records
+// dropped, then one stable sort by t. Each case builds a directory, reads
+// it both ways and compares the records (serialized row and label id) and
+// every ReadStats field the reference computes. The reference lives here,
+// in the test, on purpose: it is the specification the streaming reader
+// is held to.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -461,6 +462,164 @@ TEST_F(ReadMergeTest, SidecarFailingPartwayInternsItsPrefix) {
   expect_new_symbols(base,
                      {tag + "p0", tag + "a", tag + "b", tag + "q0", tag + "c"});
   expect_equivalent(dir_);
+}
+
+TEST_F(ReadMergeTest, GlobalSymbolIdsFollowDayThenNameOrder) {
+  // Machine `a` sorts before machine `b` by name. a's day-0 and day-1
+  // files are binary, b's day-0 file is CSV. In name order a's day-1 file
+  // comes before b's day-0 file; in (day, name) order it comes after, and
+  // the read interns in (day, name) order: a later day's sidecar is not
+  // read before an earlier day is delivered.
+  const std::string tag = "dayorder" + std::to_string(::getpid()) + "_";
+  std::uint64_t a = 1, b = 2;
+  if (make_record(0, b, 1, 0).logname() < make_record(0, a, 1, 0).logname())
+    std::swap(a, b);
+  struct File {
+    std::uint64_t machine;
+    SimTime day;
+    std::vector<std::string> labels;  // in first-use order
+  };
+  const std::vector<File> files = {
+      {a, 0, {tag + "p"}},
+      {a, 1, {tag + "x", tag + "y"}},
+      {b, 0, {tag + "y", tag + "z"}}};
+  in_child([&] {
+    std::vector<TraceRecord> bin_records, csv_records;
+    std::uint64_t i = 0;
+    for (const File& f : files)
+      for (std::size_t k = 0; k < f.labels.size(); ++k)
+        (f.machine == a ? bin_records : csv_records)
+            .push_back(make_record(
+                f.day * kDay + static_cast<SimTime>(100 - k) * kSecond,
+                f.machine, 1, 3 * i++, f.labels[k]));
+    write(bin_records, TraceFormat::kBinary);
+    write(csv_records, TraceFormat::kCsv);
+  });
+  if (HasFatalFailure()) return;
+  ASSERT_EQ(files_with(".u1b").size(), 2u);
+  ASSERT_EQ(files_with(".csv").size(), 1u);
+
+  const auto first_sight = [&](auto before) {
+    std::vector<File> order = files;
+    std::sort(order.begin(), order.end(), before);
+    std::vector<std::string> out;
+    for (const File& f : order)
+      for (const std::string& label : f.labels)
+        if (std::find(out.begin(), out.end(), label) == out.end())
+          out.push_back(label);
+    return out;
+  };
+  const auto name = [](const File& f) {
+    return make_record(f.day * kDay, f.machine, 1, 0).logname();
+  };
+  const auto want = first_sight([&](const File& x, const File& y) {
+    return x.day != y.day ? x.day < y.day : name(x) < name(y);
+  });
+  ASSERT_NE(want, first_sight([&](const File& x, const File& y) {
+              return name(x) < name(y);
+            }));
+
+  const std::size_t base = global_symbols().size();
+  BatchSink got;
+  const ReadStats stats = read_logfiles(dir_, got);
+  EXPECT_EQ(stats.parsed, 5u);
+  expect_new_symbols(base, want);
+  expect_equivalent(dir_);
+}
+
+TEST_F(ReadMergeTest, FileUnderAnotherDaysNameThrowsNamingIt) {
+  // Three days in each format. A day-0 file copied under a day-2 name
+  // (sidecar too) holds records two days early; a day-2 file renamed to
+  // a day-1 name holds them a day late. Either read throws, naming the
+  // file, after every earlier day has reached the sink.
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    for (const bool copy : {true, false}) {
+      SCOPED_TRACE(std::string(to_string(format)) +
+                   (copy ? " copy" : " rename"));
+      fs::remove_all(dir_);
+      std::vector<TraceRecord> records = scattered(600, 7);
+      for (std::size_t i = 0; i < 200; ++i)
+        records.push_back(
+            make_record(2 * kDay + static_cast<SimTime>(i) * kMinute,
+                        1 + i % 3, 1 + i % 4, i));
+      write(records, format);
+      // What the days before the bad file's day hold, read before the
+      // copy or rename.
+      std::vector<TraceRecord> want;
+      reference_read(dir_, want);
+      const std::string ext = format == TraceFormat::kCsv ? ".csv" : ".u1b";
+      const TraceRecord from = make_record(copy ? 0 : 2 * kDay, 2, 3, 0);
+      const TraceRecord to = make_record(copy ? 2 * kDay : kDay, 2, 9, 0);
+      const SimTime bad_day = copy ? 2 : 1;
+      const auto move = [&](const std::string& suffix) {
+        const fs::path src = dir_ / (from.logname() + suffix);
+        const fs::path dst = dir_ / (to.logname() + suffix);
+        ASSERT_TRUE(fs::exists(src)) << src;
+        if (copy)
+          fs::copy_file(src, dst);
+        else
+          fs::rename(src, dst);
+      };
+      move(ext);
+      if (format == TraceFormat::kBinary) move(std::string(kSymbolSidecarExt));
+      if (HasFatalFailure()) return;
+
+      BatchSink got;
+      try {
+        read_logfiles(dir_, got);
+        ADD_FAILURE() << "no error";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(to.logname() + ext),
+                  std::string::npos)
+            << e.what();
+      }
+      // Those days arrived whole, as the reference orders them.
+      std::size_t earlier = 0;
+      while (earlier < want.size() && want[earlier].t < bad_day * kDay)
+        ++earlier;
+      ASSERT_EQ(got.records.size(), earlier);
+      for (std::size_t i = 0; i < earlier; ++i)
+        ASSERT_EQ(row_of(got.records[i]), row_of(want[i])) << "record " << i;
+    }
+  }
+}
+
+TEST_F(ReadMergeTest, NameWithoutTraceDateThrowsNamingIt) {
+  write(scattered(100, 8), TraceFormat::kCsv);
+  std::ofstream(dir_ / "production-whitecurrant-1.csv") << "t_us\n";
+  BatchSink got;
+  try {
+    read_logfiles(dir_, got);
+    ADD_FAILURE() << "no error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("production-whitecurrant-1.csv"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(got.records.empty());
+}
+
+TEST_F(ReadMergeTest, RecordsHeldSpanAtMostTwoDays) {
+  // Days 0 and 2 are large, day 1 is tiny: a reader holding the whole
+  // trace would hold days 0 and 2 together; the day pipeline never does.
+  std::vector<TraceRecord> records;
+  const std::size_t per_day[] = {3000, 20, 2400};
+  std::uint64_t i = 0;
+  for (SimTime day = 0; day < 3; ++day)
+    for (std::size_t k = 0; k < per_day[day]; ++k, ++i)
+      records.push_back(
+          make_record(day * kDay + static_cast<SimTime>(i % 5000) * kSecond,
+                      1 + i % 3, 1 + i % 4, i));
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(std::string(to_string(format)));
+    fs::remove_all(dir_);
+    write(records, format);
+    BatchSink got;
+    const ReadStats stats = read_logfiles(dir_, got);
+    EXPECT_LT(stats.records_held_max, per_day[0] + per_day[2]);
+    EXPECT_GE(stats.records_held_max, per_day[0]);
+    expect_equivalent(dir_);
+  }
 }
 
 }  // namespace

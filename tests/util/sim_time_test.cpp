@@ -53,6 +53,24 @@ TEST(SimTime, TraceDateHandlesNonLeapFebruary) {
   EXPECT_EQ(trace_date(49 * kDay), "20140301");
 }
 
+TEST(SimTime, TraceDayOfDateInvertsTraceDate) {
+  // Past two year ends, one of them after a leap February (2016).
+  for (int day = 0; day < 1200; ++day)
+    ASSERT_EQ(trace_day_of_date(trace_date(day * kDay)), day) << day;
+}
+
+TEST(SimTime, TraceDayOfDateRejectsWhatIsNotATraceDate) {
+  EXPECT_EQ(trace_day_of_date("20140110"), std::nullopt);  // before epoch
+  EXPECT_EQ(trace_day_of_date("20131231"), std::nullopt);
+  EXPECT_EQ(trace_day_of_date("20140229"), std::nullopt);  // not a leap year
+  EXPECT_EQ(trace_day_of_date("20141301"), std::nullopt);
+  EXPECT_EQ(trace_day_of_date("20140100"), std::nullopt);
+  EXPECT_EQ(trace_day_of_date("2014011x"), std::nullopt);
+  EXPECT_EQ(trace_day_of_date("2014011"), std::nullopt);
+  EXPECT_EQ(trace_day_of_date(""), std::nullopt);
+  EXPECT_EQ(trace_day_of_date("20160229"), 779);  // a leap day
+}
+
 TEST(SimTime, FormatTimestamp) {
   EXPECT_EQ(format_timestamp(0), "2014-01-11 00:00:00.000");
   EXPECT_EQ(format_timestamp(kDay + 3 * kHour + 4 * kMinute + 5 * kSecond +

@@ -34,19 +34,59 @@ constexpr const char* kUsage =
     "  analyze   DIR --figure {traffic|dedup|sessions|ddos|users|ops}\n"
     "  validate  DIR\n";
 
-/// Reads every logfile into memory, time-ordered; prints parse stats.
-std::vector<TraceRecord> load(const std::string& dir, std::ostream& out,
-                              ReadStats* stats_out = nullptr) {
-  InMemorySink sink;
+/// Streams every logfile into `sink`, time-ordered; prints parse stats.
+ReadStats read_into(const std::string& dir, TraceSink& sink,
+                    std::ostream& out) {
   const ReadStats stats = read_logfiles(dir, sink);
   out << "# read " << stats.parsed << " records from " << stats.files
       << " logfiles (" << stats.files_binary << " binary, "
       << stats.bytes_read << " bytes, " << stats.malformed
       << " malformed rows, " << stats.checksum_failures
       << " checksum failures)\n";
-  if (stats_out != nullptr) *stats_out = stats;
+  return stats;
+}
+
+/// Reads every logfile into memory, time-ordered; prints parse stats.
+std::vector<TraceRecord> load(const std::string& dir, std::ostream& out) {
+  InMemorySink sink;
+  read_into(dir, sink, out);
   return sink.records();
 }
+
+/// The structural checks `validate` makes, one record at a time.
+class ValidateSink final : public TraceSink {
+ public:
+  void append(const TraceRecord& r) override {
+    ++records;
+    if (r.session.valid()) {
+      const auto [it, fresh] =
+          last_per_session_.try_emplace(r.session.value, r.t);
+      if (!fresh) {
+        if (it->second > r.t) ++violations;
+        it->second = r.t;
+      }
+    }
+    if (r.type == RecordType::kStorage) ++storage;
+    if (r.type == RecordType::kStorageDone) ++done;
+    if (r.type == RecordType::kSession) {
+      if (r.session_event == SessionEvent::kOpen) {
+        ++opens;
+        open.insert(r.session.value);
+      }
+      if (r.session_event == SessionEvent::kClose) {
+        ++closes;
+        open.erase(r.session.value);
+      }
+    }
+  }
+
+  std::uint64_t records = 0, storage = 0, done = 0, violations = 0;
+  std::uint64_t opens = 0, closes = 0;
+  std::unordered_set<std::uint64_t> open;  // sessions not yet closed
+
+ private:
+  std::unordered_map<std::uint64_t, SimTime> last_per_session_;
+};
 
 SimTime horizon_of(const std::vector<TraceRecord>& records) {
   SimTime max_t = kDay;
@@ -228,25 +268,19 @@ int cmd_convert(const Args& args, std::ostream& out, std::ostream& err) {
     err << "convert: '" << src.string() << "' is not a directory\n";
     return 2;
   }
-  std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(src)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (!name.starts_with("production-")) continue;
-    if (entry.path().extension() == kSymbolSidecarExt) continue;
-    paths.push_back(entry.path());
-  }
-  std::sort(paths.begin(), paths.end());
   // One source logfile maps to exactly one target logfile (both formats
   // shard by (machine, process, day)), so converting file-by-file keeps
   // each file's record order — the converted bytes match what direct
-  // generation in the target format would have produced.
-  const std::unique_ptr<LogfileSink> writer = make_logfile_writer(*dst, *format);
+  // generation in the target format would have produced. Files come in
+  // (day, name) order, so the writer's day rollover finishes each day's
+  // files as the next day starts, and memory holds about a day.
+  const std::unique_ptr<LogfileSink> writer =
+      make_logfile_writer(*dst, *format);
   ReadStats stats;
   std::vector<TraceRecord> records;
-  for (const auto& path : paths) {
+  for (const LogfileEntry& entry : list_logfiles(src)) {
     records.clear();
-    stats.add(read_logfile(path, records));
+    stats.add(read_logfile(entry.path, records));
     writer->append_batch(records.data(), records.size());
   }
   writer->close();
@@ -261,9 +295,8 @@ int cmd_summarize(const Args& args, std::ostream& out, std::ostream& err) {
     err << "summarize: trace directory required\n";
     return 2;
   }
-  const auto records = load(args.positionals()[0], out);
   TraceSummaryAnalyzer summary;
-  for (const TraceRecord& r : records) summary.append(r);
+  read_into(args.positionals()[0], summary, out);
   const auto s = summary.summary();
   out << "trace duration:   " << s.days << " days\n";
   out << "unique users:     " << s.unique_users << "\n";
@@ -378,47 +411,20 @@ int cmd_validate(const Args& args, std::ostream& out, std::ostream& err) {
     err << "validate: trace directory required\n";
     return 2;
   }
-  ReadStats stats;
-  const auto records = load(args.positionals()[0], out, &stats);
-
-  std::uint64_t storage = 0, done = 0, violations = 0;
-  std::unordered_map<std::uint64_t, SimTime> last_per_session;
-  std::unordered_set<std::uint64_t> open;
-  std::uint64_t opens = 0, closes = 0;
-  for (const TraceRecord& r : records) {
-    if (r.session.valid()) {
-      const auto [it, fresh] =
-          last_per_session.try_emplace(r.session.value, r.t);
-      if (!fresh) {
-        if (it->second > r.t) ++violations;
-        it->second = r.t;
-      }
-    }
-    if (r.type == RecordType::kStorage) ++storage;
-    if (r.type == RecordType::kStorageDone) ++done;
-    if (r.type == RecordType::kSession) {
-      if (r.session_event == SessionEvent::kOpen) {
-        ++opens;
-        open.insert(r.session.value);
-      }
-      if (r.session_event == SessionEvent::kClose) {
-        ++closes;
-        open.erase(r.session.value);
-      }
-    }
-  }
+  ValidateSink v;
+  const ReadStats stats = read_into(args.positionals()[0], v, out);
   const double malformed_share =
       stats.rows > 0
           ? static_cast<double>(stats.malformed) /
                 static_cast<double>(stats.rows)
           : 0.0;
-  out << "records:               " << records.size() << "\n";
+  out << "records:               " << v.records << "\n";
   out << "malformed row share:   " << malformed_share << "\n";
-  out << "storage/done pairing:  " << storage << " / " << done << "\n";
-  out << "sessions open/closed:  " << opens << " / " << closes << " ("
-      << open.size() << " still open at trace end)\n";
-  out << "per-session order violations: " << violations << "\n";
-  const bool sound = storage == done && violations == 0;
+  out << "storage/done pairing:  " << v.storage << " / " << v.done << "\n";
+  out << "sessions open/closed:  " << v.opens << " / " << v.closes << " ("
+      << v.open.size() << " still open at trace end)\n";
+  out << "per-session order violations: " << v.violations << "\n";
+  const bool sound = v.storage == v.done && v.violations == 0;
   out << (sound ? "TRACE SOUND\n" : "TRACE UNSOUND\n");
   if (!sound) err << "validate: structural problems found\n";
   return sound ? 0 : 1;
