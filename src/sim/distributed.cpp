@@ -334,8 +334,8 @@ std::vector<Slice> slice_groups(std::size_t groups, std::size_t workers,
 
 /// The worker's EpochPeer: barriers over the control socket, finished
 /// chunks over the chunk-stream socket. exchange() runs on the engine's
-/// coordinator thread and write_chunk() on its writer thread; they touch
-/// disjoint sockets, so the two never race.
+/// coordinator thread and write_chunk() on its flush tasks, one call at a
+/// time; they touch disjoint sockets, so the two never race.
 class WorkerPeer final : public EpochPeer {
  public:
   WorkerPeer(int control_fd, int stream_fd, std::uint32_t first_group)
@@ -682,21 +682,8 @@ class ChunkMerger {
           for (std::size_t g = 0; g < n_groups_; ++g)
             per_group[g]->consume(chunks[g].data(), chunks[g].size());
         if (sink_ != nullptr) {
-          // Same maximal-run batching as the in-process stage B, so the
-          // sink sees identical append_batch granularity and byte order.
           build_merge_plan(chunks, plan);
-          const MergeRef* refs = plan.data();
-          const std::size_t n = plan.size();
-          for (std::size_t i = 0; i < n;) {
-            const std::uint32_t group = refs[i].group;
-            const std::uint32_t first = refs[i].offset;
-            std::size_t j = i + 1;
-            while (j < n && refs[j].group == group &&
-                   refs[j].offset == refs[j - 1].offset + 1)
-              ++j;
-            sink_->append_batch(&chunks[group][first], j - i);
-            i = j;
-          }
+          write_merged(chunks, plan, *sink_);
         }
       }
     } catch (...) {
@@ -1050,7 +1037,7 @@ SimulationReport DistributedSimulation::run_forked() {
   }
   const bool write_trace = dynamic_cast<NullSink*>(sink_) == nullptr;
   ChunkMerger merger(workers, n_groups, total_barriers,
-                     ParallelSimulation::worker_flush_depth(),
+                     ParallelSimulation::kFlushDepth,
                      write_trace ? sink_ : nullptr, shards);
   merger.start();
 

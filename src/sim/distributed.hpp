@@ -43,7 +43,8 @@
 //
 // The relay never waits on the merge thread. The merge thread's reader
 // drains every stream as bytes arrive but buffers at most K complete
-// chunks per worker (K = the workers' flush-ring depth); DESIGN.md §12
+// chunks per worker (K = ParallelSimulation::kFlushDepth, the workers'
+// flush-ring depth); DESIGN.md §12
 // shows why that bound can never stall a worker the merge is waiting
 // on. A worker exits (_exit, no engine teardown) as soon as it decodes
 // Shutdown.

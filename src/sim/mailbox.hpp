@@ -12,7 +12,7 @@
 // visits lanes in index order, ring before spill, each in production
 // order. Delivery order is therefore a pure function of the per-lane
 // production orders — deterministic whenever each lane's producer is
-// (in this engine: the flusher's guard scan, which walks the merged
+// (in this engine: flush stage A's guard scan, which walks the merged
 // trace in its deterministic total order).
 #pragma once
 

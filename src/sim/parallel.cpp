@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
 
 #include "sim/trace_merge.hpp"
+#include "util/parallel.hpp"
 #include "util/sha1.hpp"
 
 namespace u1 {
@@ -25,16 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Explicit U1SIM_FLUSH_DEPTH, or nullopt when the engine should pick
-/// (2, or 1 in analysis-only mode where nothing is written K-deep).
-std::optional<std::size_t> env_flush_depth() {
-  if (const char* v = std::getenv("U1SIM_FLUSH_DEPTH")) {
-    const long k = std::atol(v);
-    if (k >= 1) return static_cast<std::size_t>(k);
-  }
-  return std::nullopt;
 }
 
 /// Sticky-plan rebuild hysteresis: a hard floor on epochs between LPT
@@ -76,10 +66,8 @@ ParallelSimulation::ParallelSimulation(const SimulationConfig& config,
                  ? threads
                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   // Analysis-only runs never materialize the trace, so a deeper write
-  // ring only holds memory hostage: default the depth to 1 there
-  // (explicit U1SIM_FLUSH_DEPTH still wins).
+  // ring would only hold memory hostage: flush_depth() is 1 there.
   analysis_only_ = dynamic_cast<NullSink*>(sink_) != nullptr;
-  set_flush_depth(env_flush_depth().value_or(analysis_only_ ? 1 : 2));
   if (config.auto_countermeasures) guard_ = std::make_unique<AnomalyGuard>();
   if (!config.faults.empty()) {
     fault_schedule_ = build_fault_schedule(
@@ -90,7 +78,7 @@ ParallelSimulation::ParallelSimulation(const SimulationConfig& config,
 }
 
 ParallelSimulation::~ParallelSimulation() {
-  stop_flush_pipeline();
+  join_flush_tasks();
   stop_workers();
 }
 
@@ -118,17 +106,12 @@ void ParallelSimulation::enable_worker_mode(EpochPeer& peer,
   // even though its own sink is a NullSink; analysis-only is a
   // coordinator-side decision in distributed runs.
   analysis_only_ = false;
-  set_flush_depth(worker_flush_depth());
   // Detection needs the cluster-merged stream, so the AnomalyGuard runs
   // on the coordinator; this process only extracts the observation feed.
   if (guard_) {
     guard_.reset();
     collect_feed_ = true;
   }
-}
-
-std::size_t ParallelSimulation::worker_flush_depth() {
-  return std::min<std::size_t>(env_flush_depth().value_or(2), 8);
 }
 
 std::size_t ParallelSimulation::group_of(UserId user) const noexcept {
@@ -191,13 +174,11 @@ void ParallelSimulation::build_groups() {
       grp->shards.push_back(analyzer->make_shard());
     groups_.push_back(std::move(grp));
   }
-  slots_.clear();
-  for (std::size_t k = 0; k < flush_depth_; ++k) {
-    auto slot = std::make_unique<FlushSlot>();
-    slot->chunks.resize(n_groups);
-    slot->sym_map.resize(n_groups);
-    slot->new_syms.resize(n_groups);
-    slots_.push_back(std::move(slot));
+  slots_.resize(flush_depth());
+  for (FlushSlot& slot : slots_) {
+    slot.chunks.resize(n_groups);
+    slot.sym_map.resize(n_groups);
+    slot.new_syms.resize(n_groups);
   }
   purge_seen_.resize(n_groups);
   purge_mail_.reset(n_groups, /*lane_capacity=*/64);
@@ -596,38 +577,27 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
     slot.bytes = slot_bytes(slot);
     phases_.flush_s += secs_since(t0);
   };
-  if (!sort_workers_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(sort_mu_);
-      sort_slot_ = &slot;
-      sort_next_.store(0, std::memory_order_relaxed);
-      sort_remaining_ = groups_.size();
-      ++sort_gen_;
-    }
-    sort_cv_.notify_all();
-    // Participate: claim whole chunks alongside the helpers. Chunk
-    // ownership is exclusive per claim, so parallel prepping cannot
-    // affect the merged stream.
-    std::size_t done = 0;
-    for (std::size_t g;
-         (g = sort_next_.fetch_add(1, std::memory_order_relaxed)) <
-         groups_.size();) {
+  // Each index owns one whole chunk, so prepping in parallel cannot
+  // affect the merged stream. parallel_for must not throw: a failure
+  // stays with its group and the first is rethrown after the loop.
+  std::vector<std::exception_ptr> errors(groups_.size());
+  const auto prep = [&](std::size_t g) {
+    try {
       prep_chunk(slot, g);
-      ++done;
+    } catch (...) {
+      errors[g] = std::current_exception();
     }
-    std::unique_lock<std::mutex> lock(sort_mu_);
-    sort_remaining_ -= done;
-    // Every group being prepped is not enough: a helper that joined this
-    // round may still be between its last (failed) claim and its
-    // check-in. Returning before it checks in would let the next round
-    // reset sort_next_ under it, and it would prep the next round's
-    // groups into this round's slot.
-    sort_cv_.wait(lock, [this] {
-      return sort_remaining_ == 0 && sort_active_ == 0;
-    });
-  } else {
-    for (std::size_t g = 0; g < groups_.size(); ++g) prep_chunk(slot, g);
-  }
+  };
+  // The inline run stays on the calling thread. Helper threads would
+  // hold the sorts' temporary buffers in malloc arenas of their own,
+  // which raised month_generate_2p's peak RSS (threads = 1 workers)
+  // by 10%.
+  if (pipelined_)
+    parallel_for(groups_.size(), prep);
+  else
+    for (std::size_t g = 0; g < groups_.size(); ++g) prep(g);
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
   if (peer_ != nullptr) {
     // Worker mode: the chunks ship whole to the peer's shard stream in
     // stage B, so no local k-way merge is needed. The merge plan is
@@ -692,22 +662,7 @@ void ParallelSimulation::run_stage_b(FlushSlot& slot, bool release_all) {
     phases_.write_s += secs_since(t0);
     return;
   }
-  // The merge permutation is long runs of consecutive offsets within one
-  // group (each run is one group's records between two other-group
-  // timestamps); hand each maximal run to the sink as a single batch so
-  // the per-record virtual call disappears from the write path.
-  const MergeRef* refs = slot.plan.data();
-  const std::size_t n = slot.plan.size();
-  for (std::size_t i = 0; i < n;) {
-    const std::uint32_t group = refs[i].group;
-    const std::uint32_t first = refs[i].offset;
-    std::size_t j = i + 1;
-    while (j < n && refs[j].group == group &&
-           refs[j].offset == refs[j - 1].offset + 1)
-      ++j;
-    sink_->append_batch(&slot.chunks[group][first], j - i);
-    i = j;
-  }
+  write_merged(slot.chunks, slot.plan, *sink_);
   recycle_slot(slot, release_all);
   phases_.write_s += secs_since(t0);
 }
@@ -757,7 +712,7 @@ std::size_t ParallelSimulation::slot_bytes(const FlushSlot& slot) noexcept {
 
 void ParallelSimulation::count_ring_bytes() {
   std::size_t bytes = 0;
-  for (const auto& slot : slots_) bytes += slot->bytes;
+  for (const FlushSlot& slot : slots_) bytes += slot.bytes;
   for (const auto& grp : groups_)
     bytes += grp->trace.capacity() * sizeof(TraceRecord);
   phases_.ring_bytes = bytes;
@@ -773,153 +728,15 @@ void ParallelSimulation::flush_inline(bool release_all) {
   slot.bytes = slot_bytes(slot);
 }
 
-void ParallelSimulation::sort_worker_loop() {
-  std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lock(sort_mu_);
-  for (;;) {
-    sort_cv_.wait(lock,
-                  [&] { return sort_stop_ || sort_gen_ != seen; });
-    if (sort_stop_) return;
-    seen = sort_gen_;
-    // A round whose groups are all prepped may already be over (the
-    // flusher does not wait for helpers that never joined); skip it
-    // rather than claim from a counter the next round will reset.
-    if (sort_remaining_ == 0) continue;
-    ++sort_active_;
-    FlushSlot* slot = sort_slot_;
-    lock.unlock();
-    std::size_t done = 0;
-    for (std::size_t g;
-         (g = sort_next_.fetch_add(1, std::memory_order_relaxed)) <
-         groups_.size();) {
-      prep_chunk(*slot, g);
-      ++done;
-    }
-    lock.lock();
-    sort_remaining_ -= done;
-    --sort_active_;
-    if (sort_remaining_ == 0 && sort_active_ == 0) sort_cv_.notify_all();
-  }
-}
-
-void ParallelSimulation::start_flush_pipeline() {
-  flusher_stop_ = false;
-  writer_stop_ = false;
-  sort_stop_ = false;
-  stage_a_slot_ = nullptr;
-  flusher_ = std::thread([this] { flusher_loop(); });
-  writer_ = std::thread([this] { writer_loop(); });
-  // A few sort helpers (the flusher itself participates): per-group
-  // sorts dominate stage A, and a handful of threads already hides them
-  // behind the compute phase.
-  const std::size_t helpers =
-      std::min<std::size_t>(3, groups_.size() > 0 ? groups_.size() - 1 : 0);
-  sort_workers_.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i)
-    sort_workers_.emplace_back([this] { sort_worker_loop(); });
-}
-
-void ParallelSimulation::stop_flush_pipeline() {
-  if (flusher_.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock(flush_mu_);
-      flusher_stop_ = true;
-      writer_stop_ = true;
-    }
-    flush_cv_.notify_all();
-    flusher_.join();
-    writer_.join();
-    flusher_stop_ = false;
-    writer_stop_ = false;
-  }
-  if (!sort_workers_.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(sort_mu_);
-      sort_stop_ = true;
-    }
-    sort_cv_.notify_all();
-    for (auto& worker : sort_workers_) worker.join();
-    sort_workers_.clear();
-    sort_stop_ = false;
-  }
-}
-
-void ParallelSimulation::flusher_loop() {
-  std::unique_lock<std::mutex> lock(flush_mu_);
-  for (;;) {
-    flush_cv_.wait(lock,
-                   [this] { return stage_a_slot_ != nullptr || flusher_stop_; });
-    if (stage_a_slot_ != nullptr) {
-      FlushSlot* slot = stage_a_slot_;
-      lock.unlock();
-      std::exception_ptr error;
-      try {
-        run_stage_a(*slot);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      if (error) {
-        // A half-prepped slot must not reach the writer — its plan may
-        // be stale. The coordinator sees flush_error_ at the next join.
-        if (!flush_error_) flush_error_ = error;
-        slot->plan.clear();
-        slot->state = FlushSlot::State::kFree;
-      } else {
-        slot->state = FlushSlot::State::kStageB;
-        write_queue_.push_back(slot);
-      }
-      stage_a_slot_ = nullptr;
-      flush_cv_.notify_all();
-      continue;
-    }
-    if (flusher_stop_) return;
-  }
-}
-
-void ParallelSimulation::writer_loop() {
-  std::unique_lock<std::mutex> lock(flush_mu_);
-  for (;;) {
-    flush_cv_.wait(lock,
-                   [this] { return !write_queue_.empty() || writer_stop_; });
-    if (!write_queue_.empty()) {
-      // FIFO by submission — epoch order, for every K.
-      FlushSlot* slot = write_queue_.front();
-      write_queue_.pop_front();
-      lock.unlock();
-      std::exception_ptr error;
-      try {
-        run_stage_b(*slot);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      if (error && !flush_error_) flush_error_ = error;
-      slot->state = FlushSlot::State::kFree;
-      flush_cv_.notify_all();
-      continue;
-    }
-    if (writer_stop_) return;  // queue drained first — see the predicate
-  }
-}
-
 ParallelSimulation::FlushSlot& ParallelSimulation::acquire_slot() {
-  FlushSlot& slot = *slots_[slot_cursor_];
+  FlushSlot& slot = slots_[slot_cursor_];
   slot_cursor_ = (slot_cursor_ + 1) % slots_.size();
-  // Inline mode never waits: its slots are always free.
-  if (writer_.joinable()) {
+  // Inline flushes leave no task behind: the slot is free at once.
+  if (slot.written.valid()) {
     const auto t0 = Clock::now();
-    bool failed = false;
-    {
-      std::unique_lock<std::mutex> lock(flush_mu_);
-      flush_cv_.wait(lock, [&] {
-        return slot.state == FlushSlot::State::kFree ||
-               flush_error_ != nullptr;
-      });
-      failed = flush_error_ != nullptr;
-    }
+    slot.written.wait();
     phases_.ring_stall_s += secs_since(t0);
-    if (failed) rethrow_flush_error();
+    std::exchange(slot.written, {}).get();  // rethrows the task's error
   }
   // Stage B has recycled it: this is what the slot keeps for reuse.
   slot.bytes = slot_bytes(slot);
@@ -927,7 +744,7 @@ ParallelSimulation::FlushSlot& ParallelSimulation::acquire_slot() {
 }
 
 void ParallelSimulation::submit_flush(FlushSlot& slot) {
-  if (!flusher_.joinable()) {
+  if (!pipelined_) {
     // Inline (oracle) mode: same work at the same pipeline points — the
     // flush of epoch E still completes before the purges it detected
     // are delivered at barrier E+1, and the writes retire in the same
@@ -936,52 +753,38 @@ void ParallelSimulation::submit_flush(FlushSlot& slot) {
     run_stage_b(slot);
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock(flush_mu_);
-    slot.state = FlushSlot::State::kStageA;
-    stage_a_slot_ = &slot;
-  }
-  flush_cv_.notify_all();
+  std::promise<void> prepped;
+  stage_a_ = prepped.get_future();
+  slot.written =
+      std::async(std::launch::async,
+                 [this, &slot, prepped = std::move(prepped),
+                  before = last_written_]() mutable {
+                   try {
+                     run_stage_a(slot);
+                   } catch (...) {
+                     // A half-prepped slot never reaches stage B.
+                     prepped.set_exception(std::current_exception());
+                     throw;
+                   }
+                   prepped.set_value();
+                   // FIFO writes: the previous epoch's task writes first
+                   // (and its error becomes this task's). Dropping the
+                   // handle keeps tasks from chaining each other alive.
+                   if (before.valid()) std::exchange(before, {}).get();
+                   run_stage_b(slot);
+                 })
+          .share();
+  last_written_ = slot.written;
 }
 
-void ParallelSimulation::join_flusher() {
-  if (!flusher_.joinable()) return;
-  bool failed = false;
-  {
-    std::unique_lock<std::mutex> lock(flush_mu_);
-    flush_cv_.wait(lock, [this] { return stage_a_slot_ == nullptr; });
-    failed = flush_error_ != nullptr;
-  }
-  if (failed) rethrow_flush_error();
+void ParallelSimulation::join_stage_a() {
+  if (stage_a_.valid()) stage_a_.get();
 }
 
-void ParallelSimulation::drain_writer() {
-  if (!writer_.joinable()) return;
-  bool failed = false;
-  {
-    std::unique_lock<std::mutex> lock(flush_mu_);
-    flush_cv_.wait(lock, [this] {
-      if (flush_error_) return true;
-      if (stage_a_slot_ != nullptr || !write_queue_.empty()) return false;
-      for (const auto& slot : slots_)
-        if (slot->state != FlushSlot::State::kFree) return false;
-      return true;
-    });
-    failed = flush_error_ != nullptr;
-  }
-  if (failed) rethrow_flush_error();
-}
-
-void ParallelSimulation::rethrow_flush_error() {
-  std::exception_ptr error;
-  {
-    const std::lock_guard<std::mutex> lock(flush_mu_);
-    error = flush_error_;
-    flush_error_ = nullptr;
-  }
-  stop_flush_pipeline();
-  stop_workers();
-  std::rethrow_exception(error);
+void ParallelSimulation::join_flush_tasks() noexcept {
+  // Every task is some slot's `written` until acquire_slot joins it.
+  for (const FlushSlot& slot : slots_)
+    if (slot.written.valid()) slot.written.wait();
 }
 
 void ParallelSimulation::deliver_purges(SimTime when) {
@@ -1006,11 +809,11 @@ void ParallelSimulation::deliver_purges(SimTime when) {
 void ParallelSimulation::merge_epoch(SimTime epoch_end) {
   const auto t0 = Clock::now();
   // Stage A of the previous epoch must have retired: its purge posts
-  // are about to deliver, on the same barrier schedule for every K and
-  // every thread count. With the compute phase longer than stage A this
-  // wait is ~zero — the point of the pipeline. Stage B (sink writes)
-  // is NOT waited on here; it may lag up to K epochs.
-  join_flusher();
+  // are about to deliver, on the same barrier schedule for every thread
+  // count. With the compute phase longer than stage A this wait is
+  // ~zero — the point of the pipeline. Stage B (sink writes) is NOT
+  // waited on here; it may lag up to K epochs.
+  join_stage_a();
   const auto t1 = Clock::now();
   phases_.flush_stall_s += std::chrono::duration<double>(t1 - t0).count();
   if (peer_ != nullptr) {
@@ -1182,11 +985,7 @@ void ParallelSimulation::run_epoch_pooled(SimTime limit) {
   epoch_limit_ = limit;
   epoch_start_->arrive_and_wait();  // release the workers
   epoch_done_->arrive_and_wait();   // the epoch barrier
-  if (worker_error_) {
-    stop_flush_pipeline();
-    stop_workers();
-    std::rethrow_exception(worker_error_);
-  }
+  if (worker_error_) std::rethrow_exception(worker_error_);
 }
 
 void ParallelSimulation::stop_workers() {
@@ -1207,8 +1006,8 @@ SimulationReport ParallelSimulation::run() {
   register_population();
   grant_shares();
   bootstrap_phase();
-  // Bootstrap records: merged and written once, pre-pipeline (the
-  // threads are not running yet, so the slot runs both stages inline).
+  // Bootstrap records: merged and written once, pre-pipeline (no flush
+  // task or worker runs yet, so the slot runs both stages inline).
   // No epoch needs buffers that size again, so the slot frees them all.
   flush_inline(/*release_all=*/true);
   schedule_population_start();
@@ -1217,10 +1016,17 @@ SimulationReport ParallelSimulation::run() {
   const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;
   const bool pooled = threads_ > 1 && active_groups_.size() > 1;
   const std::size_t n_workers = std::min(threads_, active_groups_.size());
-  if (pooled) {
-    start_workers(n_workers);
-    start_flush_pipeline();
-  }
+  // However run() ends, no flush task or worker outlives it: an error
+  // rethrown here must not leave a task writing into the caller's sink.
+  struct Quiesce {
+    ParallelSimulation& sim;
+    ~Quiesce() {
+      sim.join_flush_tasks();
+      sim.stop_workers();
+    }
+  } quiesce{*this};
+  if (pooled) start_workers(n_workers);
+  pipelined_ = pooled;
   const SimTime epoch = epoch_length(config_);
   for (SimTime epoch_end = epoch;; epoch_end += epoch) {
     const SimTime limit = std::min(epoch_end, horizon);
@@ -1237,32 +1043,29 @@ SimulationReport ParallelSimulation::run() {
     if (limit >= horizon) break;
   }
   // Drain the pipeline tail: the last epoch's stage A is still in
-  // flight; its purges deliver at the horizon, the writer retires every
-  // queued epoch, and the records the purges emit get one final
-  // synchronous flush (any purges *that* flush detects are applied too,
-  // but — like the pre-ring engine — their records are not re-flushed).
-  join_flusher();
+  // flight; its purges deliver at the horizon, every task's writes
+  // retire, and the records the purges emit get one final synchronous
+  // flush (any purges *that* flush detects are applied too, but — like
+  // the pre-ring engine — their records are not re-flushed).
+  join_stage_a();
   // Distributed tail barrier #1: the last epoch chunk's guard feed is
   // complete (stage A joined) — ship it, collect the final purges.
   if (peer_ != nullptr) exchange_barrier(/*tail=*/true);
   deliver_purges(horizon);
-  drain_writer();
+  for (FlushSlot& slot : slots_)
+    if (slot.written.valid()) std::exchange(slot.written, {}).get();
   flush_inline(/*release_all=*/false);  // every slot is free after the drain
   // The pipeline is idle: the run's last ring_bytes is exact.
-  for (auto& slot : slots_) slot->bytes = slot_bytes(*slot);
+  for (FlushSlot& slot : slots_) slot.bytes = slot_bytes(slot);
   count_ring_bytes();
   // Distributed tail barrier #2: the purge-records chunk was scanned
   // inline above; any purges it triggers apply at the horizon, exactly
   // like the in-process tail.
   if (peer_ != nullptr) exchange_barrier(/*tail=*/true);
   deliver_purges(horizon);
-  if (pooled) {
-    stop_flush_pipeline();
-    stop_workers();
-  }
 
-  // Fold the analyzer shards: group-index order, after every pipeline
-  // thread has been joined. The shard set and the merge order are both
+  // Fold the analyzer shards: group-index order, after every flush task
+  // has been joined. The shard set and the merge order are both
   // thread-count-independent, so the merged analyzer state is too.
   for (std::size_t a = 0; a < analyzers_.size(); ++a) {
     for (auto& grp : groups_) analyzers_[a]->merge_shard(*grp->shards[a]);

@@ -9,35 +9,36 @@
 // AnomalyGuard observation window when the guard is on):
 //
 //   epoch e:   workers run their assigned groups up to (e+1)*L, while
-//              the flusher thread merges + emits epoch e-1's trace
-//   barrier:   (sequential, O(new blobs + commands)) join the flusher,
-//              merge dedup op logs in group order, absorb content-pool
-//              views, drain the inter-epoch mailbox, freeze the epoch's
-//              trace chunks and hand them to the flusher
+//              epoch e-1's flush task merges + emits its trace
+//   barrier:   (sequential, O(new blobs + commands)) join that task's
+//              stage A, merge dedup op logs in group order, absorb
+//              content-pool views, drain the inter-epoch mailbox, freeze
+//              the epoch's trace chunks and launch their flush task
 //
 // The barrier's serial section is deliberately tiny: the expensive trace
 // work happens off the critical path in a two-stage flush pipeline over
-// a ring of K in-flight epoch slots (K = U1SIM_FLUSH_DEPTH, default 2):
+// a ring of K in-flight epoch slots (K = flush_depth(): 2, or 1 when the
+// sink is a NullSink). Each epoch's slot gets one std::async task:
 //
-//   stage A (flusher thread + small sort pool): per-group chunk sorts in
-//     parallel, symbol remap (group-local -> global label ids), the
-//     k-way index merge producing the (group, offset) permutation, and
-//     the AnomalyGuard scan over that permutation. Stage A of epoch e is
-//     ALWAYS joined at barrier e+1 — for every K and every thread count
-//     — so guard purges keep the exact pre-ring delivery schedule
-//     (timestamp (e+2)*L).
+//   stage A: per-group chunk sorts (parallel_for over the groups when
+//     pooled, on the calling thread when inline), symbol remap
+//     (group-local -> global label ids), the k-way index merge producing
+//     the (group, offset) permutation, and the AnomalyGuard scan over
+//     that permutation. Stage A of epoch e is ALWAYS joined at
+//     barrier e+1 — for every thread count — so guard purges keep the
+//     exact pre-ring delivery schedule (timestamp (e+2)*L).
 //
-//   stage B (writer thread): walks the permutation and hands records to
-//     the sink, strictly FIFO in epoch order. Writes may lag up to K
-//     epochs behind the barrier; the coordinator only stalls when every
-//     ring slot is still being written (ring_stall_s). K=1 reproduces
-//     the old one-epoch-deep flusher's synchronization exactly.
+//   stage B: once the previous epoch's task has written, walks the
+//     permutation and hands records to the sink, strictly FIFO in epoch
+//     order. Writes may lag up to K epochs behind the barrier; the
+//     coordinator only stalls when the ring slot it reuses is still
+//     being written (ring_stall_s).
 //
 // Merge input is frozen at the barrier, so the flushed stream is a
 // deterministic function of the per-group chunks regardless of what the
 // workers are computing concurrently, and the write order (epoch FIFO,
 // contract order within an epoch) is independent of K. The trace is
-// byte-identical for every thread count and every flush depth.
+// byte-identical for every thread count.
 //
 // Workers run a sticky, cost-weighted plan (weights = the previous
 // epoch's per-group event counts, which are seed-deterministic) that
@@ -67,20 +68,18 @@
 //  - DDoS bot fleets: an attack's abused account pins the whole attack
 //    (launch, bots, manual response) to one group — single-account traffic
 //    is single-shard by construction;
-//  - AnomalyGuard purges: detected on the merged stream by the flusher,
+//  - AnomalyGuard purges: detected on the merged stream by stage A,
 //    posted to a bounded MPSC mailbox (EpochMailbox), and delivered in
 //    group-index order at the next barrier.
 #pragma once
 
 #include <atomic>
 #include <barrier>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -142,12 +141,13 @@ class EpochPeer {
   /// group g published at this chunk's barrier — exactly the symbols the
   /// in-process engine would have interned at that point, so the
   /// coordinator can replay the global-table growth in (chunk, group)
-  /// order and reproduce the oracle's symbol ids bit for bit. Called on
-  /// the writer thread, FIFO in epoch order — or inline at threads = 1,
-  /// where a send that blocks stalls the compute too. The call for chunk
-  /// c comes after barrier c-1 (chunk 0 during setup), and the engine
-  /// enters barrier s only once the calls for every chunk up to s-K have
-  /// returned (K = flush_depth(): the ring slot it reuses must be free).
+  /// order and reproduce the oracle's symbol ids bit for bit. Called from
+  /// the epochs' flush tasks, one call at a time, FIFO in epoch order —
+  /// or inline at threads = 1, where a send that blocks stalls the
+  /// compute too. The call for chunk c comes after barrier c-1 (chunk 0
+  /// during setup), and the engine enters barrier s only once the calls
+  /// for every chunk up to s-K have returned (K = flush_depth(): the
+  /// ring slot it reuses must be free).
   virtual void write_chunk(
       const std::vector<std::vector<TraceRecord>>& chunks,
       const std::vector<std::vector<std::pair<Symbol, std::string>>>&
@@ -210,9 +210,9 @@ class ParallelSimulation {
 
   /// Registers a sharded analyzer (call before run()). Every shard
   /// group gets a private AnalyzerShard fed that group's records during
-  /// stage A — sorted, labels already global — on the flush-pipeline
-  /// threads, overlapping the next epoch's compute. At the end of run()
-  /// the shards fold back via merge_shard() in group-index order and
+  /// stage A — sorted, labels already global — on the flush tasks,
+  /// overlapping the next epoch's compute. At the end of run() the
+  /// shards fold back via merge_shard() in group-index order and
   /// finish() is called, so the analyzer's results are bit-identical
   /// for every thread count. The analyzer must outlive run().
   void attach_analyzer(ShardedAnalyzer& analyzer);
@@ -251,19 +251,16 @@ class ParallelSimulation {
     return first_purge_group_;
   }
 
-  /// Flush-ring depth K: how many epochs of sink writes may be in
-  /// flight behind the barrier. Call before run(). Default comes from
-  /// U1SIM_FLUSH_DEPTH (clamped to [1, 8], default 2, or 1 in
-  /// analysis-only mode); the trace is byte-identical for every K.
-  void set_flush_depth(std::size_t k) noexcept {
-    flush_depth_ = k < 1 ? 1 : (k > 8 ? 8 : k);
+  /// Flush-ring depth K of an engine whose sink writes: how many epochs
+  /// of sink writes may be in flight behind the barrier. The distributed
+  /// coordinator buffers at most this many chunks per worker (DESIGN.md
+  /// §12).
+  static constexpr std::size_t kFlushDepth = 2;
+  /// The K this engine runs with: kFlushDepth, or 1 in analysis-only
+  /// mode, where nothing is written K-deep.
+  std::size_t flush_depth() const noexcept {
+    return analysis_only_ ? 1 : kFlushDepth;
   }
-  std::size_t flush_depth() const noexcept { return flush_depth_; }
-
-  /// The K a worker-mode engine runs with: U1SIM_FLUSH_DEPTH clamped to
-  /// [1, 8], default 2. The distributed coordinator buffers at most this
-  /// many chunks per worker (DESIGN.md §12).
-  static std::size_t worker_flush_depth();
 
   /// Per-phase wall-clock breakdown of the finished run.
   const EpochPhases& phases() const noexcept { return phases_; }
@@ -365,19 +362,15 @@ class ParallelSimulation {
   void prepare_epoch_plan(std::size_t workers);
   /// Sequential barrier work: join stage A, dedup/pool merge, purge
   /// delivery, symbol publication, slot hand-off. The trace heavy
-  /// lifting lives in run_stage_a/run_stage_b on the pipeline threads.
+  /// lifting lives in run_stage_a/run_stage_b on the flush tasks.
   void merge_epoch(SimTime epoch_end);
 
-  /// One in-flight epoch of trace output. Lifecycle:
-  ///   kFree  -> coordinator publishes symbols, snapshots the per-group
-  ///             local->global maps and swaps the trace chunks in
-  ///   kStageA-> flusher sorts/remaps/plans/guard-scans (joined at the
-  ///             next barrier)
-  ///   kStageB-> writer walks the plan into the sink, then frees the
-  ///             slot (chunk capacity recycles K-deep, see recycle_slot)
+  /// One in-flight epoch of trace output. The coordinator fills it
+  /// (publishes symbols, snapshots the per-group local->global maps and
+  /// swaps the trace chunks in); its flush task runs stage A (sort,
+  /// remap, plan, guard scan; joined at the next barrier), then stage B
+  /// (the plan into the sink), after which the slot may be refilled.
   struct FlushSlot {
-    enum class State : std::uint8_t { kFree, kStageA, kStageB };
-    State state = State::kFree;
     std::vector<std::vector<TraceRecord>> chunks;  // per group
     std::vector<std::vector<Symbol>> sym_map;      // local -> global ids
     std::vector<MergeRef> plan;                    // merged permutation
@@ -389,30 +382,32 @@ class ParallelSimulation {
     /// when it is acquired, when stage A ends and after an inline flush
     /// (ring_bytes' share).
     std::size_t bytes = 0;
+    /// The slot's flush task, ready once stage B has written the slot
+    /// (or a stage failed). Invalid while no task has run on the slot.
+    std::shared_future<void> written;
   };
 
-  // Flush ring machinery. Runs on flusher_/writer_ when pooled, inline
+  // Flush ring machinery. Runs on one task per epoch when pooled, inline
   // otherwise — the observable order (chunk E scanned before purges of
   // E deliver at barrier E+1; sink writes FIFO by epoch) is identical
-  // either way and for every K.
-  void start_flush_pipeline();
-  void stop_flush_pipeline();
-  /// Next ring slot (round-robin); blocks until its writes finish
-  /// (ring_stall_s). Inline mode never waits — slots are always free.
+  // either way.
+  /// Next ring slot (round-robin); blocks until its last task has
+  /// written it (ring_stall_s) and rethrows that task's error.
   FlushSlot& acquire_slot();
   /// Publishes every group's new symbols into the global table in
   /// group-index order (deterministic ids), snapshots the mappings and
   /// swaps the group trace buffers into the slot. Workers must be
   /// parked.
   void fill_slot(FlushSlot& slot);
+  /// Pooled: launches the slot's flush task; its stage A becomes the one
+  /// the next barrier joins. Inline: runs both stages here.
   void submit_flush(FlushSlot& slot);
-  /// Blocks until no stage A is in flight (purges all posted).
-  void join_flusher();
-  /// Blocks until the writer has drained every slot (run tail only).
-  void drain_writer();
-  void flusher_loop();
-  void writer_loop();
-  void sort_worker_loop();
+  /// Blocks until the last submitted stage A is done (purges all
+  /// posted); rethrows its error.
+  void join_stage_a();
+  /// Blocks until every flush task has returned, without rethrowing:
+  /// the pipeline is idle afterwards (run tail, error paths, teardown).
+  void join_flush_tasks() noexcept;
   void run_stage_a(FlushSlot& slot);
   void run_stage_b(FlushSlot& slot, bool release_all = false);
   /// Ends stage B: clears the chunks and plan for the slot's next epoch,
@@ -428,7 +423,6 @@ class ParallelSimulation {
   static std::size_t slot_bytes(const FlushSlot& slot) noexcept;
   /// Stage A per-group work: stable sort + label remap of one chunk.
   void prep_chunk(FlushSlot& slot, std::size_t group);
-  [[noreturn]] void rethrow_flush_error();
   /// Drains the purge mailbox in group-index order, applying each purge
   /// at `when`.
   void deliver_purges(SimTime when);
@@ -515,38 +509,16 @@ class ParallelSimulation {
   /// worker mode; every epoch loop iterates this, not groups_.
   std::vector<std::size_t> active_groups_;
 
-  // Flush-ring state. Slot ownership hands off under flush_mu_:
-  // coordinator (fill, while kFree) -> flusher (stage A: chunks,
-  // sym_map, plan, guard, purge posts, flush_s) -> writer (stage B:
-  // sink, write_s) -> free. At most one stage A is in flight by
-  // construction (joined every barrier); the writer drains a FIFO of up
-  // to K epochs. Slots live behind unique_ptr so queued pointers stay
-  // stable.
-  std::size_t flush_depth_ = 2;  // K, from U1SIM_FLUSH_DEPTH
-  std::vector<std::unique_ptr<FlushSlot>> slots_;
+  // Flush-ring state. A slot belongs to the coordinator until
+  // submit_flush hands it to its task, and again once acquire_slot has
+  // joined that task. Stage A of at most one task is in flight (joined
+  // every barrier); each task's stage B waits for the task before it, so
+  // writes retire FIFO and at most K tasks are alive.
+  bool pipelined_ = false;  // flush tasks (pooled run) vs inline stages
+  std::vector<FlushSlot> slots_;
   std::size_t slot_cursor_ = 0;  // round-robin acquire order
-  std::thread flusher_;
-  std::thread writer_;
-  std::mutex flush_mu_;
-  std::condition_variable flush_cv_;
-  FlushSlot* stage_a_slot_ = nullptr;
-  std::deque<FlushSlot*> write_queue_;
-  bool flusher_stop_ = false;
-  bool writer_stop_ = false;
-  std::exception_ptr flush_error_;
-
-  // Stage-A sort pool: a few helpers that parallelize the per-group
-  // chunk sorts/remaps inside one stage A. Purely a wall-clock lever —
-  // each helper owns whole chunks, so the merged stream is unaffected.
-  std::vector<std::thread> sort_workers_;
-  std::mutex sort_mu_;
-  std::condition_variable sort_cv_;
-  std::uint64_t sort_gen_ = 0;         // bumped to start a round
-  FlushSlot* sort_slot_ = nullptr;
-  std::atomic<std::size_t> sort_next_{0};
-  std::size_t sort_remaining_ = 0;     // groups not yet prepped
-  std::size_t sort_active_ = 0;        // helpers inside the current round
-  bool sort_stop_ = false;
+  std::future<void> stage_a_;     // the last submitted task's stage A
+  std::shared_future<void> last_written_;  // the last submitted task
   /// Cross-group purge commands: posted by the guard scan (lane = the
   /// culprit's home group), drained at the barrier in group-index order.
   EpochMailbox<UserId> purge_mail_;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "trace/record.hpp"
+#include "trace/sink.hpp"
 
 namespace u1 {
 
@@ -96,6 +97,28 @@ void build_merge_plan(const Chunks& chunks, std::vector<MergeRef>& plan) {
       heads.push_back(Head{chunks[g][cursor[g]].t, g});
       std::push_heap(heads.begin(), heads.end(), later);
     }
+  }
+}
+
+/// Hands the records to `sink` in plan order. The plan is long runs of
+/// consecutive offsets within one group (each run is one group's records
+/// between two other-group timestamps), so each maximal run goes to the
+/// sink as one append_batch and the per-record virtual call disappears
+/// from the write path. Every engine writes through here, so each sink
+/// sees the same batch boundaries.
+inline void write_merged(const std::vector<std::vector<TraceRecord>>& chunks,
+                         const std::vector<MergeRef>& plan, TraceSink& sink) {
+  const MergeRef* refs = plan.data();
+  const std::size_t n = plan.size();
+  for (std::size_t i = 0; i < n;) {
+    const std::uint32_t group = refs[i].group;
+    const std::uint32_t first = refs[i].offset;
+    std::size_t j = i + 1;
+    while (j < n && refs[j].group == group &&
+           refs[j].offset == refs[j - 1].offset + 1)
+      ++j;
+    sink.append_batch(&chunks[group][first], j - i);
+    i = j;
   }
 }
 

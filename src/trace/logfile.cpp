@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <system_error>
@@ -184,8 +185,28 @@ bool sniff_binary(const std::filesystem::path& file) {
                                  static_cast<std::size_t>(in.gcount()));
 }
 
-ReadStats read_csv_logfile(const std::filesystem::path& file,
-                           std::vector<TraceRecord>& out) {
+/// Parses one CSV logfile into `out` as decode_binary_logfile decodes a
+/// `.u1b`: each label is a file-local id (local id i + 1 is labels[i],
+/// numbered by first sight in row order, counting only rows that parse)
+/// and nothing is interned, so files parse on any thread. Interning
+/// `labels` in order then assigns exactly the ids a row-by-row parse
+/// into the global table would.
+ReadStats parse_csv_logfile(const std::filesystem::path& file,
+                            std::vector<TraceRecord>& out,
+                            std::vector<std::string>& labels) {
+  labels.clear();
+  std::unordered_map<std::string, Symbol, detail::SymbolHash,
+                     detail::SymbolEq>
+      ids;
+  const std::function<Symbol(std::string_view)> local =
+      [&](std::string_view label) {
+        if (const auto it = ids.find(label); it != ids.end())
+          return it->second;
+        labels.emplace_back(label);
+        const auto id = static_cast<Symbol>(labels.size());
+        ids.emplace(labels.back(), id);
+        return id;
+      };
   ReadStats stats;
   std::ifstream in(file, std::ios::binary);
   if (!in.is_open())
@@ -205,7 +226,7 @@ ReadStats read_csv_logfile(const std::filesystem::path& file,
       if (!fields.empty() && fields[0] == "t_us") continue;
     }
     ++stats.rows;
-    if (auto rec = TraceRecord::from_csv(fields)) {
+    if (auto rec = TraceRecord::from_csv(fields, local)) {
       out.push_back(std::move(*rec));
       ++stats.parsed;
     } else {
@@ -217,15 +238,23 @@ ReadStats read_csv_logfile(const std::filesystem::path& file,
   return stats;
 }
 
+/// Decodes one logfile of either format, sniffed by its leading magic,
+/// with file-local label ids indexing `labels` (see parse_csv_logfile).
+ReadStats decode_logfile(const std::filesystem::path& file,
+                         std::vector<TraceRecord>& out,
+                         std::vector<std::string>& labels) {
+  if (sniff_binary(file)) return decode_binary_logfile(file, out, labels);
+  return parse_csv_logfile(file, out, labels);
+}
+
 /// One logfile on its way through read_logfiles: its records in
 /// timestamp order, and the merge's cursor into them.
 struct LogfileRun {
   std::filesystem::path path;
   std::int64_t day = 0;  // the trace day its name ends in
-  bool binary = false;
   std::vector<TraceRecord> records;  // in t order, from t = 0 on
-  // Binary runs: the sidecar strings their records' file-local label ids
-  // index, and (once interned) the map from those ids to global ones.
+  // The strings the records' file-local label ids index, and (once
+  // interned) the map from those ids to global ones.
   std::vector<std::string> labels;
   std::vector<Symbol> local_to_global;
   std::size_t next = 0;  // first record the merge has not delivered
@@ -274,17 +303,15 @@ void order_run(LogfileRun& run) {
   run.stats.malformed += dropped;
 }
 
-/// Sniffs every run's format and maps, verifies, decodes and orders each
-/// binary one — with file-local label ids, so nothing is interned — on
-/// hardware_concurrency() threads, the caller's included; with one
-/// hardware thread none is started. A failure stays with its run.
-void decode_binary_runs(std::vector<LogfileRun>& runs) {
+/// Decodes and orders every run, either format — with file-local label
+/// ids, so nothing is interned — on hardware_concurrency() threads, the
+/// caller's included; with one hardware thread none is started. A
+/// failure stays with its run.
+void decode_runs(std::vector<LogfileRun>& runs) {
   parallel_for(runs.size(), [&runs](std::size_t i) {
     LogfileRun& run = runs[i];
     try {
-      run.binary = sniff_binary(run.path);
-      if (!run.binary) return;
-      run.stats = decode_binary_logfile(run.path, run.records, run.labels);
+      run.stats = decode_logfile(run.path, run.records, run.labels);
       order_run(run);
     } catch (...) {
       run.error = std::current_exception();
@@ -293,8 +320,8 @@ void decode_binary_runs(std::vector<LogfileRun>& runs) {
 }
 
 /// K-way merge of one day's prepared runs into `sink`, in batches of
-/// kMergeBatch (the last one flushed when the day ends), binary runs'
-/// labels rewritten to global ids on the way.
+/// kMergeBatch (the last one flushed when the day ends), labels
+/// rewritten to global ids on the way.
 /// Keys are (t, run index): equal timestamps go to the earlier file name
 /// and, within a file, keep file order — exactly the order one stable
 /// sort of the name-ordered concatenation gives. Each run's memory is
@@ -331,8 +358,7 @@ void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
     // Drain this run for as long as it stays ahead of every other run.
     do {
       batch.push_back(run.records[run.next++]);
-      if (run.binary)
-        batch.back().label = run.local_to_global[batch.back().label];
+      batch.back().label = run.local_to_global[batch.back().label];
       if (batch.size() == kMergeBatch) {
         sink.append_batch(batch.data(), batch.size());
         batch.clear();
@@ -354,8 +380,13 @@ void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
 
 ReadStats read_logfile(const std::filesystem::path& file,
                        std::vector<TraceRecord>& out) {
-  if (sniff_binary(file)) return read_binary_logfile(file, out);
-  return read_csv_logfile(file, out);
+  const std::size_t base = out.size();
+  std::vector<std::string> labels;
+  const ReadStats stats = decode_logfile(file, out, labels);
+  const std::vector<Symbol> local_to_global = intern_labels(labels);
+  for (std::size_t i = base; i < out.size(); ++i)
+    out[i].label = local_to_global[out[i].label];
+  return stats;
 }
 
 std::vector<LogfileEntry> list_logfiles(
@@ -400,10 +431,9 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
     run.path = std::move(entry.path);
     run.day = entry.day;
   }
-  const auto held = [](const std::vector<LogfileRun>& runs, bool only_binary) {
+  const auto held = [](const std::vector<LogfileRun>& runs) {
     std::uint64_t n = 0;
-    for (const LogfileRun& run : runs)
-      if (run.binary || !only_binary) n += run.records.size();
+    for (const LogfileRun& run : runs) n += run.records.size();
     return n;
   };
   ReadStats stats;
@@ -414,33 +444,27 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
   for (std::size_t d = 0; d < days.size(); ++d) {
     std::vector<LogfileRun>& runs = days[d];
     if (d == 0)
-      decode_binary_runs(runs);
+      decode_runs(runs);
     else
       decoding.get();
     if (d + 1 < days.size())
-      decoding = std::async(std::launch::async, [&next = days[d + 1]] {
-        decode_binary_runs(next);
-      });
-    // Day d's binary records were decoded while day d-1 merged.
+      decoding = std::async(std::launch::async,
+                            [&next = days[d + 1]] { decode_runs(next); });
+    // Day d was decoded while day d-1 merged.
+    const std::uint64_t day_held = held(runs);
     stats.records_held_max =
-        std::max(stats.records_held_max, merged_held + held(runs, true));
-    // Serial pass, in name order: everything that assigns global symbol
-    // ids — CSV parsing and interning each binary file's sidecar strings
-    // — so the ids come out as one file-after-file read in (day, name)
-    // order would assign them, whatever the thread count. It does no I/O
-    // for binary files. A failed file is re-thrown at its place.
+        std::max(stats.records_held_max, merged_held + day_held);
+    // Serial pass, in name order: interning each file's labels in its
+    // first-sight order is all that assigns global symbol ids, so the
+    // ids come out as one file-after-file read in (day, name) order would
+    // assign them, whatever the thread count. It does no I/O. A failed
+    // file is re-thrown at its place.
     for (LogfileRun& run : runs) {
       if (run.error) std::rethrow_exception(run.error);
-      if (run.binary) {
-        run.local_to_global = intern_labels(run.labels);
-      } else {
-        run.stats = read_csv_logfile(run.path, run.records);
-        order_run(run);
-      }
+      run.local_to_global = intern_labels(run.labels);
       stats.add(run.stats);
     }
-    merged_held = held(runs, false);
-    stats.records_held_max = std::max(stats.records_held_max, merged_held);
+    merged_held = day_held;
     merge_runs(runs, sink);
     std::vector<LogfileRun>().swap(runs);
   }

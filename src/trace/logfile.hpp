@@ -194,8 +194,9 @@ std::vector<LogfileEntry> list_logfiles(const std::filesystem::path& directory);
 /// Pre-window records (t < 0) are dropped and counted malformed.
 ///
 /// The read goes one day at a time, in list_logfiles order: while day d
-/// merges, day d+1's binary files decode on hardware_concurrency()
-/// threads in the background, so at most two days of records are held.
+/// merges, day d+1's files, CSV and binary alike, decode on
+/// hardware_concurrency() threads in the background, so at most two days
+/// of records are held.
 /// The sink is only ever called from the calling thread. New labels get
 /// global symbol ids in the order a file-after-file read in (day, name)
 /// order would give them, whatever the thread count. A file holding a

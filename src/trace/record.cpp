@@ -233,7 +233,15 @@ void TraceRecord::append_csv_row(std::string& out) const {
 }
 
 std::optional<TraceRecord> TraceRecord::from_csv(
-    const std::vector<std::string>& f) {
+    const std::vector<std::string>& fields) {
+  return from_csv(fields, [](std::string_view label) {
+    return global_symbols().intern(label);
+  });
+}
+
+std::optional<TraceRecord> TraceRecord::from_csv(
+    const std::vector<std::string>& f,
+    const std::function<Symbol(std::string_view)>& intern) {
   if (f.size() != kCsvHeader.size()) return std::nullopt;
   TraceRecord r;
   // The writer prints t as its unsigned bit pattern, so a pre-window
@@ -328,11 +336,11 @@ std::optional<TraceRecord> TraceRecord::from_csv(
   if (!f[14].empty() && !f[23].empty()) return std::nullopt;
   if (!f[14].empty()) {
     if (r.type == RecordType::kFault) return std::nullopt;
-    r.set_extension(f[14]);
+    r.label = intern(f[14]);
   }
   if (!f[23].empty()) {
     if (r.type != RecordType::kFault) return std::nullopt;
-    r.set_fault(f[23]);
+    r.label = intern(f[23]);
   }
   r.is_update = f[15] == "1";
   r.is_dir = f[16] == "1";

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -134,8 +135,9 @@ struct TraceRecord {
   bool deduplicated : 1 = false; // upload satisfied by get_reusable_content
   bool failed : 1 = false;
 
-  /// Interns `ext` eagerly into the global table (tests, CSV parsing —
-  /// engine emit paths intern through their group's GroupSymbols).
+  /// Interns `ext` eagerly into the global table (tests — engine emit
+  /// paths intern through their group's GroupSymbols, and the trace
+  /// reader through file-local ids).
   void set_extension(std::string_view ext) {
     label = global_symbols().intern(ext);
   }
@@ -179,6 +181,12 @@ struct TraceRecord {
   /// columns are mutually exclusive by record type).
   static std::optional<TraceRecord> from_csv(
       const std::vector<std::string>& fields);
+  /// from_csv with the label id of a non-empty `ext` or `fault` column
+  /// taken from `intern` (called only for rows that parse) instead of
+  /// the global table.
+  static std::optional<TraceRecord> from_csv(
+      const std::vector<std::string>& fields,
+      const std::function<Symbol(std::string_view)>& intern);
 
   static const std::vector<std::string>& csv_header();
 };

@@ -46,7 +46,7 @@ class InMemorySink final : public TraceSink {
   /// Records the backing store holds room for.
   std::size_t capacity() const noexcept { return records_.capacity(); }
   /// Exchanges the backing store with `other` — the double-buffer hook
-  /// the parallel engine's pipelined flusher uses to freeze an epoch's
+  /// the parallel engine's flush pipeline uses to freeze an epoch's
   /// records while the next epoch keeps appending (both vectors keep
   /// their capacity, so steady state allocates nothing).
   void swap_records(std::vector<TraceRecord>& other) noexcept {

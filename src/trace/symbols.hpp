@@ -25,7 +25,7 @@
 //    engine publishes every group's new symbols into the global table in
 //    group-index order — a deterministic merge, so the local->global
 //    mapping (and the resolved trace) is identical for every worker
-//    thread count — and the flusher rewrites record labels through a
+//    thread count — and flush stage A rewrites record labels through a
 //    snapshot of that mapping before any consumer sees them.
 #pragma once
 
@@ -141,7 +141,7 @@ class GroupSymbols {
   }
 
   /// local id -> global id, valid for every symbol interned before the
-  /// last publish(). The flusher copies this into its slot so stage-A
+  /// last publish(). The engine copies this into a flush slot so stage-A
   /// remapping never races the next epoch's interning.
   const std::vector<Symbol>& mapping() const noexcept { return map_; }
 

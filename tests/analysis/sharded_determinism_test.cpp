@@ -236,15 +236,12 @@ TEST(ShardedDeterminism, AnalysisOnlyPathShrinksFlushRing) {
     ParallelSimulation sim(cfg, null, 2);
     EXPECT_TRUE(sim.analysis_only());
     EXPECT_EQ(sim.flush_depth(), 1u);
-    // An explicit override still wins over the auto-shrink.
-    sim.set_flush_depth(4);
-    EXPECT_EQ(sim.flush_depth(), 4u);
   }
   {
     CountingSink counting;
     ParallelSimulation sim(cfg, counting, 2);
     EXPECT_FALSE(sim.analysis_only());
-    EXPECT_GE(sim.flush_depth(), 2u);
+    EXPECT_EQ(sim.flush_depth(), ParallelSimulation::kFlushDepth);
   }
 }
 

@@ -1,6 +1,6 @@
 // Epoch-pipeline invariants: the k-way trace merge must reproduce the
 // stable_sort total order exactly; the calendar queue must pop in a
-// binary heap's exact order (FIFO ties included); the pipelined flusher
+// binary heap's exact order (FIFO ties included); the pipelined flush
 // must leave the merged trace byte-identical, and its trace buffers must
 // not outlive the bootstrap or a burst; and the bounded MPSC mailbox must
 // drain deterministically.
@@ -211,8 +211,8 @@ TEST(CalendarQueue, MatchesHeapOnNegativeTimestamps) {
 }
 
 // --------------------------------------------------------------------------
-// Engine-level invariance: the flush-ring depth is a pure performance
-// knob — the merged trace must not move a byte.
+// Engine-level invariance: the flush ring decides only when sink writes
+// happen, never what they write — the merged trace must not move a byte.
 
 SimulationConfig small_config(bool auto_guard = false) {
   SimulationConfig cfg;
@@ -225,12 +225,11 @@ SimulationConfig small_config(bool auto_guard = false) {
 }
 
 std::vector<std::string> run_trace_with(
-    const SimulationConfig& cfg, std::size_t threads, std::size_t flush_depth,
+    const SimulationConfig& cfg, std::size_t threads,
     ParallelSimulation::EpochPhases* phases = nullptr,
     std::size_t* bootstrap_records = nullptr) {
   InMemorySink sink;
   ParallelSimulation sim(cfg, sink, threads);
-  sim.set_flush_depth(flush_depth);
   sim.run();
   if (phases != nullptr) *phases = sim.phases();
   if (bootstrap_records != nullptr)
@@ -261,21 +260,14 @@ void expect_traces_equal(const std::vector<std::string>& a,
 TEST(EpochPipeline, FlushDepthDoesNotChangeTrace) {
   // The ring depth K only decides how far sink writes may lag the
   // barrier; the guard purge schedule is pinned to stage A (joined
-  // every barrier) so every (threads, K) combination must emit the
-  // byte-identical trace. auto_guard on: purge timing is exactly the
-  // thing a buggy ring would move.
+  // every barrier) so the pipelined run, whose writes lag up to K
+  // epochs, must emit the inline run's byte-identical trace. auto_guard
+  // on: purge timing is exactly the thing a buggy ring would move.
   const auto cfg = small_config(/*auto_guard=*/true);
-  const auto baseline = run_trace_with(cfg, 1, 1);
+  const auto baseline = run_trace_with(cfg, 1);
   ASSERT_FALSE(baseline.empty());
-  for (const std::size_t depth : {std::size_t{2}, std::size_t{4}}) {
-    const auto inline_k = run_trace_with(cfg, 1, depth);
-    expect_traces_equal(baseline, inline_k, "inline depth vs depth 1");
-  }
-  for (const std::size_t depth :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const auto pooled = run_trace_with(cfg, 4, depth);
-    expect_traces_equal(baseline, pooled, "4-thread ring vs inline K=1");
-  }
+  const auto pooled = run_trace_with(cfg, 4);
+  expect_traces_equal(baseline, pooled, "4-thread ring vs inline");
 }
 
 TEST(EpochPipeline, RingFreesBootstrapAndBurstBuffers) {
@@ -288,49 +280,30 @@ TEST(EpochPipeline, RingFreesBootstrapAndBurstBuffers) {
   cfg.days = 6;
   // The bootstrap chunk is the pre-trace (t < 0) records.
   std::size_t bootstrap_records = 0;
-  const auto baseline =
-      run_trace_with(cfg, 1, 1, nullptr, &bootstrap_records);
+  const auto baseline = run_trace_with(cfg, 1, nullptr, &bootstrap_records);
   ASSERT_FALSE(baseline.empty());
   ASSERT_GT(bootstrap_records, 0u);
   const std::uint64_t bootstrap_bytes =
       bootstrap_records * sizeof(TraceRecord);
 
-  for (const std::size_t depth :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    ParallelSimulation::EpochPhases inline_run;
-    ParallelSimulation::EpochPhases pooled_run;
-    const auto inline_k = run_trace_with(cfg, 1, depth, &inline_run);
-    const auto pooled = run_trace_with(cfg, 4, depth, &pooled_run);
-    expect_traces_equal(baseline, pooled, "4-thread ring vs inline K=1");
-    expect_traces_equal(baseline, inline_k, "inline depth vs depth 1");
-    // Capacities are a function of the seed and K only.
-    EXPECT_EQ(inline_run.ring_bytes, pooled_run.ring_bytes) << "K=" << depth;
-    EXPECT_EQ(inline_run.ring_bytes_max, pooled_run.ring_bytes_max)
-        << "K=" << depth;
-    EXPECT_EQ(inline_run.ring_releases, pooled_run.ring_releases)
-        << "K=" << depth;
-    // Every group's bootstrap chunk and the plan, then at least one
-    // burst buffer.
-    EXPECT_GT(pooled_run.ring_releases, cfg.backend.shards + 1)
-        << "K=" << depth;
-    // The bootstrap buffers are gone at every barrier, and what is left
-    // at the end is less than half of them.
-    EXPECT_LT(pooled_run.ring_bytes_max, bootstrap_bytes) << "K=" << depth;
-    EXPECT_LT(pooled_run.ring_bytes * 2, bootstrap_bytes) << "K=" << depth;
-    EXPECT_LE(pooled_run.ring_bytes, pooled_run.ring_bytes_max);
-  }
-}
-
-TEST(EpochPipeline, FlushDepthClampsToValidRange) {
-  SimulationConfig cfg = small_config();
-  InMemorySink sink;
-  ParallelSimulation sim(cfg, sink, 1);
-  sim.set_flush_depth(0);
-  EXPECT_EQ(sim.flush_depth(), 1u);
-  sim.set_flush_depth(64);
-  EXPECT_EQ(sim.flush_depth(), 8u);
-  sim.set_flush_depth(3);
-  EXPECT_EQ(sim.flush_depth(), 3u);
+  ParallelSimulation::EpochPhases inline_run;
+  ParallelSimulation::EpochPhases pooled_run;
+  const auto inline_k = run_trace_with(cfg, 1, &inline_run);
+  const auto pooled = run_trace_with(cfg, 4, &pooled_run);
+  expect_traces_equal(baseline, pooled, "4-thread ring vs inline");
+  expect_traces_equal(baseline, inline_k, "inline rerun");
+  // Capacities are a function of the seed and K only.
+  EXPECT_EQ(inline_run.ring_bytes, pooled_run.ring_bytes);
+  EXPECT_EQ(inline_run.ring_bytes_max, pooled_run.ring_bytes_max);
+  EXPECT_EQ(inline_run.ring_releases, pooled_run.ring_releases);
+  // Every group's bootstrap chunk and the plan, then at least one burst
+  // buffer.
+  EXPECT_GT(pooled_run.ring_releases, cfg.backend.shards + 1);
+  // The bootstrap buffers are gone at every barrier, and what is left at
+  // the end is less than half of them.
+  EXPECT_LT(pooled_run.ring_bytes_max, bootstrap_bytes);
+  EXPECT_LT(pooled_run.ring_bytes * 2, bootstrap_bytes);
+  EXPECT_LE(pooled_run.ring_bytes, pooled_run.ring_bytes_max);
 }
 
 TEST(EpochPipeline, PhaseBreakdownCoversEveryEpoch) {

@@ -3,12 +3,18 @@
 // including the inline 1-thread execution. Any divergence means a
 // cross-group dependency leaked out of the epoch/merge protocol.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/sharded.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
@@ -127,11 +133,12 @@ std::string trace_sha(const SimulationConfig& cfg, std::size_t threads) {
 }
 
 TEST(ParallelSimulation, StageASortHelpersNeverCrossRounds) {
-  // Stress for the stage-A sort pool: a helper that picked up one round
-  // late must never claim the next round's groups into the old round's
-  // slot. That race made an occasional run's trace differ, so it takes
-  // many repeated multi-threaded runs to show; each must hash to the
-  // inline 1-thread trace.
+  // Determinism stress for the flush pipeline: stage A preps the groups
+  // of one epoch on several threads while the previous epoch's stage B
+  // may still be writing. A prep that reached another epoch's slot (as a
+  // stage-A sort helper once did) makes an occasional run's trace
+  // differ, so it takes many repeated multi-threaded runs to show; each
+  // must hash to the inline 1-thread trace.
   SimulationConfig cfg;
   cfg.users = 1000;
   cfg.days = 14;
@@ -200,6 +207,88 @@ TEST(ParallelSimulation, StickyPlanRebuildHysteresis) {
   // Floor of 12 epochs between rebuilds bounds the count from above.
   const std::uint64_t epochs = a.phases().epochs;
   EXPECT_LE(a.phases().plan_rebuilds, 1 + epochs / 12);
+}
+
+/// Throws once the n-th record arrives, like a disk filling up mid-run.
+class ThrowingSink final : public TraceSink {
+ public:
+  explicit ThrowingSink(std::uint64_t n) : left_(n) {}
+  void append(const TraceRecord&) override {
+    if (--left_ == 0) throw std::runtime_error("sink refused record");
+  }
+
+ private:
+  std::uint64_t left_;
+};
+
+/// An analyzer whose shards throw when, between them, they reach the
+/// n-th record. Shards consume on several threads at once, hence the
+/// shared atomic countdown; exactly one consume call crosses it.
+class ThrowingAnalyzer final : public ShardedAnalyzer {
+ public:
+  explicit ThrowingAnalyzer(std::uint64_t n)
+      : left_(static_cast<std::int64_t>(n)) {}
+  std::unique_ptr<AnalyzerShard> make_shard() override {
+    return std::make_unique<Shard>(left_);
+  }
+  void merge_shard(AnalyzerShard&) override {}
+
+ private:
+  struct Shard final : AnalyzerShard {
+    explicit Shard(std::atomic<std::int64_t>& left) : left(left) {}
+    void consume(const TraceRecord*, std::size_t count) override {
+      const auto n = static_cast<std::int64_t>(count);
+      const std::int64_t before = left.fetch_sub(n);
+      if (before > 0 && before <= n)
+        throw std::runtime_error("shard refused records");
+    }
+    std::atomic<std::int64_t>& left;
+  };
+  std::atomic<std::int64_t> left_;
+};
+
+/// Runs `sim` and expects run() to rethrow `what`; the engine must then
+/// be destroyed by the caller.
+void expect_run_rethrows(ParallelSimulation& sim, const char* what) {
+  try {
+    sim.run();
+    FAIL() << "run() returned despite the failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), what);
+  }
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(ParallelSimulation, FailuresMidRunRethrowFromRunAndEngineDestructs) {
+  const auto cfg = small_config();
+  CountingSink counting;
+  ParallelSimulation(cfg, counting, 1).run();
+  const std::uint64_t half = counting.total() / 2;
+  ASSERT_GT(half, 0u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // A full run of this config takes about a second; a flush task or a
+    // worker left waiting would hold the run or the destructor until the
+    // test timeout. The engines go out of scope before the clock stops.
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+      ThrowingSink sink(half);
+      ParallelSimulation sim(cfg, sink, threads);
+      expect_run_rethrows(sim, "sink refused record");
+    }
+    {
+      CountingSink sink;
+      ThrowingAnalyzer analyzer(half);
+      ParallelSimulation sim(cfg, sink, threads);
+      sim.attach_analyzer(analyzer);
+      expect_run_rethrows(sim, "shard refused records");
+    }
+    EXPECT_LT(seconds_since(t0), 30.0);
+  }
 }
 
 TEST(EventQueue, PopMovesPayloadOut) {

@@ -25,6 +25,7 @@
 #include "trace/logfile.hpp"
 #include "trace/sink.hpp"
 #include "trace/symbols.hpp"
+#include "util/sha1.hpp"
 
 namespace u1 {
 namespace {
@@ -524,6 +525,90 @@ TEST_F(ReadMergeTest, GlobalSymbolIdsFollowDayThenNameOrder) {
   const ReadStats stats = read_logfiles(dir_, got);
   EXPECT_EQ(stats.parsed, 5u);
   expect_new_symbols(base, want);
+  expect_equivalent(dir_);
+}
+
+TEST_F(ReadMergeTest, CsvAndItsBinaryTwinDeliverOneStreamAndOneSetOfIds) {
+  // CSV files parse on the decode threads with file-local label ids, as
+  // .u1b files decode; interning those in first-sight order must give
+  // the ids a row-by-row parse into the global table gave. Two days,
+  // three machines; within a file the rows run backwards in time, so row
+  // order is not timestamp order, and files share labels. One CSV row is
+  // malformed: its label must not be interned. The binary twin is what
+  // `u1trace convert --to bin` writes: each CSV file read and appended
+  // in (day, name) order.
+  const std::string tag = "twin" + std::to_string(::getpid()) + "_";
+  struct File {
+    std::uint64_t machine;
+    SimTime day;
+    std::vector<std::string> labels;  // in row order
+  };
+  const std::vector<File> files = {
+      {1, 1, {tag + "d", tag + "a"}},
+      {2, 0, {tag + "b", tag + "c", tag + "b"}},
+      {3, 0, {tag + "c", tag + "a"}},
+      {1, 0, {tag + "e"}},
+      {2, 1, {tag + "f", tag + "d"}}};
+  const fs::path twin = dir_ / "twin";
+  in_child([&] {
+    std::vector<TraceRecord> records;
+    std::uint64_t i = 0;
+    for (const File& f : files)
+      for (std::size_t k = 0; k < f.labels.size(); ++k)
+        records.push_back(make_record(
+            f.day * kDay + static_cast<SimTime>(100 - k) * kSecond,
+            f.machine, 1, 3 * i++, f.labels[k]));
+    write(records, TraceFormat::kCsv);
+    // The bogus type fails the row before its label is looked at.
+    const fs::path first = files_with(".csv").front();
+    std::ofstream(first, std::ios::app)
+        << "5,bogus_type,1,1,1,1,,,,,,,,,"
+        << tag << "never,0,0,0,0,,,,,\n";
+    const auto writer = make_logfile_writer(twin, TraceFormat::kBinary);
+    std::vector<TraceRecord> file_records;
+    for (const LogfileEntry& entry : list_logfiles(dir_)) {
+      file_records.clear();
+      read_logfile(entry.path, file_records);
+      writer->append_batch(file_records.data(), file_records.size());
+    }
+    writer->close();
+  });
+  if (HasFatalFailure()) return;
+  ASSERT_EQ(files_with(".csv").size(), files.size());
+
+  // First sight in (day, name) order, rows in file order.
+  std::vector<File> order = files;
+  const auto name = [](const File& f) {
+    return make_record(f.day * kDay, f.machine, 1, 0).logname();
+  };
+  std::sort(order.begin(), order.end(), [&](const File& x, const File& y) {
+    return x.day != y.day ? x.day < y.day : name(x) < name(y);
+  });
+  std::vector<std::string> want;
+  for (const File& f : order)
+    for (const std::string& label : f.labels)
+      if (std::find(want.begin(), want.end(), label) == want.end())
+        want.push_back(label);
+
+  const auto stream_sha = [](const BatchSink& sink) {
+    Sha1 sha;
+    for (const TraceRecord& r : sink.records) sha.update(row_of(r));
+    return sha.finish().hex();
+  };
+  const std::size_t base = global_symbols().size();
+  BatchSink csv;
+  const ReadStats csv_stats = read_logfiles(dir_, csv);
+  EXPECT_EQ(csv_stats.parsed, 10u);
+  EXPECT_EQ(csv_stats.malformed, 1u);
+  expect_new_symbols(base, want);
+  BatchSink bin;
+  const ReadStats bin_stats = read_logfiles(twin, bin);
+  EXPECT_EQ(bin_stats.files_binary, files.size());
+  EXPECT_EQ(global_symbols().size(), base + want.size());
+  EXPECT_EQ(stream_sha(bin), stream_sha(csv));
+  ASSERT_EQ(bin.records.size(), csv.records.size());
+  for (std::size_t i = 0; i < csv.records.size(); ++i)
+    EXPECT_EQ(bin.records[i].label, csv.records[i].label) << "record " << i;
   expect_equivalent(dir_);
 }
 
