@@ -7,9 +7,7 @@
 // the sketch-vs-exact rank error of every distribution the sharded path
 // approximates, at p50/p90/p99. Writes BENCH_analysis.json.
 //
-// Knobs: U1SIM_USERS / U1SIM_DAYS / U1SIM_THREADS as everywhere;
-// U1SIM_ANALYSIS=merged measures the exact path instead (no oracle
-// pass — it *is* the oracle). Flags:
+// Knobs: U1SIM_USERS / U1SIM_DAYS / U1SIM_THREADS as everywhere. Flags:
 //   --out PATH          JSON destination (default repo root)
 //   --no-oracle         skip the merged pass (big runs: the merged
 //                       path's O(records) state is the thing this bench
@@ -121,22 +119,20 @@ int main(int argc, char** argv) {
   const auto cfg = standard_config(env_users(), env_days());
   const std::size_t threads = env_threads();
   const SimTime horizon = static_cast<SimTime>(cfg.days) * kDay;
-  const AnalysisMode mode = analysis_mode_from_env();
 
   header("bench_analysis",
          "sharded streaming analytics: throughput + memory + rank error");
-  std::printf("  users=%zu days=%d threads=%zu mode=%s\n", cfg.users,
-              cfg.days, threads, to_string(mode));
+  std::printf("  users=%zu days=%d threads=%zu\n", cfg.users, cfg.days,
+              threads);
 
-  // Measured pass. Sharded: analyzers fan out inside the compute
-  // workers, the sink is a NullSink, no trace or merge plan exists.
-  // Merged: the classic serial TraceSink pass behind the engine.
+  // Measured pass: analyzers fan out inside the compute workers, the
+  // sink is a NullSink, no trace or merge plan exists.
   Suite suite(horizon);
   double wall_s = 0;
   std::uint64_t records = 0;
   std::size_t effective_depth = 0;
   bool analysis_only = false;
-  if (mode == AnalysisMode::kSharded) {
+  {
     NullSink null;
     ParallelSimulation sim(cfg, null, threads);
     sim.attach_analyzer(suite.rpcs);
@@ -150,25 +146,6 @@ int main(int argc, char** argv) {
     records = sim.records_flushed();
     effective_depth = sim.flush_depth();
     analysis_only = sim.analysis_only();
-  } else {
-    // Merged measured pass: same shard-parallel engine (its trace is
-    // what the sharded shards consume, so the comparison is
-    // apples-to-apples), analyzers fed serially by stage B.
-    MultiSink fan;
-    CountingSink counter;
-    fan.add(&suite.rpcs);
-    fan.add(&suite.traffic);
-    fan.add(&suite.users);
-    fan.add(&suite.sessions);
-    fan.add(&suite.types);
-    fan.add(&counter);
-    ParallelSimulation sim(cfg, fan, threads);
-    const auto t0 = Clock::now();
-    sim.run();
-    wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    suite.users.finalize();
-    records = counter.total();
-    effective_depth = sim.flush_depth();
   }
   // Peak RSS of the measured pass — sampled before the oracle (which
   // deliberately holds O(records) state) can inflate it.
@@ -181,9 +158,8 @@ int main(int argc, char** argv) {
   std::printf("  peak_rss=%.1f MB heap_in_use=%.1f MB\n",
               static_cast<double>(rss_kb) / 1024.0,
               static_cast<double>(heap_kb) / 1024.0);
-  if (mode == AnalysisMode::kSharded)
-    std::printf("  flush_depth=%zu (analysis_only=%s, auto-shrunk ring)\n",
-                effective_depth, analysis_only ? "yes" : "no");
+  std::printf("  flush_depth=%zu (analysis_only=%s, auto-shrunk ring)\n",
+              effective_depth, analysis_only ? "yes" : "no");
   std::printf("  activity: %zu users seen, %llu sessions closed, "
               "%llu distinct files\n",
               suite.users.users_seen(),
@@ -194,7 +170,7 @@ int main(int argc, char** argv) {
   RankErr err;
   double oracle_wall_s = 0;
   bool have_oracle = false;
-  if (run_oracle && mode == AnalysisMode::kSharded) {
+  if (run_oracle) {
     // Same engine, same seed, merged sink: the record stream the exact
     // analyzers see is byte-identical to what the shards consumed, so
     // any disagreement is pure sketch error.
@@ -261,7 +237,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"seed\": %llu,\n",
                  static_cast<unsigned long long>(cfg.seed));
     std::fprintf(f, "  \"threads\": %zu,\n", threads);
-    std::fprintf(f, "  \"mode\": \"%s\",\n", to_string(mode));
     std::fprintf(f, "  \"analysis_only\": %s,\n",
                  analysis_only ? "true" : "false");
     std::fprintf(f, "  \"flush_depth\": %zu,\n", effective_depth);

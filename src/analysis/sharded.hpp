@@ -16,7 +16,7 @@
 // groups (group_of hashes the user id, and every session/node belongs
 // to one user), so per-entity state partitions exactly; only the
 // sketch-backed distribution summaries carry approximation error, and
-// U1SIM_ANALYSIS=merged keeps the exact path as the small-scale oracle.
+// the exact merged path stays the small-scale oracle (bench_analysis).
 #pragma once
 
 #include <cstdint>
@@ -62,18 +62,5 @@ class ShardedAnalyzer {
   /// (e.g. count still-open sessions).
   virtual void finish() {}
 };
-
-/// Which analysis path a bench/test should run.
-enum class AnalysisMode : std::uint8_t {
-  kMerged,   // exact serial TraceSink pass over the merged stream
-  kSharded,  // in-worker shard fan-out + sketch summaries
-};
-
-/// U1SIM_ANALYSIS=sharded|merged (default sharded — the scalable path;
-/// the merged oracle is opt-in for small-scale comparisons). Throws
-/// std::runtime_error on any other value.
-AnalysisMode analysis_mode_from_env();
-
-const char* to_string(AnalysisMode mode) noexcept;
 
 }  // namespace u1

@@ -1,9 +1,10 @@
 // Shared low-level wire primitives for the length-prefixed binary
 // protocol: little-endian fixed-width writers, LEB128 varints, zigzag
 // transforms for signed SimTime, and the bounds-checked payload Cursor.
-// Both the request/response envelope (envelope.cpp) and the distributed
-// control plane (control.cpp) encode with exactly these idioms so a
-// frame is a frame regardless of which plane it belongs to.
+// The request/response envelope (envelope.cpp), the distributed
+// control plane (control.cpp) and chunk stream (sim/distributed.cpp) and
+// the .u1b trace format (trace/binlog.cpp) all encode with exactly
+// these idioms, so a varint is a varint wherever it is written.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +44,12 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-inline std::uint64_t zigzag(std::int64_t v) {
+constexpr std::uint64_t zigzag(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
 }
 
-inline std::int64_t unzigzag(std::uint64_t v) {
+constexpr std::int64_t unzigzag(std::uint64_t v) noexcept {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 

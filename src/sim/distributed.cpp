@@ -24,6 +24,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "proto/wire.hpp"
 #include "sim/trace_merge.hpp"
 #include "trace/record.hpp"
 #include "trace/symbols.hpp"
@@ -133,13 +134,7 @@ ProtoOp recv_frame(int fd, std::vector<std::uint8_t>& buf,
 constexpr std::uint64_t kMaxLabelBytes = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxChunkRecords = std::uint64_t{1} << 31;
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
+using wire::put_varint;
 
 std::uint64_t get_varint(ByteSource& src) {
   std::uint64_t v = 0;
@@ -281,6 +276,54 @@ struct Slice {
   std::size_t first = 0;
   std::size_t count = 0;
 };
+
+/// Per-group load estimate for slice_groups, read off the setup draws:
+/// each user's bootstrap file count (the dominant share of a group's
+/// end-of-run footprint) plus an activity term for the trace window's
+/// growth, and each DDoS attack's bot traffic on the abused account's
+/// home group. The draws are freed on return, before the coordinator
+/// forks. A poor estimate only degrades slice balance: the merged trace
+/// is bit-identical for every contiguous split.
+std::vector<double> slice_weights(const SimulationConfig& config) {
+  const std::size_t n_groups = config.backend.shards;
+  const auto group_of = [n_groups](UserId user) {
+    return std::hash<UserId>{}(user) % n_groups;
+  };
+  std::vector<double> weights(n_groups, 0.0);
+  /// Expected trace-window files per (session/day × day) unit, relative
+  /// to one bootstrap file — a balance heuristic, not a contract.
+  constexpr double kRunActivityWeight = 0.6;
+  const SetupDraws draws = draw_setup(config);
+  for (std::size_t i = 0; i < draws.users.size(); ++i) {
+    const SetupDraws::User& user = draws.users[i];
+    weights[group_of(UserId{i + 1})] +=
+        static_cast<double>(user.bootstrap_files) +
+        kRunActivityWeight * user.profile.activity *
+            user.profile.sessions_per_day * config.days;
+  }
+  // DDoS attacks pin thousands of bot sessions — and attack-hour epoch
+  // chunks — on the abused account's home group for the response
+  // window. The schedule and the account ids are deterministic, so the
+  // planner can keep the Jan-16 (245x) group out of the heaviest slice.
+  if (config.enable_ddos) {
+    /// Worker-RSS cost of one bot operation relative to one bootstrap
+    /// file (records + session churn vs node + mirror + records).
+    constexpr double kAttackOpWeight = 0.2;
+    const double population_scale =
+        static_cast<double>(config.users) / 10000.0;
+    const auto schedule =
+        paper_attack_schedule(config.ddos_bot_scale * population_scale);
+    for (std::size_t a = 0; a < schedule.size(); ++a) {
+      const DdosAttackSpec& spec = schedule[a];
+      const double hours =
+          static_cast<double>(spec.response_delay) / static_cast<double>(kHour);
+      weights[group_of(UserId{1000000 + a})] +=
+          kAttackOpWeight * spec.bots * spec.connects_per_hour * hours *
+          (1.0 + spec.downloads_per_connection);
+    }
+  }
+  return weights;
+}
 
 /// Contiguous min-max partition of the group weights into `workers`
 /// slices (classic DP; G and P are both tiny). Weighted boundaries keep
@@ -942,8 +985,9 @@ DistributedSimulation::DistributedSimulation(const SimulationConfig& config,
       threads_(threads == 0 ? 1 : threads) {
   if (procs == 0)
     throw std::invalid_argument("DistributedSimulation: procs must be >= 1");
-  if (config.backend.shards == 0)
-    throw std::invalid_argument("DistributedSimulation: shards must be > 0");
+  if (config.users == 0 || config.days <= 0 || config.backend.shards == 0)
+    throw std::invalid_argument(
+        "DistributedSimulation: users, days and shards must be > 0");
   procs_ = std::min(procs_, static_cast<std::size_t>(config.backend.shards));
 }
 
@@ -973,9 +1017,8 @@ SimulationReport DistributedSimulation::run_inline() {
 SimulationReport DistributedSimulation::run_forked() {
   const std::size_t n_groups = config_.backend.shards;
   const std::size_t n_workers = procs_;
-  const std::vector<Slice> slices = slice_groups(
-      n_groups, n_workers,
-      ParallelSimulation::estimate_group_setup_weights(config_));
+  const std::vector<Slice> slices =
+      slice_groups(n_groups, n_workers, slice_weights(config_));
 
   std::vector<Worker> workers(n_workers);
   ChildReaper reaper(workers);

@@ -47,11 +47,52 @@ constexpr std::size_t kBurstFloorBytes = std::size_t{1} << 20;
 
 }  // namespace
 
+SetupDraws draw_setup(const SimulationConfig& config) {
+  // The order of the draws is the trace contract: reordering any two
+  // changes every trace SHA.
+  const UserModel user_model(config.user_model);
+  const DiurnalModel diurnal(config.diurnal);
+  Rng master(config.seed);
+  SetupDraws draws;
+  draws.groups.reserve(config.backend.shards);
+  for (std::size_t g = 0; g < config.backend.shards; ++g)
+    draws.groups.push_back(master.fork());
+  draws.users.resize(config.users);
+  for (SetupDraws::User& user : draws.users) {
+    user.profile = user_model.sample(master);
+    user.rng = master.fork();
+  }
+  for (std::size_t i = 0; i < config.users; ++i) {
+    if (!draws.users[i].profile.sharer || config.users < 2) continue;
+    std::size_t peer = master.below(config.users);
+    if (peer == i) peer = (peer + 1) % config.users;
+    draws.users[i].peer = peer;
+  }
+  for (SetupDraws::User& user : draws.users) {
+    double mean = config.bootstrap_files_mean;
+    switch (user.profile.user_class) {
+      case UserClass::kOccasional: mean *= 0.4; break;
+      case UserClass::kUploadOnly: mean *= 2.0; break;
+      case UserClass::kDownloadOnly: mean *= 1.5; break;
+      case UserClass::kHeavy: mean *= 4.0; break;
+    }
+    double n = -mean * std::log(1.0 - master.uniform());
+    if (master.chance(0.025)) n *= 40.0;
+    user.bootstrap_files = static_cast<std::size_t>(std::min(n, 4000.0));
+    user.bootstrap_at =
+        -4 * kDay + static_cast<SimTime>(master.below(
+                        static_cast<std::uint64_t>(2 * kDay)));
+  }
+  for (SetupDraws::User& user : draws.users)
+    user.first_arrival =
+        diurnal.next_arrival(0, user.profile.sessions_per_day, master);
+  return draws;
+}
+
 ParallelSimulation::ParallelSimulation(const SimulationConfig& config,
                                        TraceSink& sink, std::size_t threads)
     : config_(config),
       sink_(&sink),
-      rng_(config.seed),
       content_pool_(std::make_unique<ContentPool>(
           config.content_duplicate_prob, config.content_zipf_s,
           config.seed ^ 0xb10b)),
@@ -137,7 +178,7 @@ const ContentRegistry& ParallelSimulation::contents() const noexcept {
   return shared_dedup_->global();
 }
 
-void ParallelSimulation::build_groups() {
+void ParallelSimulation::build_groups(const SetupDraws& draws) {
   const std::size_t n_groups = config_.backend.shards;
   shared_dedup_ = std::make_unique<SharedDedup>(n_groups);
   groups_.reserve(n_groups);
@@ -154,7 +195,7 @@ void ParallelSimulation::build_groups() {
     grp->backend = std::make_unique<U1Backend>(backend_cfg, grp->trace);
     grp->pool_view = std::make_unique<ContentPoolView>(
         *content_pool_, group_mix(config_.seed ^ 0xb10b, g));
-    grp->rng = rng_.fork();
+    grp->rng = draws.groups[g];
     // Deferred symbol interning: labels get dense group-local ids during
     // the epoch (no lock, no cross-group coordination) and are merged
     // into the global table in group-index order at each barrier — the
@@ -186,7 +227,7 @@ void ParallelSimulation::build_groups() {
   std::iota(active_groups_.begin(), active_groups_.end(), std::size_t{0});
 }
 
-void ParallelSimulation::register_population() {
+void ParallelSimulation::register_population(const SetupDraws& draws) {
   home_.resize(config_.users);
   root_volume_.resize(config_.users);
   for (auto& grp : groups_)
@@ -195,7 +236,7 @@ void ParallelSimulation::register_population() {
     const UserId uid{i + 1};
     const std::size_t g = group_of(uid);
     Group& grp = *groups_[g];
-    const UserProfile profile = user_model_.sample(rng_);
+    const SetupDraws::User& draw = draws.users[i];
     const UserAccount account = grp.backend->register_user(uid, -kDay);
     WorkloadContext ctx;
     ctx.files = &file_model_;
@@ -206,25 +247,22 @@ void ParallelSimulation::register_population() {
     ctx.bursts = &bursts_;
     home_[i] = HomeRef{g, grp.agents.size()};
     root_volume_[i] = account.root_volume;
-    grp.agents.push_back(std::make_unique<ClientAgent>(uid, profile, account,
-                                                       ctx, rng_.fork()));
+    grp.agents.push_back(std::make_unique<ClientAgent>(
+        uid, draw.profile, account, ctx, draw.rng));
   }
 }
 
-void ParallelSimulation::grant_shares() {
+void ParallelSimulation::grant_shares(const SetupDraws& draws) {
   // Sharing relationships (1.8% of users): owner shares the root volume
   // with a random peer. When the peer lives in another group, the owner
   // is ghost-registered in the peer's back-end so the grant resolves
   // in-store — the documented cost is one extra (idle) user+root volume
   // there, never any cross-group traffic during the run.
   for (std::size_t i = 0; i < config_.users; ++i) {
-    const ClientAgent& owner =
-        *groups_[home_[i].group]->agents[home_[i].index];
-    if (!owner.profile().sharer || config_.users < 2) continue;
-    std::size_t peer = rng_.below(config_.users);
-    if (peer == i) peer = (peer + 1) % config_.users;
+    const std::optional<std::size_t> peer = draws.users[i].peer;
+    if (!peer) continue;
     const UserId owner_uid{i + 1};
-    const UserId peer_uid{peer + 1};
+    const UserId peer_uid{*peer + 1};
     const std::size_t gp = group_of(peer_uid);
     if (gp == home_[i].group) {
       groups_[gp]->backend->share_volume(owner_uid, root_volume_[i], peer_uid,
@@ -238,7 +276,7 @@ void ParallelSimulation::grant_shares() {
   }
 }
 
-void ParallelSimulation::bootstrap_phase() {
+void ParallelSimulation::bootstrap_phase(const SetupDraws& draws) {
   // Pre-trace history, sequential. The shared registry and pool are LIVE
   // here (proxies point straight at the global structures), so bootstrap
   // gets full cross-group dedup.
@@ -251,23 +289,12 @@ void ParallelSimulation::bootstrap_phase() {
   }
   for (std::size_t i = 0; i < config_.users; ++i) {
     ClientAgent& agent = *groups_[home_[i].group]->agents[home_[i].index];
-    double mean = config_.bootstrap_files_mean;
-    switch (agent.profile().user_class) {
-      case UserClass::kOccasional: mean *= 0.4; break;
-      case UserClass::kUploadOnly: mean *= 2.0; break;
-      case UserClass::kDownloadOnly: mean *= 1.5; break;
-      case UserClass::kHeavy: mean *= 4.0; break;
-    }
-    double n = -mean * std::log(1.0 - rng_.uniform());
-    if (rng_.chance(0.025)) n *= 40.0;
-    const auto files = static_cast<std::size_t>(std::min(n, 4000.0));
-    const SimTime when =
-        -4 * kDay + static_cast<SimTime>(rng_.below(
-                        static_cast<std::uint64_t>(2 * kDay)));
-    agent.bootstrap(*groups_[home_[i].group]->backend, when, files);
-    report_.bootstrap_files += files;
+    const SetupDraws::User& draw = draws.users[i];
+    agent.bootstrap(*groups_[home_[i].group]->backend, draw.bootstrap_at,
+                    draw.bootstrap_files);
+    report_.bootstrap_files += draw.bootstrap_files;
     // Worker mode: a remote user's bootstrap matters only for its global
-    // side effects (master/agent RNG draws, dedup registry and content
+    // side effects (agent RNG draws, dedup registry and content
     // pool state, trace-window-invariant counters). The node rows, S3
     // objects and trace records it just produced in the remote group are
     // per-process dead weight — shed them NOW, per user, instead of
@@ -292,85 +319,12 @@ void ParallelSimulation::bootstrap_phase() {
   }
 }
 
-std::vector<double> ParallelSimulation::estimate_group_setup_weights(
-    const SimulationConfig& config) {
-  // Mirror of the master-RNG consumption in build_groups (G forks),
-  // register_population (sample + fork per user), grant_shares (one
-  // below() per sharer) and bootstrap_phase (uniform, chance, below per
-  // user) — keep the draw sequence in lockstep with those functions.
-  // The realized bootstrap file count is the dominant share of a
-  // group's end-of-run footprint; the activity term covers the
-  // trace-window growth on top of it.
-  const std::size_t n_groups = config.backend.shards;
-  std::vector<double> weights(n_groups, 0.0);
-  if (n_groups == 0 || config.users == 0) return weights;
-  Rng rng(config.seed);
-  for (std::size_t g = 0; g < n_groups; ++g) (void)rng.fork();
-  const UserModel model(config.user_model);
-  std::vector<UserProfile> profiles;
-  profiles.reserve(config.users);
-  for (std::size_t i = 0; i < config.users; ++i) {
-    profiles.push_back(model.sample(rng));
-    (void)rng.fork();  // the agent's private stream
-  }
-  for (std::size_t i = 0; i < config.users; ++i) {
-    if (!profiles[i].sharer || config.users < 2) continue;
-    (void)rng.below(config.users);
-  }
-  /// Expected trace-window files per (session/day × day) unit, relative
-  /// to one bootstrap file — a balance heuristic, not a contract.
-  constexpr double kRunActivityWeight = 0.6;
-  for (std::size_t i = 0; i < config.users; ++i) {
-    const std::size_t g = std::hash<UserId>{}(UserId{i + 1}) % n_groups;
-    double mean = config.bootstrap_files_mean;
-    switch (profiles[i].user_class) {
-      case UserClass::kOccasional: mean *= 0.4; break;
-      case UserClass::kUploadOnly: mean *= 2.0; break;
-      case UserClass::kDownloadOnly: mean *= 1.5; break;
-      case UserClass::kHeavy: mean *= 4.0; break;
-    }
-    double n = -mean * std::log(1.0 - rng.uniform());
-    if (rng.chance(0.025)) n *= 40.0;
-    (void)rng.below(static_cast<std::uint64_t>(2 * kDay));
-    weights[g] += std::min(n, 4000.0) +
-                  kRunActivityWeight * profiles[i].activity *
-                      profiles[i].sessions_per_day * config.days;
-  }
-  // DDoS attacks pin thousands of bot sessions — and attack-hour epoch
-  // chunks — on the abused account's home group for the response
-  // window. The schedule and the account ids are deterministic, so the
-  // planner can keep the Jan-16 (245x) group out of the heaviest slice.
-  if (config.enable_ddos) {
-    /// Worker-RSS cost of one bot operation relative to one bootstrap
-    /// file (records + session churn vs node + mirror + records).
-    constexpr double kAttackOpWeight = 0.2;
-    const double population_scale =
-        static_cast<double>(config.users) / 10000.0;
-    const auto schedule =
-        paper_attack_schedule(config.ddos_bot_scale * population_scale);
-    for (std::size_t a = 0; a < schedule.size(); ++a) {
-      const std::size_t g =
-          std::hash<UserId>{}(UserId{1000000 + a}) % n_groups;
-      const DdosAttackSpec& spec = schedule[a];
-      const double hours =
-          static_cast<double>(spec.response_delay) / static_cast<double>(kHour);
-      weights[g] += kAttackOpWeight * spec.bots * spec.connects_per_hour *
-                    hours * (1.0 + spec.downloads_per_connection);
-    }
-  }
-  return weights;
-}
-
-void ParallelSimulation::schedule_population_start() {
+void ParallelSimulation::schedule_population_start(const SetupDraws& draws) {
   for (std::size_t i = 0; i < config_.users; ++i) {
     const HomeRef home = home_[i];
-    const ClientAgent& agent = *groups_[home.group]->agents[home.index];
-    const SimTime first =
-        diurnal_.next_arrival(0, agent.profile().sessions_per_day, rng_);
-    // Worker mode: the arrival draw above must happen for EVERY user (it
-    // is on the master RNG stream), but only local groups get the event.
     if (group_local(home.group))
-      groups_[home.group]->queue.push(first, Ev{Ev::Kind::kAgent, home.index});
+      groups_[home.group]->queue.push(draws.users[i].first_arrival,
+                                      Ev{Ev::Kind::kAgent, home.index});
   }
   for (std::size_t g = 0; g < groups_.size(); ++g)
     if (group_local(g))
@@ -1002,15 +956,19 @@ SimulationReport ParallelSimulation::run() {
   if (ran_) throw std::logic_error("ParallelSimulation::run: already ran");
   ran_ = true;
 
-  build_groups();
-  register_population();
-  grant_shares();
-  bootstrap_phase();
+  {
+    // Drawn here, not in the constructor, which stays cheap.
+    const SetupDraws draws = draw_setup(config_);
+    build_groups(draws);
+    register_population(draws);
+    grant_shares(draws);
+    bootstrap_phase(draws);
+    schedule_population_start(draws);
+  }
   // Bootstrap records: merged and written once, pre-pipeline (no flush
   // task or worker runs yet, so the slot runs both stages inline).
   // No epoch needs buffers that size again, so the slot frees them all.
   flush_inline(/*release_all=*/true);
-  schedule_population_start();
   if (peer_ != nullptr) release_remote_groups();
 
   const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;

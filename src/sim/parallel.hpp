@@ -80,6 +80,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -101,6 +102,30 @@
 #include "workload/ddos.hpp"
 
 namespace u1 {
+
+/// Every draw the setup makes on the master stream Rng(config.seed), in
+/// stream order: one fork per shard group; a profile and an agent fork
+/// per user; one share peer per sharer; the bootstrap file count and
+/// time per user; the first arrival per user. ParallelSimulation::run()
+/// applies these draws and the distributed coordinator weighs its
+/// slices with them (DESIGN.md §7, §12). No other code draws from the
+/// master stream, so the setup is a pure function of the config.
+struct SetupDraws {
+  struct User {
+    UserProfile profile;
+    Rng rng;  // the agent's private stream
+    /// Share recipient (uid - 1, never the user itself). Set for
+    /// sharers when the population has at least two users.
+    std::optional<std::size_t> peer;
+    std::size_t bootstrap_files = 0;
+    SimTime bootstrap_at = 0;
+    SimTime first_arrival = 0;
+  };
+  std::vector<Rng> groups;  // one stream per shard group
+  std::vector<User> users;  // index uid - 1
+};
+
+SetupDraws draw_setup(const SimulationConfig& config);
 
 /// Distributed worker hooks (DESIGN.md §12, sim/distributed.cpp): an
 /// engine in worker mode hands its epoch-barrier traffic to a peer
@@ -225,9 +250,9 @@ class ParallelSimulation {
   /// Distributed worker mode (DESIGN.md §12): this process runs only the
   /// shard groups [first_group, first_group + group_count). The full
   /// deterministic setup — registration, share grants, live-mode
-  /// bootstrap, population scheduling — still replays for EVERY group so
-  /// the master RNG stream is identical in every process; the remote
-  /// groups' heavy state (backend, agents, queue events) is then freed.
+  /// bootstrap — still runs for EVERY group, because the bootstrap fills
+  /// the shared dedup registry and content pool; the remote groups'
+  /// heavy state (backend, agents, queue events) is then freed.
   /// Epoch barriers go through `peer` (which must outlive run());
   /// AnomalyGuard detection moves to the coordinator, this engine only
   /// extracts the observation feed. Call before run().
@@ -270,17 +295,6 @@ class ParallelSimulation {
   /// All per-group metadata stores; analysis overloads aggregate these.
   std::vector<const MetadataStore*> stores() const;
 
-  /// Deterministic per-group load estimate for the distributed
-  /// coordinator's slice planner: replays exactly the master-RNG draws
-  /// of register_population / grant_shares / bootstrap_phase (profile
-  /// sample + agent fork per user, one peer draw per sharer, the
-  /// three bootstrap-size draws) and returns, per group, the realized
-  /// bootstrap file count plus an activity term for trace-window
-  /// growth. Any drift between this replay and the real setup sequence
-  /// only degrades slice *balance* — the merged trace is bit-identical
-  /// for every contiguous split, so correctness never depends on it.
-  static std::vector<double> estimate_group_setup_weights(
-      const SimulationConfig& config);
   /// The merged global dedup registry (one per run, across all groups).
   const ContentRegistry& contents() const noexcept;
   /// Blobs whose last references were dropped by different groups within
@@ -340,11 +354,12 @@ class ParallelSimulation {
   };
 
   std::size_t group_of(UserId user) const noexcept;
-  void build_groups();
-  void register_population();
-  void grant_shares();
-  void bootstrap_phase();
-  void schedule_population_start();
+  // Setup steps: each applies its share of draw_setup's draws.
+  void build_groups(const SetupDraws& draws);
+  void register_population(const SetupDraws& draws);
+  void grant_shares(const SetupDraws& draws);
+  void bootstrap_phase(const SetupDraws& draws);
+  void schedule_population_start(const SetupDraws& draws);
   void run_group_epoch(std::size_t group, SimTime limit);
 
   // Persistent worker pool (threads_ >= 2): workers park on the start
@@ -448,7 +463,6 @@ class ParallelSimulation {
   SimulationConfig config_;
   TraceSink* sink_;
   std::size_t threads_;
-  Rng rng_;  // master stream: sequential setup only
 
   /// In-worker analyzer fan-out (attach_analyzer), attachment order.
   std::vector<ShardedAnalyzer*> analyzers_;

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "proto/wire.hpp"
 #include "util/sim_time.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -64,13 +65,9 @@ std::uint64_t get_le64(const std::uint8_t* p) noexcept {
   return v;
 }
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
+using wire::put_varint;
+using wire::unzigzag;
+using wire::zigzag;
 
 /// Raw-pointer variant for the encode hot loop: the caller reserves the
 /// segment's worst case up front, so every write is unchecked.
@@ -201,15 +198,6 @@ std::uint64_t xxh64(const std::uint8_t* data, std::size_t len) noexcept {
   Xxh64 h;
   h.update(data, len);
   return h.digest();
-}
-
-constexpr std::uint64_t zigzag(std::int64_t v) noexcept {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-constexpr std::int64_t unzigzag(std::uint64_t v) noexcept {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
 }
 
 /// Bounds-checked decode cursor. Every read sets ok=false instead of

@@ -225,6 +225,18 @@ TEST(DistributedSim, RejectsZeroProcs) {
   }
 }
 
+TEST(DistributedSim, RejectsAnEmptyPopulationBeforeForking) {
+  // The coordinator weighs its slices with the setup draws before it
+  // forks, so a config the engine would refuse must fail here first.
+  InMemorySink sink;
+  SimulationConfig cfg = small_config();
+  cfg.users = 0;
+  EXPECT_THROW(DistributedSimulation(cfg, sink, 2, 1), std::invalid_argument);
+  cfg = small_config();
+  cfg.days = 0;
+  EXPECT_THROW(DistributedSimulation(cfg, sink, 2, 1), std::invalid_argument);
+}
+
 /// Throws from its Nth append: a coordinator-side failure in the middle
 /// of the merge, while the workers are still simulating.
 class ThrowingSink final : public TraceSink {

@@ -108,6 +108,53 @@ TEST(ParallelSimulation, AutoGuardIdenticalAcrossThreadCounts) {
   expect_reports_equal(r1, r4);
 }
 
+TEST(ParallelSimulation, RunAppliesTheSetupDraws) {
+  // draw_setup is the only reader of the master stream: the engine's
+  // bootstrap is exactly the drawn file counts, and the draws are a pure
+  // function of the config (the distributed coordinator weighs its
+  // slices with a second call).
+  const auto cfg = small_config();
+  SetupDraws first = draw_setup(cfg);
+  SetupDraws second = draw_setup(cfg);
+  ASSERT_EQ(first.groups.size(), cfg.backend.shards);
+  ASSERT_EQ(first.users.size(), cfg.users);
+  ASSERT_EQ(second.groups.size(), first.groups.size());
+  ASSERT_EQ(second.users.size(), first.users.size());
+  for (std::size_t g = 0; g < first.groups.size(); ++g)
+    EXPECT_EQ(first.groups[g].next(), second.groups[g].next()) << g;
+  std::uint64_t drawn_files = 0;
+  std::size_t sharers = 0;
+  for (std::size_t i = 0; i < first.users.size(); ++i) {
+    SetupDraws::User& a = first.users[i];
+    SetupDraws::User& b = second.users[i];
+    EXPECT_EQ(a.profile.user_class, b.profile.user_class) << i;
+    EXPECT_EQ(a.profile.activity, b.profile.activity) << i;
+    EXPECT_EQ(a.profile.sessions_per_day, b.profile.sessions_per_day) << i;
+    EXPECT_EQ(a.profile.sharer, b.profile.sharer) << i;
+    EXPECT_EQ(a.rng.next(), b.rng.next()) << i;
+    EXPECT_EQ(a.peer, b.peer) << i;
+    EXPECT_EQ(a.bootstrap_files, b.bootstrap_files) << i;
+    EXPECT_EQ(a.bootstrap_at, b.bootstrap_at) << i;
+    EXPECT_EQ(a.first_arrival, b.first_arrival) << i;
+    // A peer is drawn for exactly the sharers, and never the sharer.
+    EXPECT_EQ(a.peer.has_value(), a.profile.sharer) << i;
+    if (a.peer) {
+      EXPECT_NE(*a.peer, i);
+    }
+    sharers += a.profile.sharer ? 1 : 0;
+    EXPECT_GE(a.bootstrap_at, -4 * kDay) << i;
+    EXPECT_LT(a.bootstrap_at, -2 * kDay) << i;
+    EXPECT_GT(a.first_arrival, 0) << i;
+    drawn_files += a.bootstrap_files;
+  }
+  EXPECT_GT(drawn_files, 0u);
+  EXPECT_GT(sharers, 0u);
+
+  SimulationReport report;
+  run_trace(cfg, 2, &report);
+  EXPECT_EQ(report.bootstrap_files, drawn_files);
+}
+
 TEST(ParallelSimulation, RepeatedRunsAreIdentical) {
   // Same config + same thread count twice: the engine must be a pure
   // function of the seed (no wall-clock, address, or scheduling leaks).
