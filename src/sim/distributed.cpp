@@ -427,7 +427,7 @@ class WorkerPeer final : public EpochPeer {
   }
 
   void write_chunk(
-      const std::vector<std::vector<TraceRecord>>& chunks,
+      const std::vector<PageVector<TraceRecord>>& chunks,
       const std::vector<std::vector<std::pair<Symbol, std::string>>>&
           new_symbols,
       std::size_t first_group, std::size_t group_count) override {
@@ -861,7 +861,7 @@ void relay_barriers(std::vector<Worker>& workers, std::size_t n_groups,
 }  // namespace
 
 void encode_chunk(
-    std::uint64_t seq, const std::vector<std::vector<TraceRecord>>& chunks,
+    std::uint64_t seq, const std::vector<PageVector<TraceRecord>>& chunks,
     const std::vector<std::vector<std::pair<Symbol, std::string>>>&
         new_symbols,
     std::size_t first_group, std::size_t group_count,
@@ -888,7 +888,7 @@ void encode_chunk(
   }
   std::size_t from = 0;
   for (std::size_t i = 0; i < group_count; ++i) {
-    const std::vector<TraceRecord>& records = chunks[first_group + i];
+    const PageVector<TraceRecord>& records = chunks[first_group + i];
     parts.emplace_back(meta.data() + from, cuts[i] - from);
     parts.emplace_back(reinterpret_cast<const std::uint8_t*>(records.data()),
                        records.size() * sizeof(TraceRecord));

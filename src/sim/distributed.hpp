@@ -69,6 +69,7 @@
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
 #include "trace/symbols.hpp"
+#include "util/page_alloc.hpp"
 
 namespace u1 {
 
@@ -87,7 +88,7 @@ namespace u1 {
 /// chunk buffer and never copied. The spans stay valid until `meta` or
 /// `chunks` changes.
 void encode_chunk(
-    std::uint64_t seq, const std::vector<std::vector<TraceRecord>>& chunks,
+    std::uint64_t seq, const std::vector<PageVector<TraceRecord>>& chunks,
     const std::vector<std::vector<std::pair<Symbol, std::string>>>&
         new_symbols,
     std::size_t first_group, std::size_t group_count,

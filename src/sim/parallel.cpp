@@ -282,7 +282,7 @@ void ParallelSimulation::bootstrap_phase(const SetupDraws& draws) {
   // gets full cross-group dedup.
   // Worker mode: swap buffer for shedding remote users' trace records;
   // it bounces capacity between sheds so the loop never reallocates.
-  std::vector<TraceRecord> shed_scratch;
+  PageVector<TraceRecord> shed_scratch;
   for (auto& grp : groups_) {
     grp->backend->set_dedup_proxy(&shared_dedup_->global());
     grp->pool_view->set_live(content_pool_.get());
@@ -511,7 +511,7 @@ void ParallelSimulation::fill_slot(FlushSlot& slot) {
 }
 
 void ParallelSimulation::prep_chunk(FlushSlot& slot, std::size_t group) {
-  std::vector<TraceRecord>& chunk = slot.chunks[group];
+  PageVector<TraceRecord>& chunk = slot.chunks[group];
   sort_trace_chunk(chunk);
   const std::vector<Symbol>& map = slot.sym_map[group];
   for (TraceRecord& r : chunk) r.label = map[r.label];
@@ -640,7 +640,7 @@ void ParallelSimulation::recycle_slot(FlushSlot& slot, bool release_all) {
   for (auto& chunk : slot.chunks) {
     if (chunk.capacity() > 0 &&
         (release_all || chunk.capacity() * sizeof(TraceRecord) > limit)) {
-      std::vector<TraceRecord>().swap(chunk);
+      PageVector<TraceRecord>().swap(chunk);
       ++phases_.ring_releases;
       released = true;
     } else {
@@ -650,7 +650,7 @@ void ParallelSimulation::recycle_slot(FlushSlot& slot, bool release_all) {
   // The plan's capacity is the largest epoch the slot carried, so it
   // goes with a burst chunk.
   if (slot.plan.capacity() > 0 && (release_all || released)) {
-    std::vector<MergeRef>().swap(slot.plan);
+    PageVector<MergeRef>().swap(slot.plan);
     ++phases_.ring_releases;
   } else {
     slot.plan.clear();
@@ -814,7 +814,7 @@ void ParallelSimulation::release_remote_groups() {
     grp.pool_view.reset();
     grp.injector.reset();
     grp.shards.clear();
-    std::vector<TraceRecord> dropped;
+    PageVector<TraceRecord> dropped;
     grp.trace.swap_records(dropped);  // remote bootstrap records
   }
 }

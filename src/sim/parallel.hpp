@@ -99,6 +99,7 @@
 #include "store/dedup_overlay.hpp"
 #include "trace/sink.hpp"
 #include "trace/symbols.hpp"
+#include "util/page_alloc.hpp"
 #include "workload/ddos.hpp"
 
 namespace u1 {
@@ -174,7 +175,7 @@ class EpochPeer {
   /// for every chunk up to s-K have returned (K = flush_depth(): the
   /// ring slot it reuses must be free).
   virtual void write_chunk(
-      const std::vector<std::vector<TraceRecord>>& chunks,
+      const std::vector<PageVector<TraceRecord>>& chunks,
       const std::vector<std::vector<std::pair<Symbol, std::string>>>&
           new_symbols,
       std::size_t first_group, std::size_t group_count) = 0;
@@ -386,9 +387,9 @@ class ParallelSimulation {
   /// remap, plan, guard scan; joined at the next barrier), then stage B
   /// (the plan into the sink), after which the slot may be refilled.
   struct FlushSlot {
-    std::vector<std::vector<TraceRecord>> chunks;  // per group
-    std::vector<std::vector<Symbol>> sym_map;      // local -> global ids
-    std::vector<MergeRef> plan;                    // merged permutation
+    std::vector<PageVector<TraceRecord>> chunks;  // per group
+    std::vector<std::vector<Symbol>> sym_map;     // local -> global ids
+    PageVector<MergeRef> plan;                    // merged permutation
     /// Worker mode only: per group, the symbols published at this
     /// chunk's barrier (global id in THIS process, string) — shipped to
     /// the peer so the coordinator can replay the table growth.

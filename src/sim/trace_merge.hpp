@@ -34,7 +34,8 @@ struct MergeRef {
 /// Stable-sorts one group's epoch chunk by timestamp, preserving the
 /// emission order of equal-timestamp records. The common case — an
 /// already-sorted chunk — costs one is_sorted scan and no moves.
-inline void sort_trace_chunk(std::vector<TraceRecord>& chunk) {
+template <typename Chunk>
+void sort_trace_chunk(Chunk& chunk) {
   const auto by_time = [](const TraceRecord& a, const TraceRecord& b) {
     return a.t < b.t;
   };
@@ -47,8 +48,8 @@ inline void sort_trace_chunk(std::vector<TraceRecord>& chunk) {
 /// capacity recycles across epochs) with one ref per record in the
 /// contract order above. The chunks are never touched beyond reading
 /// timestamps.
-template <typename Chunks>
-void build_merge_plan(const Chunks& chunks, std::vector<MergeRef>& plan) {
+template <typename Chunks, typename Plan>
+void build_merge_plan(const Chunks& chunks, Plan& plan) {
   plan.clear();
   std::size_t total = 0;
   for (const auto& chunk : chunks) total += chunk.size();
@@ -106,8 +107,8 @@ void build_merge_plan(const Chunks& chunks, std::vector<MergeRef>& plan) {
 /// sink as one append_batch and the per-record virtual call disappears
 /// from the write path. Every engine writes through here, so each sink
 /// sees the same batch boundaries.
-inline void write_merged(const std::vector<std::vector<TraceRecord>>& chunks,
-                         const std::vector<MergeRef>& plan, TraceSink& sink) {
+template <typename Chunks, typename Plan>
+void write_merged(const Chunks& chunks, const Plan& plan, TraceSink& sink) {
   const MergeRef* refs = plan.data();
   const std::size_t n = plan.size();
   for (std::size_t i = 0; i < n;) {

@@ -10,14 +10,13 @@
 #include <string>
 
 #include "proto/wire.hpp"
+#include "util/page_alloc.hpp"
 #include "util/sim_time.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
+#ifdef U1SIM_HAVE_MMAP
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define U1SIM_HAVE_MMAP 1
 #endif
 
 namespace u1 {
@@ -257,7 +256,7 @@ struct Cursor {
 //  16. rpc_op           u8[n]
 //  17. flags            u8[n] (bit0 update, bit1 dir, bit2 dedup, bit3 failed)
 
-std::uint8_t* encode_uuid_column(const std::vector<TraceRecord>& recs,
+std::uint8_t* encode_uuid_column(std::span<const TraceRecord> recs,
                                  const std::vector<std::uint32_t>& idx,
                                  Uuid TraceRecord::* member,
                                  std::uint8_t* p) {
@@ -294,7 +293,7 @@ std::uint8_t pack_flags(const TraceRecord& r) noexcept {
       (r.deduplicated ? 4u : 0u) | (r.failed ? 8u : 0u));
 }
 
-void encode_segment(const std::vector<TraceRecord>& recs,
+void encode_segment(std::span<const TraceRecord> recs,
                     const std::vector<std::uint32_t>& idx, SymbolDict& dict,
                     std::vector<std::uint8_t>& out) {
   // One worst-case reservation, then unchecked raw-pointer writes: the
@@ -540,10 +539,11 @@ bool load_sidecar(const std::filesystem::path& path,
 
 /// Appends one stripe's records to `out`, labels as file-local ids below
 /// `label_count`; on any error `out` is left as it was.
+template <typename Records>
 bool decode_stripe(const std::uint8_t* begin, const std::uint8_t* end,
                    std::uint32_t count, const std::uint32_t* type_counts,
                    std::uint8_t machine, std::uint16_t process,
-                   std::size_t label_count, std::vector<TraceRecord>& out) {
+                   std::size_t label_count, Records& out) {
   const std::size_t base = out.size();
   out.resize(base + count);
   Cursor c{begin, end};
@@ -624,7 +624,7 @@ namespace {
 
 /// Encodes `recs` as one stripe (header, then payload) into `out`,
 /// assigning dictionary ids to labels on first use.
-void encode_stripe(const std::vector<TraceRecord>& recs, SymbolDict& dict,
+void encode_stripe(std::span<const TraceRecord> recs, SymbolDict& dict,
                    std::vector<std::uint8_t>& out) {
   const auto count = static_cast<std::uint32_t>(recs.size());
   std::array<std::vector<std::uint32_t>, kRecordTypeCount> idx;
@@ -646,7 +646,10 @@ void encode_stripe(const std::vector<TraceRecord>& recs, SymbolDict& dict,
 
 /// One `.u1b` logfile and its `.u1s` sidecar. The full stripes are on
 /// disk as soon as they fill; the last, partial stripe stays in
-/// `pending_` until finish() writes it behind them.
+/// `pending_` until finish() writes it behind them. `pending_` is
+/// reserved at a whole stripe up front: at the default stripe size that
+/// is a mapping of its own (util/page_alloc.hpp), resident only as far
+/// as records fill it, never copied by growth, and unmapped by finish().
 class BinaryLogfile final : public LogfileSink::File {
  public:
   BinaryLogfile(const TraceRecord& first, const std::filesystem::path& stem,
@@ -656,6 +659,7 @@ class BinaryLogfile final : public LogfileSink::File {
         stripe_records_(stripe_records) {
     path_ = stem;
     path_ += kBinaryLogfileExt;
+    pending_.reserve(stripe_records_);
   }
 
   std::size_t add(const TraceRecord& record) override {
@@ -694,7 +698,7 @@ class BinaryLogfile final : public LogfileSink::File {
     put_le64(header.data() + 40, digest.digest());
     write(stripe, header.data());
     tail_bytes_ = stripe.size();
-    std::vector<TraceRecord>().swap(pending_);
+    PageVector<TraceRecord>().swap(pending_);
     return kFileHeaderBytes + payload_bytes_ + tail_bytes_ + write_sidecar();
   }
 
@@ -712,6 +716,7 @@ class BinaryLogfile final : public LogfileSink::File {
     std::vector<Symbol> local_to_global{kEmptySymbol};
     local_to_global.insert(local_to_global.end(), dict_.globals().begin(),
                            dict_.globals().end());
+    pending_.reserve(stripe_records_);
     if (!in ||
         !decode_stripe(stripe.data() + kStripeHeaderBytes,
                        stripe.data() + stripe.size(),
@@ -793,7 +798,7 @@ class BinaryLogfile final : public LogfileSink::File {
   std::uint64_t payload_bytes_ = 0;
   Xxh64 checksum_;  // over their payload bytes
   SymbolDict dict_;
-  std::vector<TraceRecord> pending_;  // the last stripe, arrival order
+  PageVector<TraceRecord> pending_;  // the last stripe, arrival order
   // What the last finish() wrote behind the full stripes: its bytes, and
   // the dictionary size before it assigned ids.
   std::size_t tail_bytes_ = 0;

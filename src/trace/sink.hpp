@@ -6,9 +6,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "trace/record.hpp"
+#include "util/page_alloc.hpp"
 
 namespace u1 {
 
@@ -30,7 +32,9 @@ class TraceSink {
   }
 };
 
-/// Keeps everything; for tests and small simulations.
+/// Keeps everything; for tests and small simulations, and each shard
+/// group's epoch trace buffer in the parallel engine. The records live in
+/// a PageVector, so a grown buffer's pages go back when it is freed.
 class InMemorySink final : public TraceSink {
  public:
   void append(const TraceRecord& record) override {
@@ -39,8 +43,12 @@ class InMemorySink final : public TraceSink {
   void append_batch(const TraceRecord* records, std::size_t count) override {
     records_.insert(records_.end(), records, records + count);
   }
-  const std::vector<TraceRecord>& records() const noexcept {
+  const PageVector<TraceRecord>& records() const noexcept {
     return records_;
+  }
+  /// Moves the records out, leaving the sink empty.
+  PageVector<TraceRecord> take_records() noexcept {
+    return std::move(records_);
   }
   void clear() noexcept { records_.clear(); }
   /// Records the backing store holds room for.
@@ -49,12 +57,12 @@ class InMemorySink final : public TraceSink {
   /// the parallel engine's flush pipeline uses to freeze an epoch's
   /// records while the next epoch keeps appending (both vectors keep
   /// their capacity, so steady state allocates nothing).
-  void swap_records(std::vector<TraceRecord>& other) noexcept {
+  void swap_records(PageVector<TraceRecord>& other) noexcept {
     records_.swap(other);
   }
 
  private:
-  std::vector<TraceRecord> records_;
+  PageVector<TraceRecord> records_;
 };
 
 /// Fans a record out to several sinks (none owned).

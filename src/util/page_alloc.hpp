@@ -1,0 +1,75 @@
+// An allocator whose big blocks go back to the kernel when freed.
+//
+// glibc serves a request below its mmap threshold from a malloc arena,
+// and a freed 16-33 MB buffer raises that threshold (up to 32 MB), so
+// the next epoch's buffers land in the heap and stay resident after
+// they are freed; per-thread arenas spread them further. The generate
+// path's big transient buffers (the flush ring's trace chunks, the
+// writer's stripe buffers) therefore allocate every block of
+// kPageAllocBytes or more as its own anonymous mapping: only the pages
+// touched are resident, and freeing the block unmaps them.
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <new>
+#include <vector>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#define U1SIM_HAVE_MMAP 1
+#endif
+
+namespace u1 {
+
+/// Blocks at least this large are mapped, smaller ones come from new.
+inline constexpr std::size_t kPageAllocBytes = std::size_t{128} << 10;
+
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+
+  PageAllocator() noexcept = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+#ifdef U1SIM_HAVE_MMAP
+    if (mapped(n)) {
+      if (n > static_cast<std::size_t>(-1) / sizeof(T))
+        throw std::bad_array_new_length();
+      void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      return static_cast<T*>(p);
+    }
+#endif
+    return std::allocator<T>().allocate(n);
+  }
+
+  void deallocate(T* p, std::size_t n) noexcept {
+#ifdef U1SIM_HAVE_MMAP
+    if (mapped(n)) {
+      ::munmap(p, n * sizeof(T));
+      return;
+    }
+#endif
+    std::allocator<T>().deallocate(p, n);
+  }
+
+  /// True when n elements take kPageAllocBytes or more.
+  static constexpr bool mapped(std::size_t n) noexcept {
+    return n >= (kPageAllocBytes + sizeof(T) - 1) / sizeof(T);
+  }
+
+  /// Stateless: any instance frees what any other allocated.
+  template <typename U>
+  bool operator==(const PageAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <typename T>
+using PageVector = std::vector<T, PageAllocator<T>>;
+
+}  // namespace u1

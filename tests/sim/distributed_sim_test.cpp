@@ -298,7 +298,7 @@ TraceRecord labelled(SimTime t, Symbol label) {
 /// Two local groups (global 3 and 4) defining worker ids 5 and 300 — the
 /// latter a two-byte varint — and records that use them.
 std::vector<std::uint8_t> encoded_chunk(std::uint64_t seq) {
-  std::vector<std::vector<TraceRecord>> chunks(5);
+  std::vector<PageVector<TraceRecord>> chunks(5);
   std::vector<std::vector<std::pair<Symbol, std::string>>> syms(5);
   syms[3] = {{5, ".jpg"}};
   chunks[3] = {labelled(1, 5), labelled(2, kEmptySymbol)};

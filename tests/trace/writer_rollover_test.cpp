@@ -21,6 +21,7 @@
 #include "trace/binlog.hpp"
 #include "trace/logfile.hpp"
 #include "util/csv.hpp"
+#include "util/page_alloc.hpp"
 
 namespace u1 {
 namespace {
@@ -261,6 +262,48 @@ TEST_F(WriterRollover, BufferedBytesCountUnfinishedDays) {
   add(2, 1);  // day 0 is joined, day 1 goes: 2 + 1 held
   bin.close();
   EXPECT_EQ(bin.buffered_bytes_max(), 5 * sizeof(TraceRecord));
+}
+
+TEST_F(WriterRollover, LateRecordReopensADefaultSizeStripe) {
+  // At the default stripe size a file's pending stripe is a mapping of
+  // its own, and reopen() decodes the last stripe back into it.
+  static_assert(PageAllocator<TraceRecord>::mapped(
+      BinaryLogfileWriter::kStripeRecords));
+  const std::uint64_t n = BinaryLogfileWriter::kStripeRecords + 1000;
+  std::vector<TraceRecord> records;
+  for (std::uint64_t i = 0; i < n; ++i)  // one full stripe, then 1000
+    records.push_back(
+        make_record(i, 0, 1, 1, static_cast<std::int64_t>(i % 1440)));
+  records.push_back(make_record(n, 0, 2, 1, 1));
+  records.push_back(make_record(n + 1, 1, 1, 1, 0));
+  records.push_back(make_record(n + 2, 2, 1, 1, 0));  // day 0 is finished
+  records.push_back(make_record(n + 3, 0, 1, 1, 1439, "late0"));
+  records.push_back(make_record(n + 4, 0, 1, 1, 1439));
+  records.push_back(make_record(n + 5, 0, 2, 1, 2, "late1"));
+
+  for (const auto& [name, in] :
+       {std::pair{"late", records}, std::pair{"grouped",
+                                              grouped_by_file(records)}}) {
+    BinaryLogfileWriter bin(dir_ / name);
+    bin.append_batch(in.data(), in.size());
+    bin.close();
+  }
+  const auto late = dir_contents(dir_ / "late");
+  ASSERT_EQ(late.size(), 2u * 4u);
+  EXPECT_TRUE(late == dir_contents(dir_ / "grouped"));
+
+  const fs::path day0 =
+      dir_ / "late" / (records.front().logname() + ".u1b");
+  std::vector<TraceRecord> decoded;
+  const ReadStats stats = read_binary_logfile(day0, decoded);
+  EXPECT_EQ(stats.malformed, 0u);
+  std::vector<TraceRecord> expected;
+  for (const TraceRecord& r : records)
+    if (r.logname() == records.front().logname()) expected.push_back(r);
+  ASSERT_EQ(decoded.size(), n + 2);
+  ASSERT_EQ(decoded.size(), expected.size());
+  for (std::size_t k = 0; k < decoded.size(); ++k)
+    ASSERT_EQ(decoded[k].to_csv(), expected[k].to_csv()) << k;
 }
 
 TEST_F(WriterRollover, DestructorWithoutCloseJoinsTheFinisher) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -47,10 +48,10 @@ ReadStats read_into(const std::string& dir, TraceSink& sink,
 }
 
 /// Reads every logfile into memory, time-ordered; prints parse stats.
-std::vector<TraceRecord> load(const std::string& dir, std::ostream& out) {
+PageVector<TraceRecord> load(const std::string& dir, std::ostream& out) {
   InMemorySink sink;
   read_into(dir, sink, out);
-  return sink.records();
+  return sink.take_records();
 }
 
 /// The structural checks `validate` makes, one record at a time.
@@ -88,7 +89,7 @@ class ValidateSink final : public TraceSink {
   std::unordered_map<std::uint64_t, SimTime> last_per_session_;
 };
 
-SimTime horizon_of(const std::vector<TraceRecord>& records) {
+SimTime horizon_of(std::span<const TraceRecord> records) {
   SimTime max_t = kDay;
   for (const TraceRecord& r : records) max_t = std::max(max_t, r.t);
   return max_t + 1;
