@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
   std::uint64_t records = 0;
   std::size_t effective_depth = 0;
   bool analysis_only = false;
+  ParallelSimulation::EpochPhases phases;
   {
     NullSink null;
     ParallelSimulation sim(cfg, null, threads);
@@ -146,6 +147,7 @@ int main(int argc, char** argv) {
     records = sim.records_flushed();
     effective_depth = sim.flush_depth();
     analysis_only = sim.analysis_only();
+    phases = sim.phases();
   }
   // Peak RSS of the measured pass — sampled before the oracle (which
   // deliberately holds O(records) state) can inflate it.
@@ -158,6 +160,8 @@ int main(int argc, char** argv) {
   std::printf("  peak_rss=%.1f MB heap_in_use=%.1f MB\n",
               static_cast<double>(rss_kb) / 1024.0,
               static_cast<double>(heap_kb) / 1024.0);
+  std::printf("  serial prefix: bootstrap=%.2fs bootstrap_flush=%.2fs\n",
+              phases.bootstrap_s, phases.bootstrap_flush_s);
   std::printf("  flush_depth=%zu (analysis_only=%s, auto-shrunk ring)\n",
               effective_depth, analysis_only ? "yes" : "no");
   std::printf("  activity: %zu users seen, %llu sessions closed, "
@@ -241,6 +245,9 @@ int main(int argc, char** argv) {
                  analysis_only ? "true" : "false");
     std::fprintf(f, "  \"flush_depth\": %zu,\n", effective_depth);
     std::fprintf(f, "  \"wall_s\": %.3f,\n", wall_s);
+    std::fprintf(f, "  \"bootstrap_s\": %.3f,\n", phases.bootstrap_s);
+    std::fprintf(f, "  \"bootstrap_flush_s\": %.3f,\n",
+                 phases.bootstrap_flush_s);
     std::fprintf(f, "  \"records\": %llu,\n",
                  static_cast<unsigned long long>(records));
     std::fprintf(f, "  \"records_per_sec\": %.0f,\n",

@@ -61,7 +61,7 @@ BENCHMARK(BM_StoreGetDelta)->Arg(100)->Arg(10000);
 void BM_ContentRegistryDedup(benchmark::State& state) {
   ContentRegistry reg;
   const ContentId id = Sha1::of("blob");
-  reg.insert(id, 1024, "k");
+  reg.insert(id, 1024);
   for (auto _ : state) {
     benchmark::DoNotOptimize(reg.lookup(id, 1024));
   }

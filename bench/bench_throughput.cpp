@@ -224,11 +224,12 @@ void print_phases(const RunResult& r, u1::TraceFormat format) {
   const auto& p = r.phases;
   std::printf("    phases: epochs=%llu compute=%.2fs merge=%.2fs "
               "flush=%.2fs write=%.2fs flush_stall=%.2fs ring_stall=%.2fs "
-              "plan_rebuilds=%llu\n",
+              "plan_rebuilds=%llu bootstrap=%.2fs bootstrap_flush=%.2fs\n",
               static_cast<unsigned long long>(p.epochs), p.compute_s,
               p.merge_s, p.flush_s, p.write_s, p.flush_stall_s,
               p.ring_stall_s,
-              static_cast<unsigned long long>(p.plan_rebuilds));
+              static_cast<unsigned long long>(p.plan_rebuilds),
+              p.bootstrap_s, p.bootstrap_flush_s);
   const double per_find = p.cal_finds > 0
                               ? static_cast<double>(p.cal_scanned) /
                                     static_cast<double>(p.cal_finds)
@@ -449,7 +450,8 @@ int main(int argc, char** argv) {
           "\"plan_rebuilds\": %llu, \"cal_rebuilds\": %llu, "
           "\"cal_finds\": %llu, \"cal_scanned\": %llu, "
           "\"cal_scanned_per_find\": %.2f, \"ring_bytes\": %llu, "
-          "\"ring_bytes_max\": %llu, \"ring_releases\": %llu}",
+          "\"ring_bytes_max\": %llu, \"ring_releases\": %llu, "
+          "\"bootstrap_s\": %.3f, \"bootstrap_flush_s\": %.3f}",
           r.threads, r.wall_min(), r.wall_median(),
           static_cast<unsigned long long>(r.records),
           static_cast<unsigned long long>(r.bytes),
@@ -466,7 +468,8 @@ int main(int argc, char** argv) {
                           : 0.0,
           static_cast<unsigned long long>(p.ring_bytes),
           static_cast<unsigned long long>(p.ring_bytes_max),
-          static_cast<unsigned long long>(p.ring_releases));
+          static_cast<unsigned long long>(p.ring_releases), p.bootstrap_s,
+          p.bootstrap_flush_s);
       if (format == TraceFormat::kBinary)
         std::fprintf(f, ",\n     \"writer_buffered_bytes_max\": %llu",
                      static_cast<unsigned long long>(r.writer_buffered_max));

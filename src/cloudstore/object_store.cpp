@@ -1,32 +1,24 @@
 #include "cloudstore/object_store.hpp"
 
-#include <stdexcept>
-
 namespace u1 {
 
-void ObjectStore::put(const std::string& key, std::uint64_t size_bytes,
+void ObjectStore::put(const ContentId& content, std::uint64_t size_bytes,
                       SimTime now) {
-  auto it = objects_.find(key);
-  if (it != objects_.end()) {
-    stored_bytes_ -= it->second.size_bytes;
-    it->second.size_bytes = size_bytes;
-    it->second.stored_at = now;
-  } else {
-    objects_.emplace(key, StoredObject{key, size_bytes, now});
-  }
-  stored_bytes_ += size_bytes;
+  StoredObject& obj = objects_[content];
+  stored_bytes_ += size_bytes - obj.size_bytes;
+  obj = StoredObject{size_bytes, now};
   ++puts_;
 }
 
-std::optional<StoredObject> ObjectStore::get(const std::string& key) const {
+std::optional<StoredObject> ObjectStore::get(const ContentId& content) const {
   ++gets_;
-  const auto it = objects_.find(key);
+  const auto it = objects_.find(content);
   if (it == objects_.end()) return std::nullopt;
   return it->second;
 }
 
-bool ObjectStore::remove(const std::string& key) {
-  const auto it = objects_.find(key);
+bool ObjectStore::remove(const ContentId& content) {
+  const auto it = objects_.find(content);
   if (it == objects_.end()) return false;
   stored_bytes_ -= it->second.size_bytes;
   objects_.erase(it);
@@ -34,14 +26,15 @@ bool ObjectStore::remove(const std::string& key) {
   return true;
 }
 
-bool ObjectStore::exists(const std::string& key) const {
-  return objects_.contains(key);
+bool ObjectStore::exists(const ContentId& content) const {
+  return objects_.contains(content);
 }
 
-std::string ObjectStore::initiate_multipart(const std::string& key,
+std::string ObjectStore::initiate_multipart(const ContentId& content,
                                             SimTime now) {
   const std::string upload_id = "mpu-" + std::to_string(next_upload_seq_++);
-  multiparts_.emplace(upload_id, MultipartUpload{upload_id, key, 0, 0, now});
+  multiparts_.emplace(upload_id,
+                      MultipartUpload{upload_id, content, 0, 0, now});
   return upload_id;
 }
 
@@ -60,8 +53,8 @@ std::optional<StoredObject> ObjectStore::complete_multipart(
   const auto it = multiparts_.find(upload_id);
   if (it == multiparts_.end()) return std::nullopt;
   if (it->second.parts == 0) return std::nullopt;
-  put(it->second.key, it->second.bytes, now);
-  const StoredObject obj = objects_.at(it->second.key);
+  const StoredObject obj{it->second.bytes, now};
+  put(it->second.content, obj.size_bytes, now);
   multiparts_.erase(it);
   return obj;
 }

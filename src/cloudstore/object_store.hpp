@@ -3,6 +3,10 @@
 // uses — simple put/get/delete plus the multipart upload protocol that
 // drives the uploadjob state machine of appendix A. Objects carry sizes,
 // not payloads: the paper's analyses never look inside file contents.
+//
+// Blobs are keyed by their ContentId. U1's S3 key is the id's hex
+// (ContentId::hex()), rendered only where something prints it, so the
+// store never holds the 40-character string.
 #pragma once
 
 #include <cstdint>
@@ -10,13 +14,12 @@
 #include <string>
 #include <unordered_map>
 
-#include "util/rng.hpp"
+#include "proto/ids.hpp"
 #include "util/sim_time.hpp"
 
 namespace u1 {
 
 struct StoredObject {
-  std::string key;
   std::uint64_t size_bytes = 0;
   SimTime stored_at = 0;
 };
@@ -24,7 +27,7 @@ struct StoredObject {
 /// An in-flight multipart upload (S3-side state).
 struct MultipartUpload {
   std::string upload_id;
-  std::string key;
+  ContentId content;
   std::uint32_t parts = 0;
   std::uint64_t bytes = 0;
   SimTime initiated_at = 0;
@@ -40,15 +43,15 @@ class ObjectStore {
 
   // --- simple objects -----------------------------------------------------
   /// Stores (or overwrites) an object.
-  void put(const std::string& key, std::uint64_t size_bytes, SimTime now);
-  std::optional<StoredObject> get(const std::string& key) const;
-  /// Returns false if the key did not exist.
-  bool remove(const std::string& key);
-  bool exists(const std::string& key) const;
+  void put(const ContentId& content, std::uint64_t size_bytes, SimTime now);
+  std::optional<StoredObject> get(const ContentId& content) const;
+  /// Returns false if the object did not exist.
+  bool remove(const ContentId& content);
+  bool exists(const ContentId& content) const;
 
   // --- multipart upload (appendix A) ---------------------------------------
   /// InitiateMultipartUpload: returns the upload id.
-  std::string initiate_multipart(const std::string& key, SimTime now);
+  std::string initiate_multipart(const ContentId& content, SimTime now);
   /// UploadPart: false for unknown upload ids or zero-sized parts. Bad
   /// requests are service errors the caller retries or aborts — never a
   /// crash (an injected fault can race an upload with its own teardown).
@@ -86,7 +89,7 @@ class ObjectStore {
   double monthly_bill_usd(double usd_per_gb_month = 0.03) const noexcept;
 
  private:
-  std::unordered_map<std::string, StoredObject> objects_;
+  std::unordered_map<ContentId, StoredObject> objects_;
   std::unordered_map<std::string, MultipartUpload> multiparts_;
   std::uint64_t stored_bytes_ = 0;
   std::uint64_t puts_ = 0;

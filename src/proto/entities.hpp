@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "proto/ids.hpp"
@@ -18,18 +17,22 @@ std::string_view to_string(NodeKind k) noexcept;
 
 /// A file or directory entry. `generation` is the volume generation at
 /// which the node last changed — clients use generations to compute deltas
-/// on reconnect (§3.4.2 "generation point").
+/// on reconnect (§3.4.2 "generation point"). Holds no strings, so copies
+/// (get_delta, get_node) are plain memcpys.
 struct Node {
   NodeId id;
   VolumeId volume;
   NodeId parent;       // nil for a volume root directory
-  NodeKind kind = NodeKind::kFile;
   UserId owner;
-  /// Anonymized name: the trace carries hashed file names; we keep the
-  /// extension (needed for Fig. 4) and a hash of the rest.
-  std::string name_hash;
-  std::string extension;  // lowercase, without dot; empty for dirs
+  /// Anonymized name: the trace carries hashed file names; we keep a
+  /// 64-bit hash of the client's name (Shard::name_hash_of) and the
+  /// extension (needed for Fig. 4).
+  std::uint64_t name_hash = 0;
+  /// Lowercase, without dot; empty for dirs. Views the owning shard's
+  /// extension interner, so it stays valid while that shard lives.
+  std::string_view extension;
   ContentId content;      // nil-ish (all-zero) until first upload
+  NodeKind kind = NodeKind::kFile;
   std::uint64_t size_bytes = 0;
   std::uint64_t generation = 0;
   SimTime created_at = 0;

@@ -682,10 +682,9 @@ Response U1Backend::do_make(const Request& q) {
   }
   const Node node =
       is_file ? store_.make_file(ctx.session.user, volume, parent,
-                                 std::string(q.name_hash_view()),
-                                 std::string(q.extension_view()), now)
+                                 q.name_hash_view(), q.extension_view(), now)
               : store_.make_dir(ctx.session.user, volume, parent,
-                                std::string(q.name_hash_view()), now);
+                                q.name_hash_view(), now);
   const SimTime end =
       run_rpc(is_file ? RpcOp::kMakeFile : RpcOp::kMakeDir, ctx, now);
   partial.node = node.id;
@@ -725,7 +724,7 @@ Response U1Backend::do_unlink(const Request& q) {
   SimTime end = run_rpc(RpcOp::kUnlinkNode, ctx, now);
   // The API server finishes by deleting dead blobs from Amazon S3 (§3.2).
   for (const ContentInfo& blob : dead) {
-    s3_.remove(blob.s3_key);
+    s3_.remove(blob.id);
     store_.purge_content(blob.id);
     end = s3_latency(end);
   }
@@ -806,7 +805,7 @@ Response U1Backend::do_delete_volume(const Request& q) {
   const auto dead = store_.delete_volume(ctx.session.user, volume);
   SimTime end = run_rpc(RpcOp::kDeleteVolume, ctx, now);
   for (const ContentInfo& blob : dead) {
-    s3_.remove(blob.s3_key);
+    s3_.remove(blob.id);
     store_.purge_content(blob.id);
     end = s3_latency(end);
   }
@@ -873,7 +872,7 @@ Response U1Backend::do_upload(const Request& q) {
 
   if (dedup_hit) {
     // Logical link only; no data crosses the wire (§3.3).
-    store_.make_content(ctx.session.user, node, eff, size_bytes, eff.hex());
+    store_.make_content(ctx.session.user, node, eff, size_bytes);
     t = run_rpc(RpcOp::kMakeContent, ctx, t);
     ++stats_.dedup_hits;
   } else {
@@ -885,13 +884,12 @@ Response U1Backend::do_upload(const Request& q) {
                     static_cast<double>(size_bytes) *
                     config_.delta_update_fraction));
     }
-    const std::string s3_key = eff.hex();
     if (wire > kMultipartChunkBytes) {
       // Multipart upload state machine (appendix A, Fig. 17).
       const UploadJob job =
           store_.make_uploadjob(ctx.session.user, node, eff, wire, t);
       t = run_rpc(RpcOp::kMakeUploadJob, ctx, t);
-      const std::string mpu = s3_.initiate_multipart(s3_key, t);
+      const std::string mpu = s3_.initiate_multipart(eff, t);
       t = s3_latency(t);
       store_.set_uploadjob_multipart_id(ctx.session.user, job.id, mpu);
       t = run_rpc(RpcOp::kSetUploadJobMultipartId, ctx, t);
@@ -919,13 +917,13 @@ Response U1Backend::do_upload(const Request& q) {
       }
       s3_.complete_multipart(mpu, t);
       t = s3_latency(t);
-      const auto dead = store_.make_content(ctx.session.user, node, eff,
-                                            size_bytes, s3_key);
+      const auto dead =
+          store_.make_content(ctx.session.user, node, eff, size_bytes);
       t = run_rpc(RpcOp::kMakeContent, ctx, t);
       store_.delete_uploadjob(ctx.session.user, job.id);
       t = run_rpc(RpcOp::kDeleteUploadJob, ctx, t);
       if (dead) {
-        s3_.remove(dead->s3_key);
+        s3_.remove(dead->id);
         store_.purge_content(dead->id);
       }
     } else {
@@ -951,13 +949,13 @@ Response U1Backend::do_upload(const Request& q) {
         return make_response(q.op, Status::kInterrupted, fail_end);
       }
       t = arrive;
-      s3_.put(s3_key, size_bytes, t);
+      s3_.put(eff, size_bytes, t);
       t = s3_latency(t);
-      const auto dead = store_.make_content(ctx.session.user, node, eff,
-                                            size_bytes, s3_key);
+      const auto dead =
+          store_.make_content(ctx.session.user, node, eff, size_bytes);
       t = run_rpc(RpcOp::kMakeContent, ctx, t);
       if (dead) {
-        s3_.remove(dead->s3_key);
+        s3_.remove(dead->id);
         store_.purge_content(dead->id);
       }
     }
@@ -1102,16 +1100,15 @@ Response U1Backend::do_resume_upload(const Request& q) {
     return res;
   }
 
-  const std::string s3_key = job->content.hex();
   s3_.complete_multipart(job->multipart_id, t);
   t = s3_latency(t);
   const auto dead = store_.make_content(ctx.session.user, node, job->content,
-                                        size_bytes, s3_key);
+                                        size_bytes);
   t = run_rpc(RpcOp::kMakeContent, ctx, t);
   store_.delete_uploadjob(ctx.session.user, job_id);
   t = run_rpc(RpcOp::kDeleteUploadJob, ctx, t);
   if (dead) {
-    s3_.remove(dead->s3_key);
+    s3_.remove(dead->id);
     store_.purge_content(dead->id);
   }
   ++stats_.resumed_uploads;
@@ -1232,7 +1229,7 @@ void U1Backend::admin_purge_user(UserId user, SimTime now) {
     const Shard& shard = store_.shard(store_.shard_of(user));
     for (const NodeId child : shard.children_of(root)) {
       for (const ContentInfo& blob : store_.unlink_node(user, child)) {
-        s3_.remove(blob.s3_key);
+        s3_.remove(blob.id);
         store_.purge_content(blob.id);
       }
     }

@@ -72,7 +72,7 @@ class ClientAgent {
     NodeId node;
     VolumeId volume;
     NodeId parent;
-    std::string extension;
+    std::string_view extension;  // the file model's static catalog
     FileCategory category = FileCategory::kOther;
     ContentId content;  // last uploaded hash (same-content re-uploads)
     std::uint64_t size = 0;

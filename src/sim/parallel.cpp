@@ -616,7 +616,17 @@ void ParallelSimulation::run_stage_b(FlushSlot& slot, bool release_all) {
     phases_.write_s += secs_since(t0);
     return;
   }
-  write_merged(slot.chunks, slot.plan, *sink_);
+  if (release_all) {
+    // The bootstrap flush frees its chunks once written, so each group's
+    // written prefix goes back to the kernel as the writes pass it.
+    std::vector<std::size_t> released(slot.chunks.size(), 0);
+    write_merged(slot.chunks, slot.plan, *sink_,
+                 [&](std::uint32_t group, std::uint32_t end) {
+                   release_prefix(slot.chunks[group], end, released[group]);
+                 });
+  } else {
+    write_merged(slot.chunks, slot.plan, *sink_);
+  }
   recycle_slot(slot, release_all);
   phases_.write_s += secs_since(t0);
 }
@@ -958,17 +968,21 @@ SimulationReport ParallelSimulation::run() {
 
   {
     // Drawn here, not in the constructor, which stays cheap.
+    const auto t0 = Clock::now();
     const SetupDraws draws = draw_setup(config_);
     build_groups(draws);
     register_population(draws);
     grant_shares(draws);
     bootstrap_phase(draws);
     schedule_population_start(draws);
+    phases_.bootstrap_s = secs_since(t0);
   }
   // Bootstrap records: merged and written once, pre-pipeline (no flush
   // task or worker runs yet, so the slot runs both stages inline).
   // No epoch needs buffers that size again, so the slot frees them all.
+  const auto flush_t0 = Clock::now();
   flush_inline(/*release_all=*/true);
+  phases_.bootstrap_flush_s = secs_since(flush_t0);
   if (peer_ != nullptr) release_remote_groups();
 
   const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;

@@ -216,6 +216,13 @@ class ParallelSimulation {
     /// Buffers stage B freed instead of keeping for reuse: every chunk
     /// and the plan of the bootstrap flush, then burst-sized ones.
     std::uint64_t ring_releases = 0;
+    /// The serial prefix of run(), before the first epoch: the setup
+    /// (draw_setup through schedule_population_start, the bootstrap
+    /// uploads included), which no field above counts, and the bootstrap
+    /// records' inline flush, whose two stages flush_s and write_s
+    /// count too.
+    double bootstrap_s = 0;
+    double bootstrap_flush_s = 0;
   };
 
   /// threads == 0 resolves to std::thread::hardware_concurrency().

@@ -22,6 +22,7 @@
 
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
+#include "util/page_alloc.hpp"
 
 namespace u1 {
 
@@ -34,13 +35,41 @@ struct MergeRef {
 /// Stable-sorts one group's epoch chunk by timestamp, preserving the
 /// emission order of equal-timestamp records. The common case — an
 /// already-sorted chunk — costs one is_sorted scan and no moves.
+/// Otherwise it sorts 16-byte (t, index) keys — the index breaks ties,
+/// so the order is stable_sort's — and then moves each 128-byte record
+/// once along the permutation's cycles, instead of merge-sorting the
+/// records through a half-chunk temporary buffer.
 template <typename Chunk>
 void sort_trace_chunk(Chunk& chunk) {
   const auto by_time = [](const TraceRecord& a, const TraceRecord& b) {
     return a.t < b.t;
   };
-  if (!std::is_sorted(chunk.begin(), chunk.end(), by_time))
-    std::stable_sort(chunk.begin(), chunk.end(), by_time);
+  if (std::is_sorted(chunk.begin(), chunk.end(), by_time)) return;
+  struct Key {
+    SimTime t;
+    std::size_t index;  // the record's position before the sort
+  };
+  const std::size_t n = chunk.size();
+  PageVector<Key> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = Key{chunk[i].t, i};
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return a.t != b.t ? a.t < b.t : a.index < b.index;
+  });
+  // Position i takes the record at keys[i].index. Walk each cycle once,
+  // marking filled positions with their own index.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (keys[i].index == i) continue;
+    const TraceRecord held = chunk[i];
+    std::size_t hole = i;
+    for (;;) {
+      const std::size_t from = keys[hole].index;
+      keys[hole].index = hole;
+      if (from == i) break;
+      chunk[hole] = chunk[from];
+      hole = from;
+    }
+    chunk[hole] = held;
+  }
 }
 
 /// K-way merge over per-group chunks, each individually stable-sorted by
@@ -106,9 +135,13 @@ void build_merge_plan(const Chunks& chunks, Plan& plan) {
 /// between two other-group timestamps), so each maximal run goes to the
 /// sink as one append_batch and the per-record virtual call disappears
 /// from the write path. Every engine writes through here, so each sink
-/// sees the same batch boundaries.
-template <typename Chunks, typename Plan>
-void write_merged(const Chunks& chunks, const Plan& plan, TraceSink& sink) {
+/// sees the same batch boundaries. After each batch, `written(group,
+/// end)` learns that the group's records before offset `end` are all
+/// written (a group's offsets come in ascending order).
+template <typename Chunks, typename Plan,
+          typename Written = void (*)(std::uint32_t, std::uint32_t)>
+void write_merged(const Chunks& chunks, const Plan& plan, TraceSink& sink,
+                  Written&& written = [](std::uint32_t, std::uint32_t) {}) {
   const MergeRef* refs = plan.data();
   const std::size_t n = plan.size();
   for (std::size_t i = 0; i < n;) {
@@ -119,6 +152,7 @@ void write_merged(const Chunks& chunks, const Plan& plan, TraceSink& sink) {
            refs[j].offset == refs[j - 1].offset + 1)
       ++j;
     sink.append_batch(&chunks[group][first], j - i);
+    written(group, refs[j - 1].offset + 1);
     i = j;
   }
 }

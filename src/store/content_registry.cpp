@@ -12,10 +12,9 @@ std::optional<ContentInfo> ContentRegistry::lookup(
   return it->second;
 }
 
-bool ContentRegistry::insert(const ContentId& id, std::uint64_t size_bytes,
-                             std::string s3_key) {
-  const auto [it, inserted] = table_.try_emplace(
-      id, ContentInfo{id, size_bytes, 0, std::move(s3_key)});
+bool ContentRegistry::insert(const ContentId& id, std::uint64_t size_bytes) {
+  const auto [it, inserted] =
+      table_.try_emplace(id, ContentInfo{id, size_bytes, 0});
   if (inserted) unique_bytes_ += size_bytes;
   return inserted;
 }

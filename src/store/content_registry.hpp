@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 
 #include "proto/ids.hpp"
@@ -20,8 +19,6 @@ struct ContentInfo {
   std::uint64_t size_bytes = 0;
   /// Number of live file nodes pointing at this content.
   std::uint64_t refcount = 0;
-  /// Object key in the (simulated) S3 bucket.
-  std::string s3_key;
 };
 
 class ContentRegistry final : public DedupProxy {
@@ -35,8 +32,7 @@ class ContentRegistry final : public DedupProxy {
   /// Registers new content (refcount starts at 0; link() attaches nodes).
   /// Returns false if the content already existed (caller should link()
   /// instead of uploading).
-  bool insert(const ContentId& id, std::uint64_t size_bytes,
-              std::string s3_key) override;
+  bool insert(const ContentId& id, std::uint64_t size_bytes) override;
 
   /// Adds one reference. Throws std::out_of_range for unknown content.
   void link(const ContentId& id) override;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "proto/wire.hpp"
 
@@ -16,27 +15,24 @@ DedupOverlay::View& DedupOverlay::view_of(const ContentId& id) const {
     v.present = true;
     v.refcount = info->refcount;
     v.size_bytes = info->size_bytes;
-    v.s3_key = info->s3_key;
   }
-  return views_.emplace(id, std::move(v)).first->second;
+  return views_.emplace(id, v).first->second;
 }
 
 std::optional<ContentInfo> DedupOverlay::lookup(
     const ContentId& id, std::uint64_t size_bytes) const {
   const View& v = view_of(id);
   if (!v.present || v.size_bytes != size_bytes) return std::nullopt;
-  return ContentInfo{id, v.size_bytes, v.refcount, v.s3_key};
+  return ContentInfo{id, v.size_bytes, v.refcount};
 }
 
-bool DedupOverlay::insert(const ContentId& id, std::uint64_t size_bytes,
-                          std::string s3_key) {
+bool DedupOverlay::insert(const ContentId& id, std::uint64_t size_bytes) {
   View& v = view_of(id);
   if (v.present) return false;
   v.present = true;
   v.refcount = 0;
   v.size_bytes = size_bytes;
-  v.s3_key = s3_key;
-  log_.push_back(Op{OpKind::kInsert, id, size_bytes, std::move(s3_key)});
+  log_.push_back(Op{OpKind::kInsert, id, size_bytes});
   return true;
 }
 
@@ -44,7 +40,7 @@ void DedupOverlay::link(const ContentId& id) {
   View& v = view_of(id);
   if (!v.present) throw std::out_of_range("DedupOverlay::link: unknown content");
   ++v.refcount;
-  log_.push_back(Op{OpKind::kLink, id, v.size_bytes, v.s3_key});
+  log_.push_back(Op{OpKind::kLink, id, v.size_bytes});
 }
 
 std::optional<ContentInfo> DedupOverlay::unlink(const ContentId& id) {
@@ -54,8 +50,8 @@ std::optional<ContentInfo> DedupOverlay::unlink(const ContentId& id) {
   if (v.refcount == 0)
     throw std::logic_error("DedupOverlay::unlink: refcount already zero");
   --v.refcount;
-  log_.push_back(Op{OpKind::kUnlink, id, v.size_bytes, v.s3_key});
-  if (v.refcount == 0) return ContentInfo{id, v.size_bytes, 0, v.s3_key};
+  log_.push_back(Op{OpKind::kUnlink, id, v.size_bytes});
+  if (v.refcount == 0) return ContentInfo{id, v.size_bytes, 0};
   return std::nullopt;
 }
 
@@ -65,7 +61,7 @@ void DedupOverlay::erase(const ContentId& id) {
   if (v.refcount != 0)
     throw std::logic_error("DedupOverlay::erase: still referenced");
   v.present = false;
-  log_.push_back(Op{OpKind::kErase, id, v.size_bytes, v.s3_key});
+  log_.push_back(Op{OpKind::kErase, id, v.size_bytes});
 }
 
 SharedDedup::SharedDedup(std::size_t groups) {
@@ -76,20 +72,19 @@ SharedDedup::SharedDedup(std::size_t groups) {
 }
 
 void SharedDedup::replay_op(DedupOverlay::OpKind kind, const ContentId& id,
-                            std::uint64_t size_bytes, std::string s3_key,
+                            std::uint64_t size_bytes,
                             const DeadBlobFn& on_dead_blob) {
   // The replay is tolerant of cross-group interleavings the overlays
   // could not see: two groups inserting the same blob, or jointly
   // dropping a blob's last references.
   switch (kind) {
     case DedupOverlay::OpKind::kInsert:
-      global_.insert(id, size_bytes, std::move(s3_key));
+      global_.insert(id, size_bytes);
       break;
     case DedupOverlay::OpKind::kLink:
       // Re-materialize if another group erased it this epoch (the
       // overlay validated the link against its own frozen view).
-      if (global_.find(id) == nullptr)
-        global_.insert(id, size_bytes, std::move(s3_key));
+      if (global_.find(id) == nullptr) global_.insert(id, size_bytes);
       global_.link(id);
       break;
     case DedupOverlay::OpKind::kUnlink: {
@@ -114,9 +109,8 @@ void SharedDedup::replay_op(DedupOverlay::OpKind kind, const ContentId& id,
 void SharedDedup::merge_epoch(const DeadBlobFn& on_dead_blob) {
   // Replay in fixed group order.
   for (auto& overlay : overlays_) {
-    for (DedupOverlay::Op& op : overlay->log_)
-      replay_op(op.kind, op.id, op.size_bytes, std::move(op.s3_key),
-                on_dead_blob);
+    for (const DedupOverlay::Op& op : overlay->log_)
+      replay_op(op.kind, op.id, op.size_bytes, on_dead_blob);
     overlay->log_.clear();
     overlay->views_.clear();
   }
@@ -125,16 +119,12 @@ void SharedDedup::merge_epoch(const DeadBlobFn& on_dead_blob) {
 std::vector<std::uint8_t> SharedDedup::extract_log(std::size_t group) {
   DedupOverlay& overlay = *overlays_[group];
   std::vector<std::uint8_t> out;
-  out.reserve(16 + overlay.log_.size() * 32);
+  out.reserve(16 + overlay.log_.size() * 26);
   wire::put_varint(out, overlay.log_.size());
   for (const DedupOverlay::Op& op : overlay.log_) {
     out.push_back(static_cast<std::uint8_t>(op.kind));
     wire::put_raw(out, op.id.bytes.data(), op.id.bytes.size());
     wire::put_varint(out, op.size_bytes);
-    wire::put_varint(out, op.s3_key.size());
-    wire::put_raw(out,
-                  reinterpret_cast<const std::uint8_t*>(op.s3_key.data()),
-                  op.s3_key.size());
   }
   overlay.log_.clear();
   overlay.views_.clear();
@@ -155,16 +145,8 @@ void SharedDedup::apply_log(std::span<const std::uint8_t> bytes,
     if (const std::uint8_t* p = c.take(id.bytes.size()))
       std::copy(p, p + id.bytes.size(), id.bytes.begin());
     const std::uint64_t size_bytes = c.varint();
-    const std::uint64_t key_len = c.varint();
-    if (!c.ok || key_len > static_cast<std::uint64_t>(c.end - c.p)) {
-      c.ok = false;
-      break;
-    }
-    const std::uint8_t* key = c.take(static_cast<std::size_t>(key_len));
     if (!c.ok) break;
     replay_op(static_cast<DedupOverlay::OpKind>(kind), id, size_bytes,
-              std::string(reinterpret_cast<const char*>(key),
-                          static_cast<std::size_t>(key_len)),
               on_dead_blob);
   }
   if (!c.ok || c.p != c.end)

@@ -25,7 +25,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -43,8 +42,7 @@ class DedupOverlay final : public DedupProxy {
  public:
   std::optional<ContentInfo> lookup(const ContentId& id,
                                     std::uint64_t size_bytes) const override;
-  bool insert(const ContentId& id, std::uint64_t size_bytes,
-              std::string s3_key) override;
+  bool insert(const ContentId& id, std::uint64_t size_bytes) override;
   void link(const ContentId& id) override;
   std::optional<ContentInfo> unlink(const ContentId& id) override;
   void erase(const ContentId& id) override;
@@ -59,14 +57,12 @@ class DedupOverlay final : public DedupProxy {
     OpKind kind;
     ContentId id;
     std::uint64_t size_bytes = 0;
-    std::string s3_key;
   };
   /// Lazily materialized view of one content id (frozen global + deltas).
   struct View {
     bool present = false;
     std::uint64_t refcount = 0;
     std::uint64_t size_bytes = 0;
-    std::string s3_key;
   };
 
   explicit DedupOverlay(const ContentRegistry* global) : global_(global) {}
@@ -102,7 +98,8 @@ class SharedDedup {
   /// Distributed barrier support (DESIGN.md §12): serializes one
   /// overlay's epoch op log and clears the overlay — the worker-side
   /// half of merge_epoch. Wire format: varint op count, then per op
-  /// kind:u8, id:20B raw, size:varint, s3_key:varint-length + bytes.
+  /// kind:u8, id:20B raw, size:varint. Blobs are keyed by id alone, so
+  /// no S3 key travels.
   std::vector<std::uint8_t> extract_log(std::size_t group);
   /// Replays one serialized op log into the global registry with
   /// merge_epoch's tolerant cross-group semantics. Every process applies
@@ -114,8 +111,7 @@ class SharedDedup {
 
  private:
   void replay_op(DedupOverlay::OpKind kind, const ContentId& id,
-                 std::uint64_t size_bytes, std::string s3_key,
-                 const DeadBlobFn& on_dead_blob);
+                 std::uint64_t size_bytes, const DeadBlobFn& on_dead_blob);
 
   ContentRegistry global_;
   std::vector<std::unique_ptr<DedupOverlay>> overlays_;

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
 #include "proto/ids.hpp"
 
@@ -23,8 +22,7 @@ class DedupProxy {
   virtual std::optional<ContentInfo> lookup(const ContentId& id,
                                             std::uint64_t size_bytes) const = 0;
   /// Registers new content; false if it already existed.
-  virtual bool insert(const ContentId& id, std::uint64_t size_bytes,
-                      std::string s3_key) = 0;
+  virtual bool insert(const ContentId& id, std::uint64_t size_bytes) = 0;
   /// Adds one node reference.
   virtual void link(const ContentId& id) = 0;
   /// Drops one reference; returns the blob when the count hits zero.

@@ -124,22 +124,22 @@ std::vector<Node> MetadataStore::get_from_scratch(UserId owner,
 }
 
 Node MetadataStore::make_dir(UserId user, VolumeId volume, NodeId parent,
-                             std::string name_hash, SimTime now) {
+                             std::string_view name, SimTime now) {
   reset_touched();
   Shard& s = route(user);
   touch(s.id());
   return s.make_node(user, volume, parent, NodeKind::kDirectory,
-                     std::move(name_hash), "", now, rng_);
+                     name, {}, now, rng_);
 }
 
 Node MetadataStore::make_file(UserId user, VolumeId volume, NodeId parent,
-                              std::string name_hash, std::string extension,
-                              SimTime now) {
+                              std::string_view name,
+                              std::string_view extension, SimTime now) {
   reset_touched();
   Shard& s = route(user);
   touch(s.id());
   return s.make_node(user, volume, parent, NodeKind::kFile,
-                     std::move(name_hash), std::move(extension), now, rng_);
+                     name, extension, now, rng_);
 }
 
 std::vector<ContentInfo> MetadataStore::unlink_node(UserId user, NodeId id) {
@@ -194,11 +194,11 @@ void MetadataStore::purge_content(const ContentId& content) {
 
 std::optional<ContentInfo> MetadataStore::make_content(
     UserId user, NodeId node, const ContentId& content,
-    std::uint64_t size_bytes, std::string s3_key) {
+    std::uint64_t size_bytes) {
   reset_touched();
   Shard& s = route(user);
   touch(s.id());
-  dedup().insert(content, size_bytes, std::move(s3_key));
+  dedup().insert(content, size_bytes);
   const ContentId previous = s.set_node_content(node, content, size_bytes);
   dedup().link(content);
   if (!(previous == ContentId{}) && !(previous == content)) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "proto/entities.hpp"
@@ -60,10 +61,13 @@ class MetadataStore {
   std::vector<Node> get_from_scratch(UserId owner, VolumeId volume);
 
   // --- namespace writes ------------------------------------------------------
+  /// `name` is the client's (already anonymized) name; the node keeps
+  /// its 64-bit hash.
   Node make_dir(UserId user, VolumeId volume, NodeId parent,
-                std::string name_hash, SimTime now);
+                std::string_view name, SimTime now);
   Node make_file(UserId user, VolumeId volume, NodeId parent,
-                 std::string name_hash, std::string extension, SimTime now);
+                 std::string_view name, std::string_view extension,
+                 SimTime now);
   /// Cascading unlink; returns content ids whose dedup refcount dropped to
   /// zero (dead blobs the API server must delete from the data store).
   std::vector<ContentInfo> unlink_node(UserId user, NodeId id);
@@ -87,8 +91,7 @@ class MetadataStore {
   /// previous blob if this update orphaned one.
   std::optional<ContentInfo> make_content(UserId user, NodeId node,
                                           const ContentId& content,
-                                          std::uint64_t size_bytes,
-                                          std::string s3_key);
+                                          std::uint64_t size_bytes);
 
   // --- upload jobs ------------------------------------------------------------
   UploadJob make_uploadjob(UserId user, NodeId node, const ContentId& content,

@@ -150,9 +150,18 @@ void Shard::shed_user_namespace(UserId user) {
   }
 }
 
+std::uint64_t Shard::name_hash_of(std::string_view name) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : name) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 Node& Shard::make_node(UserId user, VolumeId volume, NodeId parent,
-                       NodeKind kind, std::string name_hash,
-                       std::string extension, SimTime now, Rng& rng) {
+                       NodeKind kind, std::string_view name,
+                       std::string_view extension, SimTime now, Rng& rng) {
   const auto vit = volumes_.find(volume);
   if (vit == volumes_.end())
     throw std::out_of_range("Shard::make_node: unknown volume");
@@ -170,12 +179,12 @@ Node& Shard::make_node(UserId user, VolumeId volume, NodeId parent,
   node.parent = parent;
   node.kind = kind;
   node.owner = user;
-  node.name_hash = std::move(name_hash);  // unique per node — never interned
-  node.extension = intern_extension(std::move(extension));
+  node.name_hash = name_hash_of(name);
+  node.extension = intern_extension(extension);
   node.created_at = now;
   node.generation = ++vit->second.generation;
 
-  auto [it, _] = nodes_.emplace(node.id, std::move(node));
+  auto [it, _] = nodes_.emplace(node.id, node);
   index_append(volume, it->second.generation, it->first);
   auto& siblings = children_[parent];
   if (siblings.capacity() == 0) siblings.reserve(8);
@@ -184,8 +193,11 @@ Node& Shard::make_node(UserId user, VolumeId volume, NodeId parent,
   return it->second;
 }
 
-const std::string& Shard::intern_extension(std::string s) {
-  return *extensions_.emplace(std::move(s)).first;
+std::string_view Shard::intern_extension(std::string_view s) {
+  if (s.empty()) return {};
+  auto it = extensions_.find(s);
+  if (it == extensions_.end()) it = extensions_.emplace(s).first;
+  return *it;
 }
 
 const Node* Shard::find_node(NodeId id) const {

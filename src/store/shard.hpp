@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -45,6 +46,13 @@ struct ShareGrant {
 class Shard {
  public:
   explicit Shard(ShardId id) : id_(id) {}
+  /// Nodes view this shard's extension interner, so a copy would leave
+  /// them pointing into the original.
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+
+  /// The 64-bit hash a node keeps of its client-side name (FNV-1a).
+  static std::uint64_t name_hash_of(std::string_view name) noexcept;
 
   ShardId id() const noexcept { return id_; }
 
@@ -72,8 +80,8 @@ class Shard {
 
   // --- nodes ------------------------------------------------------------
   Node& make_node(UserId user, VolumeId volume, NodeId parent, NodeKind kind,
-                  std::string name_hash, std::string extension, SimTime now,
-                  Rng& rng);
+                  std::string_view name, std::string_view extension,
+                  SimTime now, Rng& rng);
   const Node* find_node(NodeId id) const;
   Node* find_node(NodeId id);
   /// Children of a directory (ids), empty for unknown/leaf nodes.
@@ -174,13 +182,21 @@ class Shard {
   /// Drops stale entries once they outnumber live ones.
   void maybe_compact(GenerationIndex& index);
   void collect_subtree(NodeId id, std::vector<NodeId>& out) const;
-  /// Canonical copy of an extension string. Extensions come from the file
-  /// model's small closed set, so the interner stays tiny while every node
-  /// shares one heap buffer per distinct (non-SSO) extension.
-  const std::string& intern_extension(std::string s);
+  /// Canonical copy of an extension string, which nodes view. Extensions
+  /// come from the file model's small closed set, so the interner stays
+  /// tiny; its entries are never erased and unordered_set nodes never
+  /// move, so a view stays valid for the shard's lifetime.
+  std::string_view intern_extension(std::string_view s);
+
+  struct ExtensionHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
 
   ShardId id_;
-  std::unordered_set<std::string> extensions_;
+  std::unordered_set<std::string, ExtensionHash, std::equal_to<>> extensions_;
   std::unordered_map<UserId, User> users_;
   std::unordered_map<UserId, std::vector<VolumeId>> volumes_by_user_;
   std::unordered_map<VolumeId, Volume> volumes_;

@@ -10,13 +10,16 @@
 // touched are resident, and freeing the block unmaps them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
+#include <unistd.h>
 #define U1SIM_HAVE_MMAP 1
 #endif
 
@@ -71,5 +74,33 @@ struct PageAllocator {
 
 template <typename T>
 using PageVector = std::vector<T, PageAllocator<T>>;
+
+/// Hands the whole pages under v's first n elements back to the kernel
+/// while v keeps its mapping: for a buffer read front to back once and
+/// freed after, so its spent prefix stops counting before the rest is
+/// read. Their contents are gone (Linux reads them back as zero bytes),
+/// so only call it on elements nothing reads again. `released` is
+/// the byte offset earlier calls reached (start at 0); a call that would
+/// return less than kPageAllocBytes waits for a later one. No-op unless
+/// v's storage is a mapping of its own.
+template <typename T>
+void release_prefix(PageVector<T>& v, std::size_t n,
+                    std::size_t& released) noexcept {
+  static_assert(std::is_trivially_copyable_v<T>);
+#ifdef U1SIM_HAVE_MMAP
+  if (!PageAllocator<T>::mapped(v.capacity())) return;
+  static const std::size_t page =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t end = std::min(n, v.size()) * sizeof(T) / page * page;
+  if (end < released + kPageAllocBytes) return;
+  ::madvise(reinterpret_cast<char*>(v.data()) + released, end - released,
+            MADV_DONTNEED);
+  released = end;
+#else
+  (void)v;
+  (void)n;
+  (void)released;
+#endif
+}
 
 }  // namespace u1

@@ -34,7 +34,9 @@ FileCategory category_of(std::string_view extension) noexcept;
 
 /// A sampled file: what a desktop client is about to create/upload.
 struct FileSpec {
-  std::string extension;       // lowercase, no dot
+  /// Lowercase, no dot. Views the model's static catalog, so it is
+  /// valid for the program's lifetime.
+  std::string_view extension;
   FileCategory category = FileCategory::kOther;
   std::uint64_t size_bytes = 0;
   /// Text-like files (code, docs) are edited repeatedly; media files are

@@ -73,8 +73,7 @@ TEST_P(NamespaceSize, DeltaAndCascadeConsistency) {
   int with_content = 0;
   for (int i = 0; i < n; i += 2) {
     store.make_content(UserId{1}, files[static_cast<std::size_t>(i)],
-                       Sha1::of("c" + std::to_string(i)), 10,
-                       "k" + std::to_string(i));
+                       Sha1::of("c" + std::to_string(i)), 10);
     ++with_content;
   }
   const auto dead = store.unlink_node(UserId{1}, dir.id);

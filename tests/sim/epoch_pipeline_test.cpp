@@ -93,6 +93,33 @@ TEST(TraceMerge, HandlesUnsortedChunksAndEmptyChunks) {
   EXPECT_EQ(got, want);
 }
 
+TEST(TraceMerge, KeySortEqualsStableSort) {
+  // sort_trace_chunk sorts (t, index) keys and then moves each record
+  // once along the permutation's cycles; the result must be exactly
+  // std::stable_sort's. Timestamps come from 8 values, so nearly every
+  // record ties; each size also runs on an already sorted chunk.
+  Rng rng(11u);
+  const auto by_time = [](const TraceRecord& a, const TraceRecord& b) {
+    return a.t < b.t;
+  };
+  for (const std::size_t n : {0, 1, 2, 1023, 1024, 100000}) {
+    for (const bool presorted : {false, true}) {
+      PageVector<TraceRecord> chunk;
+      for (std::size_t i = 0; i < n; ++i)
+        chunk.push_back(record_at(static_cast<SimTime>(rng.below(8)), i));
+      if (presorted) std::stable_sort(chunk.begin(), chunk.end(), by_time);
+      std::vector<TraceRecord> want(chunk.begin(), chunk.end());
+      std::stable_sort(want.begin(), want.end(), by_time);
+      sort_trace_chunk(chunk);
+      ASSERT_EQ(chunk.size(), want.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(chunk[i].t, want[i].t) << n << " at " << i;
+        ASSERT_EQ(chunk[i].user, want[i].user) << n << " at " << i;
+      }
+    }
+  }
+}
+
 TEST(TraceMerge, PlanIsIndexPermutationOverChunks) {
   // The plan must reference every record exactly once, in the contract
   // order, without touching the chunks — stage A (guard scan) and stage

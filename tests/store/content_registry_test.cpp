@@ -11,44 +11,44 @@ ContentId cid(const char* s) { return Sha1::of(s); }
 
 TEST(ContentRegistry, InsertAndLookup) {
   ContentRegistry reg;
-  EXPECT_TRUE(reg.insert(cid("a"), 100, "k/a"));
+  EXPECT_TRUE(reg.insert(cid("a"), 100));
   const auto hit = reg.lookup(cid("a"), 100);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->size_bytes, 100u);
-  EXPECT_EQ(hit->s3_key, "k/a");
+  EXPECT_EQ(hit->id, cid("a"));
 }
 
 TEST(ContentRegistry, LookupRequiresMatchingSize) {
   ContentRegistry reg;
-  reg.insert(cid("a"), 100, "k/a");
+  reg.insert(cid("a"), 100);
   EXPECT_FALSE(reg.lookup(cid("a"), 101).has_value());
   EXPECT_FALSE(reg.lookup(cid("b"), 100).has_value());
 }
 
 TEST(ContentRegistry, DoubleInsertReturnsFalse) {
   ContentRegistry reg;
-  EXPECT_TRUE(reg.insert(cid("a"), 100, "k/a"));
-  EXPECT_FALSE(reg.insert(cid("a"), 100, "k/other"));
+  EXPECT_TRUE(reg.insert(cid("a"), 100));
+  EXPECT_FALSE(reg.insert(cid("a"), 100));
   EXPECT_EQ(reg.unique_contents(), 1u);
   EXPECT_EQ(reg.unique_bytes(), 100u);
 }
 
 TEST(ContentRegistry, LinkUnlinkRefcounting) {
   ContentRegistry reg;
-  reg.insert(cid("a"), 50, "k/a");
+  reg.insert(cid("a"), 50);
   reg.link(cid("a"));
   reg.link(cid("a"));
   EXPECT_EQ(reg.logical_bytes(), 100u);
   EXPECT_FALSE(reg.unlink(cid("a")).has_value());  // 1 ref remains
   const auto dead = reg.unlink(cid("a"));
   ASSERT_TRUE(dead.has_value());  // dropped to zero
-  EXPECT_EQ(dead->s3_key, "k/a");
+  EXPECT_EQ(dead->id, cid("a"));
   EXPECT_EQ(reg.logical_bytes(), 0u);
 }
 
 TEST(ContentRegistry, UnlinkBelowZeroThrows) {
   ContentRegistry reg;
-  reg.insert(cid("a"), 50, "k/a");
+  reg.insert(cid("a"), 50);
   EXPECT_THROW(reg.unlink(cid("a")), std::logic_error);
 }
 
@@ -61,7 +61,7 @@ TEST(ContentRegistry, UnknownContentThrows) {
 
 TEST(ContentRegistry, EraseRequiresZeroRefcount) {
   ContentRegistry reg;
-  reg.insert(cid("a"), 50, "k/a");
+  reg.insert(cid("a"), 50);
   reg.link(cid("a"));
   EXPECT_THROW(reg.erase(cid("a")), std::logic_error);
   reg.unlink(cid("a"));
@@ -74,11 +74,11 @@ TEST(ContentRegistry, DedupRatioMatchesDefinition) {
   // dr = 1 - D_unique / D_total. Three logical copies of one 100-byte
   // blob plus one unique 100-byte blob: D_unique=200, D_total=400.
   ContentRegistry reg;
-  reg.insert(cid("popular"), 100, "k/p");
+  reg.insert(cid("popular"), 100);
   reg.link(cid("popular"));
   reg.link(cid("popular"));
   reg.link(cid("popular"));
-  reg.insert(cid("unique"), 100, "k/u");
+  reg.insert(cid("unique"), 100);
   reg.link(cid("unique"));
   EXPECT_DOUBLE_EQ(reg.dedup_ratio(), 0.5);
 }
@@ -94,7 +94,7 @@ TEST(ContentRegistry, PaperLikeDedupRatio) {
   ContentRegistry reg;
   for (int i = 0; i < 829; ++i) {
     const auto id = cid(("blob" + std::to_string(i)).c_str());
-    reg.insert(id, 1024, "k");
+    reg.insert(id, 1024);
     reg.link(id);
   }
   // Add 171 duplicate links spread over the first blobs.

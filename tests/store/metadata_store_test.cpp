@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "util/sha1.hpp"
 
@@ -31,6 +33,28 @@ TEST_F(MetadataStoreTest, RoutingIsStableAndBalanced) {
   }
   // With 10k users over 10 shards each shard should get ~1000 +/- 15%.
   for (const int c : counts) EXPECT_NEAR(c, 1000, 150);
+}
+
+TEST(MetadataStoreMove, NodeExtensionSurvivesAMoveOfTheStore) {
+  // Nodes view their shard's interner; shards live behind unique_ptrs,
+  // so moving the store moves no shard and no view dangles.
+  MetadataStore a(4, 7);
+  const Volume v = a.create_user(UserId{1}, kHour);
+  std::string ext = "a-long-extension-beyond-sso";
+  const Node f = a.make_file(UserId{1}, v.id, v.root_dir, "f", ext, kHour);
+  const Node g = a.make_file(UserId{1}, v.id, v.root_dir, "g", "jpg", kHour);
+  ext.assign("changed");
+  MetadataStore b = std::move(a);
+  const auto got_f = b.get_node(UserId{1}, f.id);
+  const auto got_g = b.get_node(UserId{1}, g.id);
+  ASSERT_TRUE(got_f.has_value());
+  ASSERT_TRUE(got_g.has_value());
+  EXPECT_EQ(got_f->extension, "a-long-extension-beyond-sso");
+  EXPECT_EQ(got_g->extension, "jpg");
+  EXPECT_EQ(f.extension, "a-long-extension-beyond-sso");  // the old copy too
+  MetadataStore c(2, 1);
+  c = std::move(b);
+  EXPECT_EQ(c.get_node(UserId{1}, g.id)->extension, "jpg");
 }
 
 TEST_F(MetadataStoreTest, CreateUserTouchesExactlyOneShard) {
@@ -85,10 +109,10 @@ TEST_F(MetadataStoreTest, MakeContentDeduplicates) {
   const ContentId c = Sha1::of("song");
   // First upload: content unknown.
   EXPECT_FALSE(store_.get_reusable_content(c, 1000).has_value());
-  store_.make_content(UserId{1}, f1.id, c, 1000, "s3/song");
+  store_.make_content(UserId{1}, f1.id, c, 1000);
   // Second user uploads the same song: dedup hit, no transfer needed.
   EXPECT_TRUE(store_.get_reusable_content(c, 1000).has_value());
-  store_.make_content(UserId{1}, f2.id, c, 1000, "s3/song");
+  store_.make_content(UserId{1}, f2.id, c, 1000);
   EXPECT_EQ(store_.contents().unique_bytes(), 1000u);
   EXPECT_EQ(store_.contents().logical_bytes(), 2000u);
   EXPECT_DOUBLE_EQ(store_.contents().dedup_ratio(), 0.5);
@@ -98,21 +122,21 @@ TEST_F(MetadataStoreTest, UpdateReleasesOldContent) {
   const Volume v = add_user(1);
   const Node f = store_.make_file(UserId{1}, v.id, v.root_dir, "f", "doc",
                                   kHour);
-  store_.make_content(UserId{1}, f.id, Sha1::of("v1"), 10, "s3/v1");
+  store_.make_content(UserId{1}, f.id, Sha1::of("v1"), 10);
   const auto dead =
-      store_.make_content(UserId{1}, f.id, Sha1::of("v2"), 12, "s3/v2");
+      store_.make_content(UserId{1}, f.id, Sha1::of("v2"), 12);
   ASSERT_TRUE(dead.has_value());  // v1 orphaned
-  EXPECT_EQ(dead->s3_key, "s3/v1");
+  EXPECT_EQ(dead->id, Sha1::of("v1"));
 }
 
 TEST_F(MetadataStoreTest, UnlinkReportsDeadBlobs) {
   const Volume v = add_user(1);
   const Node f = store_.make_file(UserId{1}, v.id, v.root_dir, "f", "",
                                   kHour);
-  store_.make_content(UserId{1}, f.id, Sha1::of("x"), 5, "s3/x");
+  store_.make_content(UserId{1}, f.id, Sha1::of("x"), 5);
   const auto dead = store_.unlink_node(UserId{1}, f.id);
   ASSERT_EQ(dead.size(), 1u);
-  EXPECT_EQ(dead[0].s3_key, "s3/x");
+  EXPECT_EQ(dead[0].id, Sha1::of("x"));
 }
 
 TEST_F(MetadataStoreTest, SharedContentSurvivesOneUnlink) {
@@ -122,8 +146,8 @@ TEST_F(MetadataStoreTest, SharedContentSurvivesOneUnlink) {
   const Node f2 = store_.make_file(UserId{1}, v.id, v.root_dir, "f2", "",
                                    kHour);
   const ContentId c = Sha1::of("shared");
-  store_.make_content(UserId{1}, f1.id, c, 5, "s3/s");
-  store_.make_content(UserId{1}, f2.id, c, 5, "s3/s");
+  store_.make_content(UserId{1}, f1.id, c, 5);
+  store_.make_content(UserId{1}, f2.id, c, 5);
   EXPECT_TRUE(store_.unlink_node(UserId{1}, f1.id).empty());
   const auto dead = store_.unlink_node(UserId{1}, f2.id);
   ASSERT_EQ(dead.size(), 1u);
@@ -134,7 +158,7 @@ TEST_F(MetadataStoreTest, DeleteVolumeCascade) {
   const Volume udf = store_.create_udf(UserId{1}, kHour);
   const Node f = store_.make_file(UserId{1}, udf.id, udf.root_dir, "f", "",
                                   kHour);
-  store_.make_content(UserId{1}, f.id, Sha1::of("d"), 9, "s3/d");
+  store_.make_content(UserId{1}, f.id, Sha1::of("d"), 9);
   const auto dead = store_.delete_volume(UserId{1}, udf.id);
   ASSERT_EQ(dead.size(), 1u);
   EXPECT_EQ(store_.list_volumes(UserId{1}).size(), 1u);

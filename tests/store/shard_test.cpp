@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "util/sha1.hpp"
 
 namespace u1 {
@@ -94,7 +97,7 @@ TEST_F(ShardTest, GetDeltaReturnsOnlyNewer) {
                    rng_);
   const auto delta = shard_.get_delta(v.id, checkpoint);
   ASSERT_EQ(delta.size(), 1u);
-  EXPECT_EQ(delta[0].name_hash, "b");
+  EXPECT_EQ(delta[0].name_hash, Shard::name_hash_of("b"));
   // From scratch returns everything, including the root dir.
   EXPECT_EQ(shard_.get_from_scratch(v.id).size(), 3u);
 }
@@ -223,6 +226,39 @@ TEST_F(ShardTest, StaleUploadJobs) {
   const auto stale = shard_.stale_uploadjobs(8 * kDay);  // 1-week GC cutoff
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0], old.id);
+}
+
+// Node holds no strings, so get_node and get_delta copy it as plain
+// bytes; the budget keeps a setup's 10^5 nodes from quietly growing.
+static_assert(std::is_trivially_copyable_v<Node>);
+static_assert(sizeof(Node) <= 128, "Node outgrew its 128-byte budget");
+// Nodes view their shard's extension interner: a copied shard would hand
+// out views into the original.
+static_assert(!std::is_copy_constructible_v<Shard>);
+static_assert(!std::is_copy_assignable_v<Shard>);
+
+TEST_F(ShardTest, ExtensionsViewOneInternedCopy) {
+  const Volume& v = add_user(1);
+  std::string ext = "a-long-extension-beyond-sso";
+  const Node& a = shard_.make_node(UserId{1}, v.id, v.root_dir,
+                                   NodeKind::kFile, "a", ext, 0, rng_);
+  const Node& b = shard_.make_node(UserId{1}, v.id, v.root_dir,
+                                   NodeKind::kFile, "b", ext, 0, rng_);
+  ext.assign("changed");  // the caller's buffer is not what the nodes view
+  EXPECT_EQ(a.extension, "a-long-extension-beyond-sso");
+  EXPECT_EQ(a.extension.data(), b.extension.data());
+  const Node& dir = shard_.make_node(UserId{1}, v.id, v.root_dir,
+                                     NodeKind::kDirectory, "d", "", 0, rng_);
+  EXPECT_TRUE(dir.extension.empty());
+}
+
+TEST_F(ShardTest, NameHashIsA64BitHashOfTheName) {
+  const Volume& v = add_user(1);
+  const Node& a = shard_.make_node(UserId{1}, v.id, v.root_dir,
+                                   NodeKind::kFile, "3f2a9c1d", "", 0, rng_);
+  EXPECT_EQ(a.name_hash, Shard::name_hash_of("3f2a9c1d"));
+  EXPECT_NE(Shard::name_hash_of("3f2a9c1d"), Shard::name_hash_of("3f2a9c1e"));
+  EXPECT_EQ(Shard::name_hash_of(""), 0xcbf29ce484222325ull);  // FNV-1a basis
 }
 
 TEST_F(ShardTest, ShareGrants) {

@@ -126,5 +126,39 @@ TEST(PageAllocator, AnyInstanceFreesWhatAnotherAllocated) {
   to.deallocate(q, 3);
 }
 
+#ifdef U1SIM_HAVE_MMAP
+TEST(PageAllocator, ReleasePrefixReturnsWholePagesBehindTheReader) {
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t n = 4 * kPageAllocBytes / sizeof(std::uint64_t);
+  PageVector<std::uint64_t> v(n, 7);
+  std::size_t released = 0;
+  // Less than kPageAllocBytes behind the reader: wait.
+  release_prefix(v, kPageAllocBytes / sizeof(std::uint64_t) / 2, released);
+  EXPECT_EQ(released, 0u);
+  // A prefix that ends mid-page releases the whole pages before it.
+  const std::size_t read = 2 * kPageAllocBytes / sizeof(std::uint64_t) + 3;
+  release_prefix(v, read, released);
+  EXPECT_EQ(released, 2 * kPageAllocBytes / page * page);
+  EXPECT_EQ(released % page, 0u);
+#ifdef __linux__
+  for (std::size_t i = 0; i < released / sizeof(std::uint64_t); ++i)
+    ASSERT_EQ(v[i], 0u) << i;  // handed back: reads as zeros
+#endif
+  for (std::size_t i = released / sizeof(std::uint64_t); i < n; ++i)
+    ASSERT_EQ(v[i], 7u) << i;  // not yet read: intact
+  // The watermark only moves forward, and never past the size.
+  release_prefix(v, read / 2, released);
+  EXPECT_EQ(released, 2 * kPageAllocBytes / page * page);
+  release_prefix(v, 10 * n, released);
+  EXPECT_EQ(released, n * sizeof(std::uint64_t) / page * page);
+  // Heap-backed storage is never touched.
+  PageVector<std::uint64_t> small(16, 7);
+  std::size_t small_released = 0;
+  release_prefix(small, small.size(), small_released);
+  EXPECT_EQ(small_released, 0u);
+  EXPECT_EQ(small.front(), 7u);
+}
+#endif
+
 }  // namespace
 }  // namespace u1
