@@ -1,16 +1,20 @@
-// The paper from one run: Table 1, Table 3 and Figs 2-16.
+// The paper from one run: Table 1, Table 3, Figs 2-16 and the §9
+// improvement proposals.
 //
 // Runs the standard month once (standard_config(env_users(), env_days()),
 // 8000 users x 30 days by default) with one instance of every analyzer
 // behind a MultiSink, then prints each table and figure in paper order
 // as "paper vs measured" rows. Fig 4(a)'s registry row, Fig 10 and
-// Fig 11 read the back-end state the run leaves behind.
+// Fig 11 read the back-end state the run leaves behind. §9 reads the same
+// month, plus a write storm driven straight at one back-end and, for the
+// automatic DDoS response, a second month with the guard on.
 //
 // Every row also lands in BENCH_paper.json (repo root; --out PATH writes
 // it elsewhere) as {figure, metric, paper, measured, band, holds}. A band
 // is null (reported, not gated; holds is null), [lo, hi] (a threshold or
 // range the paper states, cited next to the row; null = unbounded side)
-// or "shape_holds" (a Table 1 finding's shape rule). The JSON also records
+// or "shape_holds" (a Table 1 finding's shape rule); paper is null where
+// the paper states no number for the row. The JSON also records
 // wall_s, peak_rss_mb, hardware_concurrency, users, days, seed and
 // threads. The trace is bit-identical at every thread count, so every
 // `measured` is a function of code, seed and scale alone. The exit code
@@ -35,10 +39,17 @@
 #include "analysis/transition_graph.hpp"
 #include "analysis/volumes.hpp"
 #include "bench/bench_util.hpp"
+#include "improve/content_cache.hpp"
+#include "server/backend.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/summary.hpp"
 #include "trace/sink.hpp"
 #include "util/strings.hpp"
+#include "workload/ddos.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace {
 
@@ -46,6 +57,8 @@ using namespace u1;
 using namespace u1::bench;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// The paper column of a row the paper gives no number for.
+constexpr double kUnstated = std::numeric_limits<double>::quiet_NaN();
 
 /// Labelled x values at which a CDF is printed.
 using Grid = std::vector<std::pair<const char*, double>>;
@@ -153,6 +166,43 @@ class Report {
   std::vector<Row> rows_;
 };
 
+/// Bytes that the DDoS bots' successful downloads from the attacks' shared
+/// accounts took (§5.4's leeching).
+class LeechMeter final : public TraceSink {
+ public:
+  void append(const TraceRecord& r) override {
+    if (r.type == RecordType::kStorageDone && !r.failed &&
+        r.api_op == ApiOp::kGetContent && r.user.value >= kFirstAttackAccount)
+      bytes_ += r.transferred_bytes;
+  }
+  std::uint64_t bytes() const noexcept { return bytes_; }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+/// Server-side LRU content caches of several sizes, each fed the month's
+/// successful downloads.
+class CacheSweep final : public TraceSink {
+ public:
+  static constexpr std::uint64_t kGB = 1ull << 30;
+  static constexpr std::uint64_t kSizesGB[] = {1, 4, 16, 64, 256};
+
+  CacheSweep() {
+    for (const std::uint64_t gb : kSizesGB) caches_.emplace_back(gb * kGB);
+  }
+  void append(const TraceRecord& r) override {
+    if (r.type != RecordType::kStorageDone || r.failed || r.t < 0 ||
+        r.api_op != ApiOp::kGetContent || r.content == ContentId{})
+      return;
+    for (ContentCache& c : caches_) c.access(r.content, r.size_bytes);
+  }
+  const std::vector<ContentCache>& caches() const noexcept { return caches_; }
+
+ private:
+  std::vector<ContentCache> caches_;
+};
+
 /// One instance of every analyzer the paper's figures need, fed by one
 /// MultiSink.
 struct Analyzers {
@@ -165,7 +215,7 @@ struct Analyzers {
         summary(horizon) {
     for (TraceSink* sink : std::initializer_list<TraceSink*>{
              &traffic, &types, &dedup, &ddos, &users, &bursts, &rpcs, &load,
-             &sessions, &deps, &life, &mix, &summary, &graph})
+             &sessions, &deps, &life, &mix, &summary, &graph, &leech, &cache})
       fanout.add(sink);
   }
   Analyzers(const Analyzers&) = delete;  // the MultiSink points at members
@@ -184,6 +234,8 @@ struct Analyzers {
   OpMixAnalyzer mix;
   TraceSummaryAnalyzer summary;
   TransitionGraphAnalyzer graph;
+  LeechMeter leech;
+  CacheSweep cache;
   MultiSink fanout;
 };
 
@@ -894,6 +946,165 @@ void fig16_session_lengths(Report& rep, const Analyzers& a) {
        "sub-second reconnects; cold sessions waste server connections");
 }
 
+// --- §9 improvement proposals ------------------------------------------------
+
+void sec9_cold_sessions(Report& rep, const Analyzers& a) {
+  rep.section("§9 cold sessions", "Connection-time held by cold sessions");
+  double all_hours = 0, active_hours = 0;
+  for (const double s : a.sessions.session_lengths()) all_hours += s / 3600.0;
+  for (const double s : a.sessions.active_session_lengths())
+    active_hours += s / 3600.0;
+  std::printf("  connection-time held:  all=%.0f h   active=%.0f h   "
+              "cold=%.0f h\n",
+              all_hours, active_hours, all_hours - active_hours);
+  rep.row("connection-time held by cold sessions", kUnstated,
+          all_hours > 0 ? (all_hours - active_hours) / all_hours : 0.0);
+  note("paper (§7.3): only 5.57% of sessions are active (Fig 16), so a "
+       "provider may decide push vs pull per session to limit open TCP "
+       "connections");
+}
+
+void sec9_dedup(Report& rep, const Analyzers& a) {
+  rep.section("§9 dedup", "Upload transfers saved by file-based dedup");
+  const double logical = static_cast<double>(a.traffic.upload_bytes());
+  const double wire = static_cast<double>(a.traffic.upload_wire_bytes());
+  std::printf("  upload traffic:  logical=%s   on the wire=%s\n",
+              format_bytes(logical).c_str(), format_bytes(wire).c_str());
+  rep.row("upload wire bytes saved by dedup", kUnstated,
+          logical > 0 ? 1.0 - wire / logical : 0.0);
+  note("paper: file-based dedup could readily save 17% of the storage "
+       "costs (dr, Fig 4(a)); a duplicate is not transferred either (§3.3)");
+}
+
+// Share of an updated file's bytes that a delta-capable client would
+// still ship. The paper gives no figure; 0.15 assumes an edit rewrites
+// a small part of the file (e.g. an mp3 tag).
+constexpr double kDeltaWireShare = 0.15;
+
+void sec9_delta_updates(Report& rep, const Analyzers& a) {
+  rep.section("§9 delta updates", "Upload traffic a delta-update client saves");
+  const double update_share = a.traffic.update_traffic_fraction();
+  std::printf("  updates carry %.1f%% of upload wire bytes; a delta client "
+              "ships %.0f%% of each\n",
+              100.0 * update_share, 100.0 * kDeltaWireShare);
+  // Paper (§5.1): updates are 18.5% of upload traffic; the same model on
+  // that share.
+  rep.row("upload wire bytes saved by delta updates",
+          0.185 * (1.0 - kDeltaWireShare),
+          update_share * (1.0 - kDeltaWireShare));
+  note("paper: the U1 client lacked delta updates, so metadata-only edits "
+       "re-upload whole files");
+}
+
+void sec9_cache(Report& rep, const Analyzers& a) {
+  rep.section("§9 cache", "Server-side LRU cache over the downloads");
+  const auto& caches = a.cache.caches();
+  std::printf("  downloads: %llu\n",
+              static_cast<unsigned long long>(caches.front().hits() +
+                                              caches.front().misses()));
+  std::printf("  %-12s %12s %14s\n", "cache size", "hit ratio",
+              "bytes served");
+  for (const ContentCache& c : caches) {
+    std::printf("  %-12s %11.1f%% %14s\n",
+                format_bytes(static_cast<double>(c.capacity_bytes())).c_str(),
+                100.0 * c.hit_rate(),
+                format_bytes(static_cast<double>(c.hit_bytes())).c_str());
+  }
+  for (std::size_t i = 0; i < caches.size(); ++i) {
+    const std::string metric = "hit ratio, " +
+                               std::to_string(CacheSweep::kSizesGB[i]) +
+                               " GB cache";
+    rep.row(metric.c_str(), kUnstated, caches[i].hit_rate());
+  }
+  note("paper (§5.2): RAR times are short and reads-per-file long-tailed, "
+       "so a cache (e.g. Memcached) would cut S3 reads");
+}
+
+void sec9_shard_sweep(Report& rep) {
+  rep.section("§9 shard sweep", "Metadata shard count under a write storm");
+  std::printf("  64 users, Poisson arrivals at ~80%% of one master's write "
+              "capacity.\n");
+  std::printf("  %-8s %14s %14s %14s\n", "shards", "mean op (ms)",
+              "p99 (ms)", "shard cv");
+  const std::size_t sweep[] = {1, 2, 5, 10, 20, 40};
+  std::vector<double> mean_ms;
+  for (const std::size_t shards : sweep) {
+    BackendConfig cfg;
+    cfg.shards = shards;
+    cfg.auth_failure_rate = 0.0;
+    cfg.seed = 99;
+    NullSink sink;
+    U1Backend backend(cfg, sink);
+
+    constexpr unsigned kUsers = 64;
+    std::vector<SessionId> sessions;
+    std::vector<UserAccount> accounts;
+    for (unsigned u = 1; u <= kUsers; ++u) {
+      accounts.push_back(backend.register_user(UserId{u}, 0));
+      sessions.push_back(backend.connect(UserId{u}, 0).session);
+    }
+
+    // One shard master serves ~1/6ms writes => ~170/s. Drive the cluster
+    // at 140 make_file()/s for 2 simulated minutes.
+    Rng rng(7);
+    ExponentialDist gap(140.0);  // arrivals per second
+    RunningStats latency;
+    std::vector<double> latencies;
+    std::vector<std::uint64_t> per_shard(shards, 0);
+    SimTime t = kMinute;
+    for (int i = 0; i < 140 * 120; ++i) {
+      t += from_seconds(gap.sample(rng));
+      const std::size_t u = rng.below(kUsers);
+      const auto mk = backend.make_file(
+          sessions[u], accounts[u].root_volume, accounts[u].root_dir,
+          "f" + std::to_string(i), "txt", t);
+      const double ms = to_seconds(mk.end - t) * 1e3;
+      latency.add(ms);
+      latencies.push_back(ms);
+      per_shard[backend.store().shard_of(UserId{u + 1}).value - 1]++;
+    }
+    RunningStats balance;
+    for (const auto n : per_shard) balance.add(static_cast<double>(n));
+    std::sort(latencies.begin(), latencies.end());
+    std::printf("  %-8zu %14.2f %14.2f %14.3f\n", shards, latency.mean(),
+                latencies[latencies.size() * 99 / 100], balance.cv());
+    mean_ms.push_back(latency.mean());
+  }
+  for (std::size_t i = 0; i < mean_ms.size(); ++i) {
+    const std::string metric =
+        "mean MakeFile time at " + std::to_string(sweep[i]) + " shards (ms)";
+    rep.row(metric.c_str(), kUnstated, mean_ms[i]);
+  }
+  note("paper (§7.2): the 10-shard cluster served 1.29M users without "
+       "congestion; a single master saturates under the same load");
+}
+
+/// The same month with the AnomalyGuard purging abusive accounts as it
+/// detects them, against U1's manual response (the main run), whose
+/// leech traffic is `manual_leech_bytes`.
+void sec9_auto_guard(Report& rep, const SimulationConfig& cfg,
+                     std::size_t threads, double manual_leech_bytes) {
+  SimulationConfig guarded = cfg;
+  guarded.auto_countermeasures = true;
+  LeechMeter leech;
+  ParallelSimulation sim(guarded, leech, threads);
+  const SimulationReport report = sim.run();
+  const double auto_leech_bytes = static_cast<double>(leech.bytes());
+
+  rep.section("§9 auto-guard", "Manual DDoS response vs automatic purging");
+  std::printf("  leech traffic:  manual (U1)=%s   auto-guard=%s\n",
+              format_bytes(manual_leech_bytes).c_str(),
+              format_bytes(auto_leech_bytes).c_str());
+  rep.row("leech traffic eliminated by the auto-guard", kUnstated,
+          manual_leech_bytes > 0
+              ? 1.0 - auto_leech_bytes / manual_leech_bytes
+              : 0.0);
+  rep.row("first auto response after attack start (min)", kUnstated,
+          to_seconds(report.first_auto_response_delay) / 60.0);
+  note("paper (§5.4): 'the reaction to these attacks was not automatic ... "
+       "further research is needed to build automatic countermeasures'");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -913,6 +1124,7 @@ int main(int argc, char** argv) {
   const auto cfg = standard_config(env_users(), env_days());
   const std::size_t threads = env_threads();
   Report rep;
+  double manual_leech_bytes = 0;
   {
     // Scoped so that freeing the analyzers' and the run's state, which
     // takes seconds at the default scale, counts toward wall_s.
@@ -945,7 +1157,20 @@ int main(int argc, char** argv) {
     fig14_load_balance(rep, a);
     fig15_auth_sessions(rep, a);
     fig16_session_lengths(rep, a);
+    sec9_cold_sessions(rep, a);
+    sec9_dedup(rep, a);
+    sec9_delta_updates(rep, a);
+    sec9_cache(rep, a);
+    manual_leech_bytes = static_cast<double>(a.leech.bytes());
   }
+  // After the main run's state is freed, so the second month's peak does
+  // not stack on the first's: glibc keeps freed heap pages resident until
+  // trimmed (about 80 MB at 8000 x 30).
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  sec9_shard_sweep(rep);
+  sec9_auto_guard(rep, cfg, threads, manual_leech_bytes);
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();

@@ -14,6 +14,7 @@
 // changes.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -149,10 +150,14 @@ inline void header(const char* figure, const char* title) {
               "===========\n");
 }
 
+/// A NaN `paper` is a row the paper gives no number for; it prints n/a.
 inline void row(const char* metric, double paper, double measured,
                 const char* unit = "") {
-  std::printf("  %-46s paper=%10.4g   measured=%10.4g %s\n", metric, paper,
-              measured, unit);
+  char paper_text[32] = "n/a";
+  if (!std::isnan(paper))
+    std::snprintf(paper_text, sizeof(paper_text), "%.4g", paper);
+  std::printf("  %-46s paper=%10s   measured=%10.4g %s\n", metric,
+              paper_text, measured, unit);
 }
 
 inline void note(const std::string& text) {

@@ -31,14 +31,6 @@ bool ContentCache::access(const ContentId& id, std::uint64_t size_bytes) {
   return false;
 }
 
-void ContentCache::invalidate(const ContentId& id) {
-  const auto it = map_.find(id);
-  if (it == map_.end()) return;
-  used_ -= it->second->size;
-  lru_.erase(it->second);
-  map_.erase(it);
-}
-
 double ContentCache::hit_rate() const noexcept {
   const std::uint64_t total = hits_ + misses_;
   return total > 0 ? static_cast<double>(hits_) / static_cast<double>(total)

@@ -21,9 +21,6 @@ class ContentCache {
   /// than the whole cache are never admitted.
   bool access(const ContentId& id, std::uint64_t size_bytes);
 
-  /// Drops an entry (content deleted or updated).
-  void invalidate(const ContentId& id);
-
   std::uint64_t capacity_bytes() const noexcept { return capacity_; }
   std::uint64_t used_bytes() const noexcept { return used_; }
   std::size_t entries() const noexcept { return map_.size(); }

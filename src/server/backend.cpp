@@ -877,13 +877,6 @@ Response U1Backend::do_upload(const Request& q) {
     ++stats_.dedup_hits;
   } else {
     wire = size_bytes;
-    if (config_.enable_delta_updates && is_update) {
-      // §9 ablation: a delta-aware client ships only the changed fraction.
-      wire = std::max<std::uint64_t>(
-          1024, static_cast<std::uint64_t>(
-                    static_cast<double>(size_bytes) *
-                    config_.delta_update_fraction));
-    }
     if (wire > kMultipartChunkBytes) {
       // Multipart upload state machine (appendix A, Fig. 17).
       const UploadJob job =

@@ -59,10 +59,8 @@ struct BackendConfig {
   /// One-way latency charged per S3 API interaction.
   double s3_latency_s_median = 0.025;
 
-  /// Feature toggles for the §9 ablations.
-  bool enable_dedup = true;          // file-based cross-user dedup (on in U1)
-  bool enable_delta_updates = false; // NOT implemented by the U1 client
-  double delta_update_fraction = 0.15;  // wire share when deltas are on
+  /// File-based cross-user dedup (on in U1); off stores every copy.
+  bool enable_dedup = true;
 
   /// Load shedding: a process at this many open sessions makes the
   /// balancer answer "try again" instead of accepting (0 = unlimited,

@@ -230,7 +230,6 @@ enum CounterIx : std::size_t {
   kCtrFaultEvents,
   kCtrAutoPurges,
   kCtrFirstDelay,
-  kCtrCrossDead,
   kCtrRecords,
   kCtrFirstPurgeBarrier,
   kCtrFirstPurgeGroup,
@@ -255,7 +254,6 @@ ChunkMetaMsg pack_meta(const SimulationReport& rep,
   meta.counters[kCtrAutoPurges] = rep.auto_purges;
   meta.counters[kCtrFirstDelay] =
       static_cast<std::uint64_t>(rep.first_auto_response_delay);
-  meta.counters[kCtrCrossDead] = sim.cross_group_dead_blobs();
   meta.counters[kCtrRecords] = sim.records_flushed();
   meta.counters[kCtrFirstPurgeBarrier] = sim.first_purge_barrier();
   meta.counters[kCtrFirstPurgeGroup] = sim.first_purge_group();
@@ -317,7 +315,7 @@ std::vector<double> slice_weights(const SimulationConfig& config) {
       const DdosAttackSpec& spec = schedule[a];
       const double hours =
           static_cast<double>(spec.response_delay) / static_cast<double>(kHour);
-      weights[group_of(UserId{1000000 + a})] +=
+      weights[group_of(UserId{kFirstAttackAccount + a})] +=
           kAttackOpWeight * spec.bots * spec.connects_per_hour * hours *
           (1.0 + spec.downloads_per_connection);
     }
@@ -1009,7 +1007,6 @@ SimulationReport DistributedSimulation::run_inline() {
   for (ShardedAnalyzer* a : analyzers_) sim.attach_analyzer(*a);
   const SimulationReport rep = sim.run();
   records_flushed_ = sim.records_flushed();
-  cross_group_dead_blobs_ = sim.cross_group_dead_blobs();
   worker_rss_kb_ = {peak_rss_kb()};
   return rep;
 }
@@ -1136,7 +1133,6 @@ SimulationReport DistributedSimulation::run_forked() {
     if (w == 0) {
       rep.bootstrap_files = c[kCtrBootstrapFiles];
       rep.fault_events = c[kCtrFaultEvents];
-      cross_group_dead_blobs_ = c[kCtrCrossDead];
     }
     const std::uint64_t barrier = c[kCtrFirstPurgeBarrier];
     const std::uint64_t group = c[kCtrFirstPurgeGroup];

@@ -191,9 +191,6 @@ class DistributedSimulation {
   /// Total records the workers handed to their flush pipelines (== the
   /// in-process engine's records_flushed for the same config).
   std::uint64_t records_flushed() const noexcept { return records_flushed_; }
-  std::uint64_t cross_group_dead_blobs() const noexcept {
-    return cross_group_dead_blobs_;
-  }
 
   /// Per-worker peak RSS (ru_maxrss, KiB) reported in each ChunkMeta;
   /// one entry per worker process (one entry for the whole process when
@@ -212,7 +209,6 @@ class DistributedSimulation {
   std::size_t threads_;
   std::vector<ShardedAnalyzer*> analyzers_;
   std::uint64_t records_flushed_ = 0;
-  std::uint64_t cross_group_dead_blobs_ = 0;
   std::vector<std::uint64_t> worker_rss_kb_;
   bool ran_ = false;
 };

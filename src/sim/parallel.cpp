@@ -344,7 +344,7 @@ void ParallelSimulation::schedule_population_start(const SetupDraws& draws) {
     for (std::size_t a = 0; a < schedule.size(); ++a) {
       AttackRuntime rt;
       rt.spec = schedule[a];
-      rt.account = UserId{1000000 + a};
+      rt.account = UserId{kFirstAttackAccount + a};
       // The abused account pins the whole attack to one group: every bot
       // operation targets that single account, so the traffic is
       // group-local by construction.
@@ -783,8 +783,7 @@ void ParallelSimulation::merge_epoch(SimTime epoch_end) {
   if (peer_ != nullptr) {
     exchange_barrier(/*tail=*/false);
   } else {
-    shared_dedup_->merge_epoch(
-        [this](const ContentInfo&) { ++cross_group_dead_blobs_; });
+    shared_dedup_->merge_epoch();
     for (auto& grp : groups_) content_pool_->absorb(*grp->pool_view);
   }
   // Cross-group commands detected in the previous epoch's merged stream,
@@ -848,9 +847,7 @@ void ParallelSimulation::exchange_barrier(bool tail) {
   // Replay the cluster-wide epoch in group-index order — the same order
   // the in-process merge applies — so this process's global registry
   // and content-pool replicas match every other process byte for byte.
-  for (const auto& log : in.dedup_logs)
-    shared_dedup_->apply_log(
-        log, [this](const ContentInfo&) { ++cross_group_dead_blobs_; });
+  for (const auto& log : in.dedup_logs) shared_dedup_->apply_log(log);
   for (const auto& delta : in.pool_deltas) content_pool_->absorb_delta(delta);
   for (const MailboxEntry& e : in.purges)
     purge_mail_.post(static_cast<std::size_t>(e.lane), UserId{e.value});

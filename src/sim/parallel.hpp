@@ -305,11 +305,6 @@ class ParallelSimulation {
 
   /// The merged global dedup registry (one per run, across all groups).
   const ContentRegistry& contents() const noexcept;
-  /// Blobs whose last references were dropped by different groups within
-  /// one epoch (GC'd at the merge, invisible to any single group).
-  std::uint64_t cross_group_dead_blobs() const noexcept {
-    return cross_group_dead_blobs_;
-  }
 
  private:
   struct Bot {
@@ -550,7 +545,6 @@ class ParallelSimulation {
 
   EpochPhases phases_;
   SimulationReport report_;
-  std::uint64_t cross_group_dead_blobs_ = 0;
   std::uint64_t first_purge_barrier_ = ~0ull;
   std::uint64_t first_purge_group_ = ~0ull;
   bool ran_ = false;

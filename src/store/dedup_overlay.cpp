@@ -72,8 +72,7 @@ SharedDedup::SharedDedup(std::size_t groups) {
 }
 
 void SharedDedup::replay_op(DedupOverlay::OpKind kind, const ContentId& id,
-                            std::uint64_t size_bytes,
-                            const DeadBlobFn& on_dead_blob) {
+                            std::uint64_t size_bytes) {
   // The replay is tolerant of cross-group interleavings the overlays
   // could not see: two groups inserting the same blob, or jointly
   // dropping a blob's last references.
@@ -90,12 +89,9 @@ void SharedDedup::replay_op(DedupOverlay::OpKind kind, const ContentId& id,
     case DedupOverlay::OpKind::kUnlink: {
       const ContentInfo* info = global_.find(id);
       if (info == nullptr || info->refcount == 0) break;  // already dead
-      if (auto dead = global_.unlink(id)) {
-        // Nobody observed the death in-line (the final references
-        // were spread over several groups): GC it here.
-        global_.erase(id);
-        if (on_dead_blob) on_dead_blob(*dead);
-      }
+      // Nobody observed the death in-line (the final references were
+      // spread over several groups): GC it here.
+      if (global_.unlink(id)) global_.erase(id);
       break;
     }
     case DedupOverlay::OpKind::kErase: {
@@ -106,11 +102,11 @@ void SharedDedup::replay_op(DedupOverlay::OpKind kind, const ContentId& id,
   }
 }
 
-void SharedDedup::merge_epoch(const DeadBlobFn& on_dead_blob) {
+void SharedDedup::merge_epoch() {
   // Replay in fixed group order.
   for (auto& overlay : overlays_) {
     for (const DedupOverlay::Op& op : overlay->log_)
-      replay_op(op.kind, op.id, op.size_bytes, on_dead_blob);
+      replay_op(op.kind, op.id, op.size_bytes);
     overlay->log_.clear();
     overlay->views_.clear();
   }
@@ -131,8 +127,7 @@ std::vector<std::uint8_t> SharedDedup::extract_log(std::size_t group) {
   return out;
 }
 
-void SharedDedup::apply_log(std::span<const std::uint8_t> bytes,
-                            const DeadBlobFn& on_dead_blob) {
+void SharedDedup::apply_log(std::span<const std::uint8_t> bytes) {
   wire::Cursor c{bytes.data(), bytes.data() + bytes.size()};
   const std::uint64_t n = c.varint();
   for (std::uint64_t i = 0; c.ok && i < n; ++i) {
@@ -146,8 +141,7 @@ void SharedDedup::apply_log(std::span<const std::uint8_t> bytes,
       std::copy(p, p + id.bytes.size(), id.bytes.begin());
     const std::uint64_t size_bytes = c.varint();
     if (!c.ok) break;
-    replay_op(static_cast<DedupOverlay::OpKind>(kind), id, size_bytes,
-              on_dead_blob);
+    replay_op(static_cast<DedupOverlay::OpKind>(kind), id, size_bytes);
   }
   if (!c.ok || c.p != c.end)
     throw std::runtime_error("SharedDedup::apply_log: malformed op log");

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -75,11 +74,6 @@ class DedupOverlay final : public DedupProxy {
 
 class SharedDedup {
  public:
-  /// Called with every blob that dies during an epoch merge (its last
-  /// references were dropped by different groups, so no group saw the
-  /// refcount reach zero in-line). The engine deletes the S3 object.
-  using DeadBlobFn = std::function<void(const ContentInfo&)>;
-
   explicit SharedDedup(std::size_t groups);
 
   /// The live global registry. Mutable access is only sound between
@@ -93,7 +87,7 @@ class SharedDedup {
   /// Replays every group's op log into the global registry in group
   /// order, then clears the overlays for the next epoch. Sequential —
   /// call only at an epoch barrier.
-  void merge_epoch(const DeadBlobFn& on_dead_blob = {});
+  void merge_epoch();
 
   /// Distributed barrier support (DESIGN.md §12): serializes one
   /// overlay's epoch op log and clears the overlay — the worker-side
@@ -106,12 +100,11 @@ class SharedDedup {
   /// every group's blob in group order, so the replicas stay identical.
   /// The channel is trusted (same-binary workers over a socketpair);
   /// throws std::runtime_error on a malformed blob.
-  void apply_log(std::span<const std::uint8_t> bytes,
-                 const DeadBlobFn& on_dead_blob = {});
+  void apply_log(std::span<const std::uint8_t> bytes);
 
  private:
   void replay_op(DedupOverlay::OpKind kind, const ContentId& id,
-                 std::uint64_t size_bytes, const DeadBlobFn& on_dead_blob);
+                 std::uint64_t size_bytes);
 
   ContentRegistry global_;
   std::vector<std::unique_ptr<DedupOverlay>> overlays_;

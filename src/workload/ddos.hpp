@@ -17,6 +17,9 @@
 
 namespace u1 {
 
+/// Attack a's shared account is UserId{kFirstAttackAccount + a}.
+constexpr std::uint32_t kFirstAttackAccount = 1000000;
+
 struct DdosAttackSpec {
   SimTime start = 0;
   /// How long engineers took to detect + respond (manual in U1).

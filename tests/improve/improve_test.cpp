@@ -39,16 +39,6 @@ TEST(ContentCache, NeverAdmitsWhales) {
   EXPECT_FALSE(cache.access(cid(1), 5000));  // still a miss
 }
 
-TEST(ContentCache, InvalidateRemoves) {
-  ContentCache cache(10000);
-  cache.access(cid(1), 100);
-  cache.invalidate(cid(1));
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.used_bytes(), 0u);
-  EXPECT_FALSE(cache.access(cid(1), 100));
-  cache.invalidate(cid(99));  // unknown: no-op
-}
-
 TEST(ContentCache, RejectsZeroCapacity) {
   EXPECT_THROW(ContentCache(0), std::invalid_argument);
 }

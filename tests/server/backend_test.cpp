@@ -184,25 +184,6 @@ TEST_F(BackendTest, DedupDisabledStoresEveryCopy) {
   EXPECT_EQ(backend.s3().stored_bytes(), 2u << 20);
 }
 
-TEST_F(BackendTest, DeltaUpdatesShrinkUpdateTraffic) {
-  BackendConfig cfg = config_;
-  cfg.enable_delta_updates = true;
-  cfg.delta_update_fraction = 0.1;
-  InMemorySink sink;
-  U1Backend backend(cfg, sink);
-  const auto acc = backend.register_user(UserId{1}, 0);
-  const auto conn = backend.connect(UserId{1}, kHour);
-  const auto mk = backend.make_file(conn.session, acc.root_volume,
-                                    acc.root_dir, "doc", "doc", kHour);
-  const std::uint64_t size = 2 << 20;
-  const auto v1 = backend.upload(conn.session, mk.node, Sha1::of("v1"), size,
-                                 false, kHour);
-  EXPECT_EQ(v1.transferred_bytes, size);  // initial upload is full
-  const auto v2 = backend.upload(conn.session, mk.node, Sha1::of("v2"), size,
-                                 true, v1.end);
-  EXPECT_EQ(v2.transferred_bytes, size / 10);  // update ships the delta
-}
-
 TEST_F(BackendTest, UpdateReplacesS3Object) {
   const auto [acc, sid] = enroll(1, kHour);
   const auto mk = backend_->make_file(sid, acc.root_volume, acc.root_dir,

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -54,11 +53,10 @@ struct Outcome {
   std::vector<std::uint64_t> refcounts, sizes;
   std::vector<bool> present;
   std::uint64_t unique_bytes = 0, logical_bytes = 0;
-  std::vector<ContentId> dead;
   bool operator==(const Outcome&) const = default;
 };
 
-Outcome outcome(const SharedDedup& d, std::vector<ContentId> dead) {
+Outcome outcome(const SharedDedup& d) {
   Outcome o;
   for (const char* id : kIds) {
     const ContentInfo* info = d.global().find(cid(id));
@@ -68,21 +66,15 @@ Outcome outcome(const SharedDedup& d, std::vector<ContentId> dead) {
   }
   o.unique_bytes = d.global().unique_bytes();
   o.logical_bytes = d.global().logical_bytes();
-  o.dead = std::move(dead);
   return o;
 }
 
 TEST(SharedDedup, LogRoundTripEqualsMergeEpoch) {
-  std::vector<ContentId> merged_dead, shipped_dead;
-  const auto collect = [](std::vector<ContentId>& into) {
-    return [&into](const ContentInfo& blob) { into.push_back(blob.id); };
-  };
-
   SharedDedup merged(2);
   epoch_one(merged);
-  merged.merge_epoch(collect(merged_dead));
+  merged.merge_epoch();
   epoch_two(merged);
-  merged.merge_epoch(collect(merged_dead));
+  merged.merge_epoch();
 
   SharedDedup shipped(2);
   for (const auto epoch : {epoch_one, epoch_two}) {
@@ -92,16 +84,14 @@ TEST(SharedDedup, LogRoundTripEqualsMergeEpoch) {
     std::vector<std::vector<std::uint8_t>> logs;
     for (std::size_t g = 0; g < 2; ++g) logs.push_back(shipped.extract_log(g));
     EXPECT_EQ(shipped.overlay(0).pending_ops(), 0u);
-    for (const auto& log : logs) shipped.apply_log(log, collect(shipped_dead));
+    for (const auto& log : logs) shipped.apply_log(log);
   }
 
-  const Outcome want = outcome(merged, merged_dead);
-  EXPECT_EQ(outcome(shipped, shipped_dead), want);
-  // z's death is one no group saw; both paths must collect it.
-  EXPECT_NE(std::find(want.dead.begin(), want.dead.end(), cid("z")),
-            want.dead.end());
+  const Outcome want = outcome(merged);
+  EXPECT_EQ(outcome(shipped), want);
   EXPECT_EQ(want.refcounts[0], 3u);  // x: one link per group, then one more
   EXPECT_FALSE(want.present[1]);     // y died in-line
+  EXPECT_FALSE(want.present[2]);     // z died across groups, GC'd by the replay
   EXPECT_EQ(want.sizes[3], 1ull << 40);
 }
 

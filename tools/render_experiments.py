@@ -76,8 +76,10 @@ def table(rows):
     out = [HEADER]
     for r in rows:
         mark = FOOTNOTES.get((r["figure"], r["metric"]), "")
+        # A null paper value is a row the paper gives no number for.
+        paper = "—" if r["paper"] is None else number(r["paper"])
         out.append("| %s | %s | %s | %s%s | %s |\n" % (
-            r["figure"], r["metric"], number(r["paper"]),
+            r["figure"], r["metric"], paper,
             number(r["measured"]), mark, band(r)))
     return "".join(out)
 
