@@ -162,6 +162,9 @@ int main(int argc, char** argv) {
               static_cast<double>(heap_kb) / 1024.0);
   std::printf("  serial prefix: bootstrap=%.2fs bootstrap_flush=%.2fs\n",
               phases.bootstrap_s, phases.bootstrap_flush_s);
+  std::printf("  memory: ring_bytes_max=%.1fMB bootstrap_bytes_max=%.1fMB\n",
+              static_cast<double>(phases.ring_bytes_max) / 1e6,
+              static_cast<double>(phases.bootstrap_bytes_max) / 1e6);
   std::printf("  flush_depth=%zu (analysis_only=%s, auto-shrunk ring)\n",
               effective_depth, analysis_only ? "yes" : "no");
   std::printf("  activity: %zu users seen, %llu sessions closed, "
@@ -248,6 +251,10 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"bootstrap_s\": %.3f,\n", phases.bootstrap_s);
     std::fprintf(f, "  \"bootstrap_flush_s\": %.3f,\n",
                  phases.bootstrap_flush_s);
+    std::fprintf(f, "  \"ring_bytes_max\": %llu,\n",
+                 static_cast<unsigned long long>(phases.ring_bytes_max));
+    std::fprintf(f, "  \"bootstrap_bytes_max\": %llu,\n",
+                 static_cast<unsigned long long>(phases.bootstrap_bytes_max));
     std::fprintf(f, "  \"records\": %llu,\n",
                  static_cast<unsigned long long>(records));
     std::fprintf(f, "  \"records_per_sec\": %.0f,\n",

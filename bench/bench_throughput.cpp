@@ -12,7 +12,8 @@
 // is the engine's 1/P memory claim, written to the JSON. Wall-clock, records/sec,
 // the per-epoch phase breakdown (compute / merge / flush / flush-stall)
 // and the trace-buffer memory counters (the flush ring's ring_bytes,
-// ring_bytes_max and ring_releases; in bin mode also the writer's
+// ring_bytes_max and ring_releases, the bootstrap history's
+// bootstrap_bytes_max; in bin mode also the writer's
 // buffered_bytes_max) are written to BENCH_throughput.json at the repo root
 // (honest numbers: the file records the machine's hardware concurrency —
 // speedups are bounded by the cores actually present, and a single-core
@@ -238,10 +239,11 @@ void print_phases(const RunResult& r, u1::TraceFormat format) {
               static_cast<unsigned long long>(p.cal_rebuilds),
               static_cast<unsigned long long>(p.cal_finds), per_find);
   std::printf("    memory: ring_bytes=%.1fMB ring_bytes_max=%.1fMB "
-              "ring_releases=%llu",
+              "ring_releases=%llu bootstrap_bytes_max=%.1fMB",
               static_cast<double>(p.ring_bytes) / 1e6,
               static_cast<double>(p.ring_bytes_max) / 1e6,
-              static_cast<unsigned long long>(p.ring_releases));
+              static_cast<unsigned long long>(p.ring_releases),
+              static_cast<double>(p.bootstrap_bytes_max) / 1e6);
   if (format == u1::TraceFormat::kBinary)
     std::printf(" writer_buffered_max=%.1fMB",
                 static_cast<double>(r.writer_buffered_max) / 1e6);
@@ -450,7 +452,8 @@ int main(int argc, char** argv) {
           "\"plan_rebuilds\": %llu, \"cal_rebuilds\": %llu, "
           "\"cal_finds\": %llu, \"cal_scanned\": %llu, "
           "\"cal_scanned_per_find\": %.2f, \"ring_bytes\": %llu, "
-          "\"ring_bytes_max\": %llu, \"ring_releases\": %llu, "
+          "\"ring_bytes_max\": %llu, \"bootstrap_bytes_max\": %llu, "
+          "\"ring_releases\": %llu, "
           "\"bootstrap_s\": %.3f, \"bootstrap_flush_s\": %.3f}",
           r.threads, r.wall_min(), r.wall_median(),
           static_cast<unsigned long long>(r.records),
@@ -468,6 +471,7 @@ int main(int argc, char** argv) {
                           : 0.0,
           static_cast<unsigned long long>(p.ring_bytes),
           static_cast<unsigned long long>(p.ring_bytes_max),
+          static_cast<unsigned long long>(p.bootstrap_bytes_max),
           static_cast<unsigned long long>(p.ring_releases), p.bootstrap_s,
           p.bootstrap_flush_s);
       if (format == TraceFormat::kBinary)

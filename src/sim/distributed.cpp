@@ -756,10 +756,11 @@ class ChunkMerger {
 /// Barrier relay: B non-tail barriers (one per engine epoch) and the two
 /// run-tail exchanges; every worker hits every barrier in lockstep, and
 /// the reply carries the cluster-wide replay set. Returns once every
-/// worker's ChunkMeta manifest is in. Never waits on the chunk streams.
+/// worker's ChunkMeta manifest is in, each counting `total_chunks` chunks
+/// sent. Never waits on the chunk streams.
 void relay_barriers(std::vector<Worker>& workers, std::size_t n_groups,
                     bool guard_on, std::uint64_t non_tail,
-                    std::uint64_t total_barriers) {
+                    std::uint64_t total_barriers, std::uint64_t total_chunks) {
   const std::size_t n_workers = workers.size();
   AnomalyGuard guard;
   std::vector<std::unordered_set<UserId>> purge_seen(n_groups);
@@ -851,7 +852,7 @@ void relay_barriers(std::vector<Worker>& workers, std::size_t n_groups,
         s != Status::kOk)
       throw_status("ChunkMeta decode", s);
     if (w.meta.counters.size() != kCtrCount ||
-        w.meta.counters[kCtrChunks] != total_barriers)
+        w.meta.counters[kCtrChunks] != total_chunks)
       throw std::runtime_error("distributed: bad ChunkMeta manifest");
   }
 }
@@ -1065,9 +1066,12 @@ SimulationReport DistributedSimulation::run_forked() {
   const auto non_tail =
       static_cast<std::uint64_t>((horizon + epoch - 1) / epoch);
   const std::uint64_t total_barriers = non_tail + 2;
+  // Each worker sends one chunk per bootstrap window, one after each
+  // non-tail barrier and the run tail's.
+  const std::uint64_t total_chunks = bootstrap_windows(config_) + non_tail + 1;
 
-  // --- Chunk merge: one chunk per barrier per worker, merged on the
-  // coordinator's merge thread while the relay below keeps going.
+  // --- Chunk merge: every worker's chunks, merged on the coordinator's
+  // merge thread while the relay below keeps going.
   std::vector<std::vector<std::unique_ptr<AnalyzerShard>>> shards(
       analyzers_.size());
   for (std::size_t a = 0; a < analyzers_.size(); ++a) {
@@ -1076,14 +1080,14 @@ SimulationReport DistributedSimulation::run_forked() {
       shards[a].push_back(analyzers_[a]->make_shard());
   }
   const bool write_trace = dynamic_cast<NullSink*>(sink_) == nullptr;
-  ChunkMerger merger(workers, n_groups, total_barriers,
+  ChunkMerger merger(workers, n_groups, total_chunks,
                      ParallelSimulation::kFlushDepth,
                      write_trace ? sink_ : nullptr, shards);
   merger.start();
 
   try {
     relay_barriers(workers, n_groups, config_.auto_countermeasures, non_tail,
-                   total_barriers);
+                   total_barriers, total_chunks);
     merger.relay_done();
     for (Worker& w : workers)
       send_frame(w.fd, ProtoOp::kShutdown, encode_shutdown(ShutdownMsg{}));

@@ -39,7 +39,10 @@
 //
 // and, on the chunk-stream socket, at the worker's own pace:
 //
-//   worker  ══chunk 0 (bootstrap), chunk s+1 after barrier s══▶ merge
+//   worker  ══chunks 0..W-1 (bootstrap), chunk W+s after barrier s══▶ merge
+//
+// (W = bootstrap_windows(config): the bootstrap history flushes one
+// epoch-long window per chunk, all before barrier 0; sim/simulation.hpp)
 //
 // The relay never waits on the merge thread. The merge thread's reader
 // drains every stream as bytes arrive but buffers at most K complete

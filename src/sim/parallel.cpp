@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -80,7 +81,7 @@ SetupDraws draw_setup(const SimulationConfig& config) {
     if (master.chance(0.025)) n *= 40.0;
     user.bootstrap_files = static_cast<std::size_t>(std::min(n, 4000.0));
     user.bootstrap_at =
-        -4 * kDay + static_cast<SimTime>(master.below(
+        kBootstrapStart + static_cast<SimTime>(master.below(
                         static_cast<std::uint64_t>(2 * kDay)));
   }
   for (SetupDraws::User& user : draws.users)
@@ -287,9 +288,13 @@ void ParallelSimulation::bootstrap_phase(const SetupDraws& draws) {
     grp->backend->set_dedup_proxy(&shared_dedup_->global());
     grp->pool_view->set_live(content_pool_.get());
   }
+  bootstrap_runs_.resize(groups_.size());
+  // Records the groups' buffers gained since the last slice was packed.
+  std::size_t open_records = 0;
   for (std::size_t i = 0; i < config_.users; ++i) {
     ClientAgent& agent = *groups_[home_[i].group]->agents[home_[i].index];
     const SetupDraws::User& draw = draws.users[i];
+    const std::size_t held = groups_[home_[i].group]->trace.records().size();
     agent.bootstrap(*groups_[home_[i].group]->backend, draw.bootstrap_at,
                     draw.bootstrap_files);
     report_.bootstrap_files += draw.bootstrap_files;
@@ -310,12 +315,113 @@ void ParallelSimulation::bootstrap_phase(const SetupDraws& draws) {
       agent.shed_namespace_mirror();
       shed_scratch.clear();
       grp.trace.swap_records(shed_scratch);
+    } else {
+      open_records += groups_[home_[i].group]->trace.records().size() - held;
+    }
+    // The history is held packed, about a third of its 128-byte records:
+    // each slice is sorted and packed once the buffers hold enough.
+    if (open_records >= kBootstrapSliceRecords) {
+      pack_bootstrap_slice();
+      open_records = 0;
     }
   }
   // Freeze: from here on workers only see epoch overlays.
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     groups_[g]->backend->set_dedup_proxy(&shared_dedup_->overlay(g));
     groups_[g]->pool_view->set_live(nullptr);
+  }
+}
+
+void ParallelSimulation::pack_bootstrap_slice() {
+  std::uint64_t open = 0;
+  for (const auto& grp : groups_)
+    open += grp->trace.records().size() * sizeof(TraceRecord);
+  phases_.bootstrap_bytes_max =
+      std::max(phases_.bootstrap_bytes_max, bootstrap_packed_ + open);
+  PageVector<TraceRecord> records;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& grp = *groups_[g];
+    if (grp.trace.records().empty()) continue;
+    grp.trace.swap_records(records);
+    // The flush merges a group's runs by (t, run), so a stable sort
+    // keeps the emission order of equal timestamps across the slices.
+    sort_trace_chunk(records);
+    // Room for the worst case is address space: only the pages the
+    // rows reach become resident.
+    BootstrapRun& run = bootstrap_runs_[g].emplace_back();
+    run.rows.reserve(records.size() * kMaxPackedRow);
+    for (const TraceRecord& r : records) run.rows.push_back(r);
+    run.left = records.size();
+    bootstrap_packed_ += run.rows.bytes();
+    // The group keeps its buffer for the next slice, but not the pages
+    // this slice touched.
+    std::size_t released = 0;
+    release_prefix(records, records.size(), released);
+    records.clear();
+    grp.trace.swap_records(records);
+  }
+}
+
+void ParallelSimulation::flush_bootstrap() {
+  pack_bootstrap_slice();
+  for (auto& runs : bootstrap_runs_)
+    for (BootstrapRun& run : runs) {
+      run.reader = PackedReader{run.rows.data()};
+      run.reader.next(run.head);
+    }
+  const std::size_t windows = bootstrap_windows(config_);
+  const SimTime epoch = epoch_length(config_);
+  for (std::size_t w = 0; w < windows; ++w) {
+    const SimTime end =
+        w + 1 < windows
+            ? kBootstrapStart + static_cast<SimTime>(w + 1) * epoch
+            : std::numeric_limits<SimTime>::max();
+    for (std::size_t g = 0; g < groups_.size(); ++g)
+      unpack_bootstrap_window(g, end);
+    // No epoch needs buffers this size again, so the slot frees them all.
+    flush_inline(/*release_all=*/true);
+  }
+  bootstrap_runs_.clear();
+  bootstrap_runs_.shrink_to_fit();
+  bootstrap_packed_ = 0;
+}
+
+void ParallelSimulation::unpack_bootstrap_window(std::size_t g, SimTime end) {
+  std::vector<BootstrapRun>& runs = bootstrap_runs_[g];
+  InMemorySink& trace = groups_[g]->trace;
+  struct Head {
+    SimTime t;
+    std::size_t run;
+  };
+  // Min-heap on (t, run): runs are in slice order and each is stably
+  // sorted, so the merged stream is the stable sort of everything the
+  // group emitted.
+  const auto later = [](const Head& a, const Head& b) noexcept {
+    return a.t != b.t ? a.t > b.t : a.run > b.run;
+  };
+  std::vector<Head> heads;
+  for (std::size_t r = 0; r < runs.size(); ++r)
+    if (runs[r].left > 0 && runs[r].head.t < end)
+      heads.push_back(Head{runs[r].head.t, r});
+  std::make_heap(heads.begin(), heads.end(), later);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    BootstrapRun& run = runs[heads.back().run];
+    trace.append(run.head);
+    if (--run.left > 0) run.reader.next(run.head);
+    if (run.left > 0 && run.head.t < end) {
+      heads.back().t = run.head.t;
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      heads.pop_back();
+    }
+  }
+  for (BootstrapRun& run : runs) {
+    if (run.left == 0)
+      run.rows.free();
+    else
+      run.rows.release_prefix(
+          static_cast<std::size_t>(run.reader.p - run.rows.data()));
   }
 }
 
@@ -974,11 +1080,11 @@ SimulationReport ParallelSimulation::run() {
     schedule_population_start(draws);
     phases_.bootstrap_s = secs_since(t0);
   }
-  // Bootstrap records: merged and written once, pre-pipeline (no flush
-  // task or worker runs yet, so the slot runs both stages inline).
-  // No epoch needs buffers that size again, so the slot frees them all.
+  // Bootstrap records: merged and written pre-pipeline, one window at a
+  // time (no flush task or worker runs yet, so each slot runs both
+  // stages inline).
   const auto flush_t0 = Clock::now();
-  flush_inline(/*release_all=*/true);
+  flush_bootstrap();
   phases_.bootstrap_flush_s = secs_since(flush_t0);
   if (peer_ != nullptr) release_remote_groups();
 

@@ -97,6 +97,7 @@
 #include "sim/simulation.hpp"
 #include "sim/trace_merge.hpp"
 #include "store/dedup_overlay.hpp"
+#include "trace/packed.hpp"
 #include "trace/sink.hpp"
 #include "trace/symbols.hpp"
 #include "util/page_alloc.hpp"
@@ -170,10 +171,11 @@ class EpochPeer {
   /// order and reproduce the oracle's symbol ids bit for bit. Called from
   /// the epochs' flush tasks, one call at a time, FIFO in epoch order —
   /// or inline at threads = 1, where a send that blocks stalls the
-  /// compute too. The call for chunk c comes after barrier c-1 (chunk 0
-  /// during setup), and the engine enters barrier s only once the calls
-  /// for every chunk up to s-K have returned (K = flush_depth(): the
-  /// ring slot it reuses must be free).
+  /// compute too. Chunks 0..W-1 are the bootstrap windows, sent during
+  /// setup (W = bootstrap_windows(config)); chunk W+s comes after barrier
+  /// s, and the engine enters barrier s only once the calls for every
+  /// chunk up to W+s-1-K have returned (K = flush_depth(): the ring slot
+  /// it reuses must be free).
   virtual void write_chunk(
       const std::vector<PageVector<TraceRecord>>& chunks,
       const std::vector<std::vector<std::pair<Symbol, std::string>>>&
@@ -214,12 +216,16 @@ class ParallelSimulation {
     std::uint64_t ring_bytes = 0;
     std::uint64_t ring_bytes_max = 0;
     /// Buffers stage B freed instead of keeping for reuse: every chunk
-    /// and the plan of the bootstrap flush, then burst-sized ones.
+    /// and the plan of each bootstrap window, then burst-sized ones.
     std::uint64_t ring_releases = 0;
+    /// The most bytes the bootstrap history held at once: its packed
+    /// runs plus the capacity of the groups' open slice (DESIGN.md §7).
+    /// The setup is serial, so it depends only on the config.
+    std::uint64_t bootstrap_bytes_max = 0;
     /// The serial prefix of run(), before the first epoch: the setup
     /// (draw_setup through schedule_population_start, the bootstrap
     /// uploads included), which no field above counts, and the bootstrap
-    /// records' inline flush, whose two stages flush_s and write_s
+    /// history's inline flushes, whose two stages flush_s and write_s
     /// count too.
     double bootstrap_s = 0;
     double bootstrap_flush_s = 0;
@@ -289,6 +295,9 @@ class ParallelSimulation {
   /// coordinator buffers at most this many chunks per worker (DESIGN.md
   /// §12).
   static constexpr std::size_t kFlushDepth = 2;
+  /// Bootstrap records the groups' trace buffers hold, together, before
+  /// they are sorted and packed into one run per group (DESIGN.md §7).
+  static constexpr std::size_t kBootstrapSliceRecords = std::size_t{1} << 16;
   /// The K this engine runs with: kFlushDepth, or 1 in analysis-only
   /// mode, where nothing is written K-deep.
   std::size_t flush_depth() const noexcept {
@@ -363,6 +372,25 @@ class ParallelSimulation {
   void grant_shares(const SetupDraws& draws);
   void bootstrap_phase(const SetupDraws& draws);
   void schedule_population_start(const SetupDraws& draws);
+
+  /// One group's bootstrap records of one slice, sorted by t (stable)
+  /// and packed, and the bootstrap flush's place in it: `head` is the
+  /// next record, read ahead while `left` > 0.
+  struct BootstrapRun {
+    PackedRows rows;
+    PackedReader reader;
+    std::size_t left = 0;  // records not yet flushed, head included
+    TraceRecord head;
+  };
+  /// Sorts every group's trace buffer and packs it into a new run.
+  void pack_bootstrap_slice();
+  /// Packs the last slice, then flushes the runs inline, one
+  /// bootstrap_windows() window at a time.
+  void flush_bootstrap();
+  /// Moves group g's records with t < end out of its runs into its
+  /// trace buffer, merged by (t, run), and hands the runs' consumed
+  /// prefixes back.
+  void unpack_bootstrap_window(std::size_t g, SimTime end);
   void run_group_epoch(std::size_t group, SimTime limit);
 
   // Persistent worker pool (threads_ >= 2): workers park on the start
@@ -495,6 +523,10 @@ class ParallelSimulation {
     std::size_t index = 0;
   };
   std::vector<HomeRef> home_;
+  /// The bootstrap history, per group its runs in slice order; empty
+  /// once flushed. `bootstrap_packed_` is the runs' bytes.
+  std::vector<std::vector<BootstrapRun>> bootstrap_runs_;
+  std::uint64_t bootstrap_packed_ = 0;
   std::vector<VolumeId> root_volume_;  // uid-1 keyed, for share grants
 
   // Worker pool state.

@@ -61,6 +61,18 @@ inline SimTime epoch_length(const SimulationConfig& c) noexcept {
   return c.auto_countermeasures ? AnomalyGuardConfig{}.window : kHour;
 }
 
+/// Bootstrap uploads start no earlier than this (draw_setup): the
+/// pre-trace history reaches back at most four days.
+inline constexpr SimTime kBootstrapStart = -4 * kDay;
+
+/// Time windows the bootstrap history is flushed in: one epoch each, on
+/// the grid from kBootstrapStart to 0, the first open below and the last
+/// open above (a bootstrap op may finish after t = 0). Each window is one
+/// flush, and in worker mode one chunk on the stream (DESIGN.md §7, §12).
+inline std::size_t bootstrap_windows(const SimulationConfig& c) noexcept {
+  return static_cast<std::size_t>(-kBootstrapStart / epoch_length(c));
+}
+
 struct SimulationReport {
   BackendStats backend;
   std::size_t users = 0;

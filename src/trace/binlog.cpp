@@ -10,6 +10,7 @@
 #include <string>
 
 #include "proto/wire.hpp"
+#include "trace/packed.hpp"
 #include "util/page_alloc.hpp"
 #include "util/sim_time.hpp"
 
@@ -645,35 +646,40 @@ void encode_stripe(std::span<const TraceRecord> recs, SymbolDict& dict,
 }
 
 /// One `.u1b` logfile and its `.u1s` sidecar. The full stripes are on
-/// disk as soon as they fill; the last, partial stripe stays in
-/// `pending_` until finish() writes it behind them. `pending_` is
-/// reserved at a whole stripe up front: at the default stripe size that
-/// is a mapping of its own (util/page_alloc.hpp), resident only as far
-/// as records fill it, never copied by growth, and unmapped by finish().
+/// disk as soon as they fill; the last, open stripe stays in `rows_` as
+/// packed rows (trace/packed.hpp) until finish() writes it behind them.
+/// A stripe is unpacked only to be encoded, into the writer's scratch
+/// stripe of the thread that encodes it.
 class BinaryLogfile final : public LogfileSink::File {
  public:
   BinaryLogfile(const TraceRecord& first, const std::filesystem::path& stem,
-                std::size_t stripe_records)
+                std::size_t stripe_records,
+                BinaryLogfileWriter::Scratch& scratch)
       : machine_(static_cast<std::uint8_t>(first.machine.value)),
         process_(first.process.value),
-        stripe_records_(stripe_records) {
+        stripe_records_(stripe_records),
+        scratch_(scratch) {
     path_ = stem;
     path_ += kBinaryLogfileExt;
-    pending_.reserve(stripe_records_);
+    // A stripe's worst case, as address space: only the pages its rows
+    // reach become resident.
+    rows_.reserve(stripe_records_ * kMaxPackedRow);
   }
 
   std::size_t add(const TraceRecord& record) override {
-    pending_.push_back(record);
-    if (pending_.size() < stripe_records_)
-      return pending_.size() * sizeof(TraceRecord);
+    rows_.push_back(record);
+    if (rows_.rows() < stripe_records_) return rows_.bytes();
     std::vector<std::uint8_t> stripe;
-    encode_stripe(pending_, dict_, stripe);
+    encode_stripe(unpack(scratch_.append), dict_, stripe);
     write(stripe, nullptr);
     checksum_.update(stripe.data(), stripe.size());
     payload_bytes_ += stripe.size();
-    record_count_ += pending_.size();
+    record_count_ += rows_.rows();
     stripe_count_ += 1;
-    pending_.clear();
+    // The next stripe may never grow this large: its pages come back
+    // as its rows reach them.
+    rows_.release_prefix(rows_.bytes());
+    rows_.clear();
     return 0;
   }
 
@@ -682,7 +688,8 @@ class BinaryLogfile final : public LogfileSink::File {
     // keeps describing the full stripes only, so reopen() can cut it.
     std::vector<std::uint8_t> stripe;
     tail_dict_ = dict_.size();
-    if (!pending_.empty()) encode_stripe(pending_, dict_, stripe);
+    if (rows_.rows() > 0)
+      encode_stripe(unpack(scratch_.finish), dict_, stripe);
     Xxh64 digest = checksum_;
     digest.update(stripe.data(), stripe.size());
 
@@ -693,12 +700,12 @@ class BinaryLogfile final : public LogfileSink::File {
     header[16] = machine_;
     put_le16(header.data() + 18, process_);
     put_le32(header.data() + 20, stripe_count_ + (stripe.empty() ? 0 : 1));
-    put_le64(header.data() + 24, record_count_ + pending_.size());
+    put_le64(header.data() + 24, record_count_ + rows_.rows());
     put_le64(header.data() + 32, payload_bytes_ + stripe.size());
     put_le64(header.data() + 40, digest.digest());
     write(stripe, header.data());
     tail_bytes_ = stripe.size();
-    PageVector<TraceRecord>().swap(pending_);
+    rows_.free();
     return kFileHeaderBytes + payload_bytes_ + tail_bytes_ + write_sidecar();
   }
 
@@ -716,21 +723,32 @@ class BinaryLogfile final : public LogfileSink::File {
     std::vector<Symbol> local_to_global{kEmptySymbol};
     local_to_global.insert(local_to_global.end(), dict_.globals().begin(),
                            dict_.globals().end());
-    pending_.reserve(stripe_records_);
+    PageVector<TraceRecord>& records = scratch_.append;
+    records.clear();
     if (!in ||
         !decode_stripe(stripe.data() + kStripeHeaderBytes,
                        stripe.data() + stripe.size(),
                        get_le32(stripe.data() + 4), type_counts, machine_,
-                       process_, local_to_global.size(), pending_))
+                       process_, local_to_global.size(), records))
       throw std::runtime_error("BinaryLogfileWriter: cannot reopen " +
                                path_.string());
-    remap_labels(pending_, local_to_global);
+    remap_labels(records, local_to_global);
+    rows_.reserve(stripe_records_ * kMaxPackedRow);
+    for (const TraceRecord& r : records) rows_.push_back(r);
     dict_.truncate(tail_dict_);
     std::filesystem::resize_file(path_, offset);
     tail_bytes_ = 0;
   }
 
  private:
+  /// The open stripe's records, unpacked into `records`.
+  std::span<const TraceRecord> unpack(PageVector<TraceRecord>& records) const {
+    records.resize(rows_.rows());
+    PackedReader reader{rows_.data()};
+    for (TraceRecord& r : records) reader.next(r);
+    return records;
+  }
+
   /// Writes `stripe` behind the full stripes and `header` (if given) over
   /// the file's header, in one open. The first write creates the file,
   /// behind a zero header until the real one is patched in.
@@ -798,7 +816,8 @@ class BinaryLogfile final : public LogfileSink::File {
   std::uint64_t payload_bytes_ = 0;
   Xxh64 checksum_;  // over their payload bytes
   SymbolDict dict_;
-  PageVector<TraceRecord> pending_;  // the last stripe, arrival order
+  PackedRows rows_;  // the open stripe, arrival order
+  BinaryLogfileWriter::Scratch& scratch_;
   // What the last finish() wrote behind the full stripes: its bytes, and
   // the dictionary size before it assigned ids.
   std::size_t tail_bytes_ = 0;
@@ -810,9 +829,18 @@ class BinaryLogfile final : public LogfileSink::File {
 BinaryLogfileWriter::BinaryLogfileWriter(std::filesystem::path directory)
     : LogfileSink(std::move(directory)) {}
 
+BinaryLogfileWriter::~BinaryLogfileWriter() {
+  try {
+    close();
+  } catch (...) {
+    // As ~LogfileSink: an explicit close() reports errors.
+  }
+}
+
 std::unique_ptr<LogfileSink::File> BinaryLogfileWriter::start(
     const TraceRecord& first, const std::filesystem::path& stem) {
-  return std::make_unique<BinaryLogfile>(first, stem, stripe_records_);
+  return std::make_unique<BinaryLogfile>(first, stem, stripe_records_,
+                                         scratch_);
 }
 
 // --- reader -----------------------------------------------------------------

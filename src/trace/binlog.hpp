@@ -26,7 +26,9 @@
 //                segment), presence bitmap + raw bytes for UUID/SHA-1
 //                columns, plain u8 arrays for the enum/flag columns
 //
-// A file's records collect in its current stripe, which is encoded and
+// A file's records collect in its current stripe, held as packed rows
+// (trace/packed.hpp, about a third of a TraceRecord each) and unpacked
+// into a scratch stripe only to be encoded. The stripe is encoded and
 // appended as soon as it holds BinaryLogfileWriter::kStripeRecords
 // records. The last, partial stripe is encoded when the file is
 // finished: after the day rollover, on the writer core's finisher thread
@@ -38,9 +40,10 @@
 // covers every byte after the header.
 //
 // A late record for a finished file reopens it: the last partial stripe
-// is read back and decoded, cut off the file, and the file's dictionary
-// is cut back to the ids used before it, so the stripe is re-encoded
-// with the new record exactly as if the file had never been finished.
+// is read back, decoded and packed again, cut off the file, and the
+// file's dictionary is cut back to the ids used before it, so the stripe
+// is re-encoded with the new record exactly as if the file had never
+// been finished.
 // After a full last stripe the record simply starts a new stripe. Stripe
 // boundaries thus depend only on each file's own record order, never on
 // how records of different files interleave.
@@ -75,6 +78,7 @@
 #include "trace/logfile.hpp"
 #include "trace/record.hpp"
 #include "trace/symbols.hpp"
+#include "util/page_alloc.hpp"
 
 namespace u1 {
 
@@ -108,6 +112,8 @@ class BinaryLogfileWriter final : public LogfileSink {
   static constexpr std::size_t kStripeRecords = 8192;
 
   explicit BinaryLogfileWriter(std::filesystem::path directory);
+  /// Closes the writer while the files can still use its scratch stripes.
+  ~BinaryLogfileWriter() override;
 
   /// Records per stripe, for files started after the call. Tests shrink
   /// it to exercise multi-stripe files without bulk data.
@@ -115,11 +121,20 @@ class BinaryLogfileWriter final : public LogfileSink {
     stripe_records_ = n < 1 ? 1 : n;
   }
 
+  /// The stripes files unpack their open stripe into to encode it: one
+  /// for the appending thread (add, reopen) and one for the finisher
+  /// (finish; close() runs it too, with the finisher joined).
+  struct Scratch {
+    PageVector<TraceRecord> append;
+    PageVector<TraceRecord> finish;
+  };
+
  private:
   std::unique_ptr<File> start(const TraceRecord& first,
                               const std::filesystem::path& stem) override;
 
   std::size_t stripe_records_ = kStripeRecords;
+  Scratch scratch_;
 };
 
 /// Reads one `.u1b` logfile (and its `.u1s` sidecar), appending decoded

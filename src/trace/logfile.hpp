@@ -60,8 +60,9 @@ class LogfileSink : public TraceSink {
    public:
     virtual ~File() = default;
     /// Takes the file's next record; may write part of the file.
-    /// Returns the bytes of records or rows the file now holds in
-    /// memory, not yet written.
+    /// Returns the bytes the file now holds in memory, not yet written:
+    /// its open stripe's packed rows (`.u1b`, trace/packed.hpp) or its
+    /// CSV rows.
     virtual std::size_t add(const TraceRecord& record) = 0;
     /// Writes whatever add() left and frees the records, so the file is
     /// complete on disk. Returns its bytes on disk, sidecar included.
@@ -89,9 +90,10 @@ class LogfileSink : public TraceSink {
   /// Bytes of the files closed so far: after close(), the directory's
   /// byte total, a reopened file counted once.
   std::uint64_t bytes_written() const noexcept { return bytes_; }
-  /// The most bytes of records or rows that files not yet finished held
-  /// at once since construction; a day counts until its finisher is
-  /// joined. Counts what add() buffered, not vector slack.
+  /// The most bytes that files not yet finished held at once since
+  /// construction, as File::add reports them (packed rows or CSV rows);
+  /// a day counts until its finisher is joined. Counts what add()
+  /// buffered, not buffer slack.
   std::uint64_t buffered_bytes_max() const noexcept { return buffered_max_; }
 
  protected:

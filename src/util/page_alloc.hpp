@@ -75,32 +75,41 @@ struct PageAllocator {
 template <typename T>
 using PageVector = std::vector<T, PageAllocator<T>>;
 
-/// Hands the whole pages under v's first n elements back to the kernel
-/// while v keeps its mapping: for a buffer read front to back once and
-/// freed after, so its spent prefix stops counting before the rest is
-/// read. Their contents are gone (Linux reads them back as zero bytes),
-/// so only call it on elements nothing reads again. `released` is
-/// the byte offset earlier calls reached (start at 0); a call that would
-/// return less than kPageAllocBytes waits for a later one. No-op unless
-/// v's storage is a mapping of its own.
+/// Hands the whole pages under the first `end` bytes of a block of
+/// `capacity` bytes at `data`, allocated by a PageAllocator, back to the
+/// kernel while the block stays allocated: for a buffer read front to
+/// back once and freed after, so its spent prefix stops counting before
+/// the rest is read. Their contents are gone (Linux reads them back as
+/// zero bytes), so only call it on bytes nothing reads again. `released`
+/// is the byte offset earlier calls reached (start at 0); a call that
+/// would return less than kPageAllocBytes waits for a later one. No-op
+/// unless the block is a mapping of its own.
+inline void release_pages(void* data, std::size_t capacity, std::size_t end,
+                          std::size_t& released) noexcept {
+#ifdef U1SIM_HAVE_MMAP
+  if (!PageAllocator<unsigned char>::mapped(capacity)) return;
+  static const std::size_t page =
+      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  end = std::min(end, capacity) / page * page;
+  if (end < released + kPageAllocBytes) return;
+  ::madvise(static_cast<char*>(data) + released, end - released,
+            MADV_DONTNEED);
+  released = end;
+#else
+  (void)data;
+  (void)capacity;
+  (void)end;
+  (void)released;
+#endif
+}
+
+/// release_pages for the first n elements of v (at most its size).
 template <typename T>
 void release_prefix(PageVector<T>& v, std::size_t n,
                     std::size_t& released) noexcept {
   static_assert(std::is_trivially_copyable_v<T>);
-#ifdef U1SIM_HAVE_MMAP
-  if (!PageAllocator<T>::mapped(v.capacity())) return;
-  static const std::size_t page =
-      static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  const std::size_t end = std::min(n, v.size()) * sizeof(T) / page * page;
-  if (end < released + kPageAllocBytes) return;
-  ::madvise(reinterpret_cast<char*>(v.data()) + released, end - released,
-            MADV_DONTNEED);
-  released = end;
-#else
-  (void)v;
-  (void)n;
-  (void)released;
-#endif
+  release_pages(v.data(), v.capacity() * sizeof(T),
+                std::min(n, v.size()) * sizeof(T), released);
 }
 
 }  // namespace u1

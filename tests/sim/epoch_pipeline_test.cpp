@@ -333,6 +333,33 @@ TEST(EpochPipeline, RingFreesBootstrapAndBurstBuffers) {
   EXPECT_LE(pooled_run.ring_bytes, pooled_run.ring_bytes_max);
 }
 
+TEST(EpochPipeline, BootstrapHistoryIsHeldPacked) {
+  // A population whose bootstrap is many slices: the history is held as
+  // packed runs plus at most one open slice, well under half of its
+  // 128-byte records, and the figure depends on the config alone.
+  SimulationConfig cfg = small_config();
+  cfg.users = 3000;
+  cfg.days = 1;
+  std::uint64_t bootstrap_records = 0;
+  const auto run = [&](std::size_t threads) {
+    bootstrap_records = 0;
+    CallbackSink sink([&](const TraceRecord& r) {
+      if (r.t < 0) ++bootstrap_records;
+    });
+    ParallelSimulation sim(cfg, sink, threads);
+    sim.run();
+    return sim.phases();
+  };
+  const auto inline_run = run(1);
+  const auto pooled_run = run(4);
+  ASSERT_GT(bootstrap_records,
+            8 * ParallelSimulation::kBootstrapSliceRecords);
+  EXPECT_GT(pooled_run.bootstrap_bytes_max, 0u);
+  EXPECT_EQ(inline_run.bootstrap_bytes_max, pooled_run.bootstrap_bytes_max);
+  EXPECT_LT(pooled_run.bootstrap_bytes_max * 2,
+            bootstrap_records * sizeof(TraceRecord));
+}
+
 TEST(EpochPipeline, PhaseBreakdownCoversEveryEpoch) {
   const auto cfg = small_config();
   InMemorySink sink;

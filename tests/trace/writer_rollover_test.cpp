@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <string>
@@ -20,8 +21,8 @@
 
 #include "trace/binlog.hpp"
 #include "trace/logfile.hpp"
+#include "trace/packed.hpp"
 #include "util/csv.hpp"
-#include "util/page_alloc.hpp"
 
 namespace u1 {
 namespace {
@@ -240,35 +241,45 @@ TEST_F(WriterRollover, BytesWrittenCountReopenedFilesOnce) {
 }
 
 TEST_F(WriterRollover, BufferedBytesCountUnfinishedDays) {
-  // Three records per stripe: a file holds the records of its partial
-  // last stripe, and a day keeps counting while its finisher runs.
+  // Three records per stripe: a file holds the packed rows of its open
+  // stripe, and a day keeps counting while its finisher runs.
   BinaryLogfileWriter bin(dir_ / "bin");
   bin.set_stripe_records(3);
-  std::uint64_t i = 0;
+  std::vector<TraceRecord> r;
   const auto add = [&](std::int64_t day, std::uint64_t m) {
-    bin.append(make_record(i, day, m, 1, static_cast<std::int64_t>(i)));
-    ++i;
+    const std::uint64_t i = r.size();
+    r.push_back(make_record(i, day, m, 1, static_cast<std::int64_t>(i)));
+    bin.append(r.back());
+  };
+  // The bytes of one open stripe holding `rows`.
+  const auto held = [](std::initializer_list<TraceRecord> rows) {
+    PackedRows packed;
+    for (const TraceRecord& row : rows) packed.push_back(row);
+    return std::uint64_t{packed.bytes()};
   };
   add(0, 1);
   add(0, 1);
   add(0, 2);
-  add(0, 2);  // 4 records held
+  add(0, 2);  // 2 + 2 rows held
   add(0, 2);  // m2's full stripe is written: 2 held
-  add(0, 2);  // 3 held
-  EXPECT_EQ(bin.buffered_bytes_max(), 4 * sizeof(TraceRecord));
+  add(0, 2);  // 2 + 1 held
+  const std::uint64_t four = held({r[0], r[1]}) + held({r[2], r[3]});
+  EXPECT_EQ(bin.buffered_bytes_max(), four);
   add(1, 1);  // day 0 goes to the finisher: 3 + 1 held
   add(1, 1);  // 3 + 2 held
-  EXPECT_EQ(bin.buffered_bytes_max(), 5 * sizeof(TraceRecord));
+  const std::uint64_t five =
+      held({r[0], r[1]}) + held({r[5]}) + held({r[6], r[7]});
+  EXPECT_EQ(bin.buffered_bytes_max(), std::max(four, five));
   add(2, 1);  // day 0 is joined, day 1 goes: 2 + 1 held
   bin.close();
-  EXPECT_EQ(bin.buffered_bytes_max(), 5 * sizeof(TraceRecord));
+  EXPECT_EQ(bin.buffered_bytes_max(), std::max(four, five));
+  // A row here is a fraction of the record it packs.
+  EXPECT_LT(bin.buffered_bytes_max(), 5 * sizeof(TraceRecord) / 2);
 }
 
 TEST_F(WriterRollover, LateRecordReopensADefaultSizeStripe) {
-  // At the default stripe size a file's pending stripe is a mapping of
-  // its own, and reopen() decodes the last stripe back into it.
-  static_assert(PageAllocator<TraceRecord>::mapped(
-      BinaryLogfileWriter::kStripeRecords));
+  // At the default stripe size, reopen() decodes a file's last stripe
+  // and packs it back into the file's open stripe.
   const std::uint64_t n = BinaryLogfileWriter::kStripeRecords + 1000;
   std::vector<TraceRecord> records;
   for (std::uint64_t i = 0; i < n; ++i)  // one full stripe, then 1000
@@ -304,6 +315,43 @@ TEST_F(WriterRollover, LateRecordReopensADefaultSizeStripe) {
   ASSERT_EQ(decoded.size(), expected.size());
   for (std::size_t k = 0; k < decoded.size(); ++k)
     ASSERT_EQ(decoded[k].to_csv(), expected[k].to_csv()) << k;
+}
+
+TEST_F(WriterRollover, LateRecordsFillAReopenedDefaultSizeStripe) {
+  // A day-0 file is finished two records short of its second full
+  // stripe. Its late records reopen that stripe, fill it, which encodes
+  // it from the re-packed rows, and start a third; the bytes match the
+  // same records written in file order.
+  const std::uint64_t k = BinaryLogfileWriter::kStripeRecords;
+  std::vector<TraceRecord> records;
+  std::uint64_t i = 0;
+  for (; i < 2 * k - 2; ++i)
+    records.push_back(
+        make_record(i, 0, 1, 1, static_cast<std::int64_t>(i % 1200)));
+  records.push_back(make_record(i++, 1, 1, 1, 0));
+  records.push_back(make_record(i++, 2, 1, 1, 0));  // day 0 is finished
+  for (int late = 0; late < 5; ++late)
+    records.push_back(make_record(i++, 0, 1, 1, 1300 + late,
+                                  late == 3 ? "late" : nullptr));
+  records.push_back(make_record(i++, 2, 1, 1, 1));
+
+  for (const auto& [name, in] :
+       {std::pair{"late", records}, std::pair{"grouped",
+                                              grouped_by_file(records)}}) {
+    BinaryLogfileWriter bin(dir_ / name);
+    bin.append_batch(in.data(), in.size());
+    bin.close();
+  }
+  const auto late = dir_contents(dir_ / "late");
+  ASSERT_EQ(late.size(), 2u * 3u);
+  EXPECT_TRUE(late == dir_contents(dir_ / "grouped"));
+
+  std::vector<TraceRecord> decoded;
+  const ReadStats stats = read_binary_logfile(
+      dir_ / "late" / (records.front().logname() + ".u1b"), decoded);
+  EXPECT_EQ(stats.malformed, 0u);
+  ASSERT_EQ(decoded.size(), 2 * k + 3);
+  EXPECT_EQ(decoded.back().to_csv(), records[2 * k + 4].to_csv());
 }
 
 TEST_F(WriterRollover, DestructorWithoutCloseJoinsTheFinisher) {

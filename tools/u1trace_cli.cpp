@@ -245,6 +245,10 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   out << "# done: " << report.backend.sessions_opened << " sessions, "
       << report.backend.uploads << " uploads, " << report.backend.downloads
       << " downloads -> " << *dir << "\n";
+  // The trace buffers' high-water marks, in bytes (DESIGN.md §7, §8).
+  out << "# memory: bootstrap_bytes_max=" << sim.phases().bootstrap_bytes_max
+      << " ring_bytes_max=" << sim.phases().ring_bytes_max
+      << " buffered_bytes_max=" << writer->buffered_bytes_max() << "\n";
   return 0;
 }
 
