@@ -11,14 +11,9 @@
 
 #include "proto/wire.hpp"
 #include "trace/packed.hpp"
+#include "util/mapped_file.hpp"
 #include "util/page_alloc.hpp"
 #include "util/sim_time.hpp"
-
-#ifdef U1SIM_HAVE_MMAP
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace u1 {
 namespace {
@@ -428,76 +423,6 @@ bool decode_segment(Cursor& c, RecordType type,
   return true;
 }
 
-// --- read-side file mapping -------------------------------------------------
-
-/// Read-only view of a whole file: mmap where available (the zero-parse
-/// path — columns decode straight out of the page cache), plain read
-/// otherwise. Unmaps/frees on destruction.
-struct Mapping {
-  const std::uint8_t* data = nullptr;
-  std::size_t size = 0;
-#ifdef U1SIM_HAVE_MMAP
-  void* mapped = MAP_FAILED;
-  std::size_t mapped_len = 0;
-#endif
-  std::vector<std::uint8_t> buffer;
-
-  Mapping() = default;
-  Mapping(const Mapping&) = delete;
-  Mapping& operator=(const Mapping&) = delete;
-  ~Mapping() {
-#ifdef U1SIM_HAVE_MMAP
-    if (mapped != MAP_FAILED) ::munmap(mapped, mapped_len);
-#endif
-  }
-};
-
-bool map_file(const std::filesystem::path& path, Mapping& out) {
-#ifdef U1SIM_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st {};
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-      const auto len = static_cast<std::size_t>(st.st_size);
-      if (len == 0) {
-        ::close(fd);
-        out.data = nullptr;
-        out.size = 0;
-        return true;
-      }
-      void* p = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (p != MAP_FAILED) {
-        out.mapped = p;
-        out.mapped_len = len;
-        out.data = static_cast<const std::uint8_t*>(p);
-        out.size = len;
-        return true;
-      }
-      // fall through to the buffered path below
-    } else {
-      ::close(fd);
-      return false;
-    }
-  } else {
-    return false;
-  }
-#endif
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  in.seekg(0, std::ios::end);
-  const auto len = static_cast<std::size_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  out.buffer.resize(len);
-  if (len > 0 &&
-      !in.read(reinterpret_cast<char*>(out.buffer.data()),
-               static_cast<std::streamsize>(len)))
-    return false;
-  out.data = out.buffer.data();
-  out.size = len;
-  return true;
-}
-
 std::filesystem::path sidecar_path(const std::filesystem::path& logfile) {
   std::filesystem::path p = logfile;
   p.replace_extension(kSymbolSidecarExt);
@@ -511,19 +436,19 @@ std::filesystem::path sidecar_path(const std::filesystem::path& logfile) {
 /// the failure in `labels`.
 bool load_sidecar(const std::filesystem::path& path,
                   std::vector<std::string>& labels, ReadStats& stats) {
-  Mapping map;
-  if (!map_file(path, map)) return false;
-  stats.bytes_read += map.size;
-  if (map.size < kSidecarHeaderBytes ||
-      std::memcmp(map.data, kSymMagic.data(), kSymMagic.size()) != 0)
+  MappedFile map;
+  if (!map.open(path)) return false;
+  stats.bytes_read += map.size();
+  if (map.size() < kSidecarHeaderBytes ||
+      std::memcmp(map.data(), kSymMagic.data(), kSymMagic.size()) != 0)
     return false;
-  if (get_le32(map.data + 8) != kFormatVersion) return false;
-  const std::uint32_t count = get_le32(map.data + 12);
-  const std::uint64_t payload_bytes = get_le64(map.data + 16);
-  if (map.size - kSidecarHeaderBytes != payload_bytes) return false;
-  const std::uint8_t* payload = map.data + kSidecarHeaderBytes;
+  if (get_le32(map.data() + 8) != kFormatVersion) return false;
+  const std::uint32_t count = get_le32(map.data() + 12);
+  const std::uint64_t payload_bytes = get_le64(map.data() + 16);
+  if (map.size() - kSidecarHeaderBytes != payload_bytes) return false;
+  const std::uint8_t* payload = map.data() + kSidecarHeaderBytes;
   if (xxh64(payload, static_cast<std::size_t>(payload_bytes)) !=
-      get_le64(map.data + 24))
+      get_le64(map.data() + 24))
     return false;
   labels.clear();
   labels.reserve(std::min<std::uint64_t>(count, payload_bytes / 2));
@@ -545,6 +470,9 @@ bool decode_stripe(const std::uint8_t* begin, const std::uint8_t* end,
                    std::uint32_t count, const std::uint32_t* type_counts,
                    std::uint8_t machine, std::uint16_t process,
                    std::size_t label_count, Records& out) {
+  // Every record costs at least its type byte: a count the body cannot
+  // hold fails here, before it sizes `out`.
+  if (count > static_cast<std::size_t>(end - begin)) return false;
   const std::size_t base = out.size();
   out.resize(base + count);
   Cursor c{begin, end};
@@ -851,22 +779,22 @@ namespace {
 /// digest, then sidecar. On success `labels` holds the sidecar's strings;
 /// on failure `stats` holds the file's verdict and nothing may be decoded.
 bool open_binary_logfile(const std::filesystem::path& file,
-                         const Mapping& map, ReadStats& stats,
-                         std::vector<std::string>& labels) {
+                         std::span<const std::uint8_t> bytes,
+                         ReadStats& stats, std::vector<std::string>& labels) {
   // A file too short for a header, or with the wrong magic/version,
   // carries no trustworthy record count: it is one malformed unit.
-  if (map.size < kFileHeaderBytes ||
-      !is_binary_logfile_magic(map.data, map.size) ||
-      get_le32(map.data + 8) != kFormatVersion ||
-      get_le32(map.data + 12) != kFileHeaderBytes) {
+  if (bytes.size() < kFileHeaderBytes ||
+      !is_binary_logfile_magic(bytes.data(), bytes.size()) ||
+      get_le32(bytes.data() + 8) != kFormatVersion ||
+      get_le32(bytes.data() + 12) != kFileHeaderBytes) {
     stats.rows = 1;
     stats.malformed = 1;
     return false;
   }
-  const std::uint64_t record_count = get_le64(map.data + 24);
-  const std::uint64_t payload_declared = get_le64(map.data + 32);
-  const std::uint8_t* payload = map.data + kFileHeaderBytes;
-  const std::uint64_t payload_actual = map.size - kFileHeaderBytes;
+  const std::uint64_t record_count = get_le64(bytes.data() + 24);
+  const std::uint64_t payload_declared = get_le64(bytes.data() + 32);
+  const std::uint8_t* payload = bytes.data() + kFileHeaderBytes;
+  const std::uint64_t payload_actual = bytes.size() - kFileHeaderBytes;
   stats.rows = record_count;
 
   // Truncated tails skip checksum verification (it cannot match) and
@@ -875,7 +803,7 @@ bool open_binary_logfile(const std::filesystem::path& file,
   const bool truncated = payload_actual < payload_declared;
   if (!truncated) {
     if (xxh64(payload, static_cast<std::size_t>(payload_declared)) !=
-        get_le64(map.data + 40)) {
+        get_le64(bytes.data() + 40)) {
       stats.checksum_failures = 1;
       stats.malformed = std::max<std::uint64_t>(record_count, 1);
       stats.rows = stats.malformed;
@@ -894,36 +822,23 @@ bool open_binary_logfile(const std::filesystem::path& file,
 }  // namespace
 
 ReadStats decode_binary_logfile(const std::filesystem::path& file,
-                                std::vector<TraceRecord>& out,
-                                std::vector<std::string>& labels) {
+                                std::span<const std::uint8_t> bytes,
+                                std::vector<std::string>& labels,
+                                PageVector<TraceRecord>& scratch,
+                                const StripeFn& on_stripe) {
   ReadStats stats;
   stats.files = 1;
   stats.files_binary = 1;
+  stats.bytes_read = bytes.size();
   labels.clear();
-
-  Mapping map;
-  if (!map_file(file, map))
-    throw std::runtime_error("read_binary_logfile: cannot open " +
-                             file.string());
-  stats.bytes_read += map.size;
-
-  if (!open_binary_logfile(file, map, stats, labels)) return stats;
-  const std::uint8_t machine = map.data[16];
-  const std::uint16_t process = get_le16(map.data + 18);
-  const std::uint32_t stripe_count = get_le32(map.data + 20);
-  const std::uint64_t record_count = get_le64(map.data + 24);
-  const std::uint64_t payload_declared = get_le64(map.data + 32);
-  const std::uint8_t* payload = map.data + kFileHeaderBytes;
-  const std::uint64_t payload_actual = map.size - kFileHeaderBytes;
-
-  // The header count is not covered by the digest; every record costs at
-  // least its type byte, so the payload size bounds an honest count.
-  // Growth stays geometric for a caller appending many files.
-  const std::size_t need =
-      out.size() + static_cast<std::size_t>(
-                       std::min(record_count, payload_actual));
-  if (need > out.capacity())
-    out.reserve(std::max(need, 2 * out.capacity()));
+  if (!open_binary_logfile(file, bytes, stats, labels)) return stats;
+  const std::uint8_t machine = bytes[16];
+  const std::uint16_t process = get_le16(bytes.data() + 18);
+  const std::uint32_t stripe_count = get_le32(bytes.data() + 20);
+  const std::uint64_t record_count = get_le64(bytes.data() + 24);
+  const std::uint64_t payload_declared = get_le64(bytes.data() + 32);
+  const std::uint8_t* payload = bytes.data() + kFileHeaderBytes;
+  const std::uint64_t payload_actual = bytes.size() - kFileHeaderBytes;
 
   const std::uint8_t* p = payload;
   const std::uint8_t* end =
@@ -946,16 +861,35 @@ ReadStats decode_binary_logfile(const std::filesystem::path& file,
         stripe_bytes)
       break;  // stripe body truncated
     const std::uint8_t* body = p + kStripeHeaderBytes;
+    scratch.clear();
     if (decode_stripe(body, body + stripe_bytes, count, type_counts, machine,
-                      process, labels.size() + 1, out))
+                      process, labels.size() + 1, scratch)) {
       decoded += count;
+      on_stripe(scratch);
+    }
     p += kStripeHeaderBytes + stripe_bytes;
   }
+  scratch.clear();
 
   stats.parsed = decoded;
   stats.rows = std::max<std::uint64_t>(record_count, decoded);
   stats.malformed = stats.rows - decoded;
   return stats;
+}
+
+ReadStats decode_binary_logfile(const std::filesystem::path& file,
+                                std::vector<TraceRecord>& out,
+                                std::vector<std::string>& labels) {
+  MappedFile map;
+  if (!map.open(file))
+    throw std::runtime_error("read_binary_logfile: cannot open " +
+                             file.string());
+  PageVector<TraceRecord> scratch;
+  return decode_binary_logfile(file, map.bytes(), labels, scratch,
+                               [&out](std::span<const TraceRecord> rows) {
+                                 out.insert(out.end(), rows.begin(),
+                                            rows.end());
+                               });
 }
 
 std::vector<Symbol> intern_labels(const std::vector<std::string>& labels) {

@@ -61,16 +61,21 @@
 //
 // The reader memory-maps the file (falling back to a plain read when
 // mmap is unavailable) and decodes columns straight out of the mapping —
-// no text tokenizing, no number parsing, no per-field strings. Every
-// access is bounds-checked against the mapping; hostile inputs (bad
-// magic, truncated tails, corrupt checksums, missing sidecars) are
-// rejected with counts in ReadStats, never UB.
+// no text tokenizing, no number parsing, no per-field strings. It decodes
+// one stripe at a time: the trace reader (read_logfiles) takes each
+// stripe from a per-thread scratch of at most kStripeRecords records and
+// holds the file as packed rows, so a thread never holds a whole
+// decoded file. Every access is bounds-checked against the mapping;
+// hostile inputs (bad magic, truncated tails, corrupt checksums, missing
+// sidecars) are rejected with counts in ReadStats, never UB.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -159,6 +164,20 @@ ReadStats read_binary_logfile(const std::filesystem::path& file,
 ReadStats decode_binary_logfile(const std::filesystem::path& file,
                                 std::vector<TraceRecord>& out,
                                 std::vector<std::string>& labels);
+
+/// Takes one decoded stripe's records, labels still file-local.
+using StripeFn = std::function<void(std::span<const TraceRecord>)>;
+
+/// decode_binary_logfile over the file's bytes, already read (the
+/// sidecar is read from beside `file`), one stripe at a time: each intact
+/// stripe decodes into `scratch`, replacing what it held, and goes to
+/// `on_stripe`, in file order. The same checks, stats and labels; the
+/// records held are one stripe's, however large the file.
+ReadStats decode_binary_logfile(const std::filesystem::path& file,
+                                std::span<const std::uint8_t> bytes,
+                                std::vector<std::string>& labels,
+                                PageVector<TraceRecord>& scratch,
+                                const StripeFn& on_stripe);
 
 /// Interns a decoded file's `labels` into the global SymbolTable, in
 /// order, and returns the file's local -> global id map (element 0 is

@@ -5,11 +5,13 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <span>
 #include <stdexcept>
-#include <system_error>
 
 #include "trace/binlog.hpp"
+#include "trace/packed.hpp"
 #include "util/csv.hpp"
+#include "util/mapped_file.hpp"
 #include "util/parallel.hpp"
 #include "util/sim_time.hpp"
 
@@ -169,31 +171,21 @@ std::unique_ptr<LogfileSink::File> LogfileWriter::start(
 
 namespace {
 
-/// Records handed to the sink per append_batch call during the merge.
-constexpr std::size_t kMergeBatch = 65536;
+/// Records handed to the sink per append_batch call during the merge:
+/// one stripe's worth, 1 MiB.
+constexpr std::size_t kMergeBatch = BinaryLogfileWriter::kStripeRecords;
 
-/// True when `file` opens with the `.u1b` magic; binary logfiles are never
-/// valid CSV, so the leading bytes decide the format.
-bool sniff_binary(const std::filesystem::path& file) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in.is_open())
-    throw std::runtime_error("read_logfile: cannot open " + file.string());
-  unsigned char magic[8] = {};
-  in.read(reinterpret_cast<char*>(magic),
-          static_cast<std::streamsize>(sizeof(magic)));
-  return is_binary_logfile_magic(magic,
-                                 static_cast<std::size_t>(in.gcount()));
-}
-
-/// Parses one CSV logfile into `out` as decode_binary_logfile decodes a
+/// Parses one CSV logfile's `text` as decode_binary_logfile decodes a
 /// `.u1b`: each label is a file-local id (local id i + 1 is labels[i],
 /// numbered by first sight in row order, counting only rows that parse)
 /// and nothing is interned, so files parse on any thread. Interning
 /// `labels` in order then assigns exactly the ids a row-by-row parse
-/// into the global table would.
-ReadStats parse_csv_logfile(const std::filesystem::path& file,
-                            std::vector<TraceRecord>& out,
-                            std::vector<std::string>& labels) {
+/// into the global table would. Rows collect in `scratch` and go to
+/// `on_rows` kMergeBatch at a time, as a `.u1b` file's stripes do.
+ReadStats parse_csv_logfile(std::string_view text,
+                            std::vector<std::string>& labels,
+                            PageVector<TraceRecord>& scratch,
+                            const StripeFn& on_rows) {
   labels.clear();
   std::unordered_map<std::string, Symbol, detail::SymbolHash,
                      detail::SymbolEq>
@@ -208,16 +200,12 @@ ReadStats parse_csv_logfile(const std::filesystem::path& file,
         return id;
       };
   ReadStats stats;
-  std::ifstream in(file, std::ios::binary);
-  if (!in.is_open())
-    throw std::runtime_error("read_logfile: cannot open " + file.string());
   stats.files = 1;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(file, ec);
-  if (!ec) stats.bytes_read += size;
-  CsvReader reader(in);
+  stats.bytes_read = text.size();
+  CsvReader reader(text);
   std::vector<std::string> fields;
   bool first = true;
+  scratch.clear();
   while (reader.next(fields)) {
     if (first) {
       first = false;
@@ -227,37 +215,59 @@ ReadStats parse_csv_logfile(const std::filesystem::path& file,
     }
     ++stats.rows;
     if (auto rec = TraceRecord::from_csv(fields, local)) {
-      out.push_back(std::move(*rec));
+      scratch.push_back(std::move(*rec));
       ++stats.parsed;
+      if (scratch.size() == kMergeBatch) {
+        on_rows(scratch);
+        scratch.clear();
+      }
     } else {
       ++stats.malformed;
     }
   }
+  if (!scratch.empty()) on_rows(scratch);
+  scratch.clear();
   stats.malformed += reader.error_count();
   stats.rows += reader.error_count();
   return stats;
 }
 
-/// Decodes one logfile of either format, sniffed by its leading magic,
-/// with file-local label ids indexing `labels` (see parse_csv_logfile).
+/// Decodes one logfile of either format, with file-local label ids
+/// indexing `labels` (see parse_csv_logfile), handing its records to
+/// `on_rows` in file order, one stripe (`.u1b`) or kMergeBatch rows (CSV)
+/// at a time through `scratch`. The file is opened once: its leading
+/// bytes decide the format, since a `.u1b` magic is never valid CSV.
 ReadStats decode_logfile(const std::filesystem::path& file,
-                         std::vector<TraceRecord>& out,
-                         std::vector<std::string>& labels) {
-  if (sniff_binary(file)) return decode_binary_logfile(file, out, labels);
-  return parse_csv_logfile(file, out, labels);
+                         std::vector<std::string>& labels,
+                         PageVector<TraceRecord>& scratch,
+                         const StripeFn& on_rows) {
+  MappedFile bytes;
+  if (!bytes.open(file))
+    throw std::runtime_error("read_logfile: cannot open " + file.string());
+  if (is_binary_logfile_magic(bytes.data(), bytes.size()))
+    return decode_binary_logfile(file, bytes.bytes(), labels, scratch,
+                                 on_rows);
+  return parse_csv_logfile(
+      std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                       bytes.size()),
+      labels, scratch, on_rows);
 }
 
-/// One logfile on its way through read_logfiles: its records in
-/// timestamp order, and the merge's cursor into them.
+/// One logfile on its way through read_logfiles: its records as packed
+/// rows in timestamp order, and the merge's cursor into them.
 struct LogfileRun {
   std::filesystem::path path;
   std::int64_t day = 0;  // the trace day its name ends in
-  std::vector<TraceRecord> records;  // in t order, from t = 0 on
+  PackedRows rows;  // from t = 0 on, in t order, in a buffer of their size
   // The strings the records' file-local label ids index, and (once
   // interned) the map from those ids to global ones.
   std::vector<std::string> labels;
   std::vector<Symbol> local_to_global;
-  std::size_t next = 0;  // first record the merge has not delivered
+  // The merge's cursor: `head` is the next record it delivers and
+  // `left` counts the rows it has not, head included.
+  PackedReader reader;
+  TraceRecord head;
+  std::size_t left = 0;
   ReadStats stats;
   std::exception_ptr error;
 };
@@ -266,67 +276,122 @@ bool earlier(const TraceRecord& a, const TraceRecord& b) noexcept {
   return a.t < b.t;
 }
 
-/// The day LogfileSink files a record under: pre-window records (t < 0)
-/// go to day 0.
-std::int64_t day_of(const TraceRecord& r) noexcept {
-  return r.t < 0 ? 0 : r.t / kDay;
-}
+/// The day LogfileSink files a record at `t` under: pre-window records
+/// (t < 0) go to day 0.
+std::int64_t day_of(SimTime t) noexcept { return t < 0 ? 0 : t / kDay; }
 
-/// Puts a parsed or decoded run in timestamp order and skips its
-/// pre-window records. Throws, naming the file, if a record lies outside
-/// the day the file is named for: the day-by-day merge relies on it.
-void order_run(LogfileRun& run) {
-  if (!std::is_sorted(run.records.begin(), run.records.end(), earlier))
-    std::stable_sort(run.records.begin(), run.records.end(), earlier);
-  if (!run.records.empty()) {
-    for (const TraceRecord* r : {&run.records.front(), &run.records.back()})
-      if (day_of(*r) != run.day)
-        throw std::runtime_error(
-            "read_logfiles: " + run.path.string() +
-            " holds a record of trace day " + std::to_string(day_of(*r)) +
-            " but is named for day " + std::to_string(run.day));
+/// What a decode thread reuses from file to file: the stripe it decodes
+/// into, and the rows it packs a file into before they move to the run.
+struct DecodeScratch {
+  PageVector<TraceRecord> stripe;
+  PackedRows rows;
+};
+
+/// Packs one file's records as the decoder hands them over, a stripe at
+/// a time, into `rows` and, once the file is done, into its run in a
+/// buffer of their size. Pre-trace bootstrap records (t < 0) are not
+/// part of the trace window: they are dropped as they pass, counted as
+/// malformed, whichever format the file holds. (Raw per-file access —
+/// read_logfile, `u1trace convert` — still delivers every record.) They
+/// are most of an epoch-day file, so they never reach memory whole.
+/// A file is written in t order unless a late record reached it
+/// (DESIGN.md §8): from the first row that breaks t order, the file's
+/// rows are held unpacked, and finish() stable-sorts and packs them.
+class RunPacker {
+ public:
+  RunPacker(LogfileRun& run, PackedRows& rows) : run_(run), rows_(rows) {
+    rows_.clear();
   }
-  // Pre-trace bootstrap records (t < 0) are not part of the trace
-  // window: skip them here, counted as malformed, whichever format the
-  // file holds. (Raw per-file access — read_logfile, `u1trace convert`
-  // — still delivers every record.) Sorted, they lead the run; they are
-  // most of an epoch-day file, so their memory goes right away rather
-  // than when the merge drains the file.
-  const auto window = std::partition_point(
-      run.records.begin(), run.records.end(),
-      [](const TraceRecord& r) { return r.t < 0; });
-  const auto dropped =
-      static_cast<std::uint64_t>(window - run.records.begin());
-  if (dropped > 0)
-    run.records = std::vector<TraceRecord>(window, run.records.end());
-  run.stats.parsed -= dropped;
-  run.stats.malformed += dropped;
-}
 
-/// Decodes and orders every run, either format — with file-local label
-/// ids, so nothing is interned — on hardware_concurrency() threads, the
-/// caller's included; with one hardware thread none is started. A
-/// failure stays with its run.
-void decode_runs(std::vector<LogfileRun>& runs) {
-  parallel_for(runs.size(), [&runs](std::size_t i) {
-    LogfileRun& run = runs[i];
-    try {
-      run.stats = decode_logfile(run.path, run.records, run.labels);
-      order_run(run);
-    } catch (...) {
-      run.error = std::current_exception();
+  void add(std::span<const TraceRecord> records) {
+    for (const TraceRecord& r : records) {
+      lo_ = std::min(lo_, r.t);
+      hi_ = std::max(hi_, r.t);
+      if (r.t < 0) {
+        ++dropped_;
+      } else if (late_.empty() && (rows_.rows() == 0 || r.t >= last_t_)) {
+        rows_.push_back(r);
+        last_t_ = r.t;
+      } else {
+        if (late_.empty()) unpack_rows();
+        late_.push_back(r);
+      }
     }
-  });
+  }
+
+  /// Orders and fits the run once the decode has set its stats. Throws,
+  /// naming the file, if a record lies outside the day the file is named
+  /// for: the day-by-day merge relies on it. The earliest record is
+  /// checked first, then the latest, as a sorted file's front and back.
+  void finish() {
+    if (lo_ <= hi_)
+      for (const SimTime t : {lo_, hi_})
+        if (day_of(t) != run_.day)
+          throw std::runtime_error(
+              "read_logfiles: " + run_.path.string() +
+              " holds a record of trace day " + std::to_string(day_of(t)) +
+              " but is named for day " + std::to_string(run_.day));
+    if (!late_.empty()) {
+      std::stable_sort(late_.begin(), late_.end(), earlier);
+      for (const TraceRecord& r : late_) rows_.push_back(r);
+    }
+    run_.rows = rows_.fitted();
+    rows_.clear();
+    run_.stats.parsed -= dropped_;
+    run_.stats.malformed += dropped_;
+  }
+
+ private:
+  /// Moves the rows packed so far into late_.
+  void unpack_rows() {
+    late_.resize(rows_.rows());
+    PackedReader reader{rows_.data()};
+    for (TraceRecord& r : late_) reader.next(r);
+    rows_.clear();
+  }
+
+  LogfileRun& run_;
+  PackedRows& rows_;
+  std::vector<TraceRecord> late_;  // every in-window row, once one is late
+  SimTime last_t_ = 0;  // of the last row packed
+  SimTime lo_ = std::numeric_limits<SimTime>::max();  // every row's t,
+  SimTime hi_ = std::numeric_limits<SimTime>::min();  // dropped ones too
+  std::uint64_t dropped_ = 0;
+};
+
+/// Decodes, orders and packs every run, either format — with file-local
+/// label ids, so nothing is interned — on up to hardware_concurrency()
+/// threads, the caller's included, each with a scratch of its own; with
+/// one hardware thread none is started. A failure stays with its run.
+void decode_runs(std::vector<LogfileRun>& runs,
+                 std::vector<DecodeScratch>& scratch) {
+  parallel_for_with(
+      scratch, runs.size(), [&runs](std::size_t i, DecodeScratch& own) {
+        LogfileRun& run = runs[i];
+        try {
+          RunPacker packer(run, own.rows);
+          run.stats = decode_logfile(
+              run.path, run.labels, own.stripe,
+              [&packer](std::span<const TraceRecord> rows) {
+                packer.add(rows);
+              });
+          packer.finish();
+        } catch (...) {
+          run.error = std::current_exception();
+        }
+      });
 }
 
 /// K-way merge of one day's prepared runs into `sink`, in batches of
 /// kMergeBatch (the last one flushed when the day ends), labels
-/// rewritten to global ids on the way.
+/// rewritten to global ids on the way. Each run's rows are read front to
+/// back through its PackedReader.
 /// Keys are (t, run index): equal timestamps go to the earlier file name
 /// and, within a file, keep file order — exactly the order one stable
-/// sort of the name-ordered concatenation gives. Each run's memory is
-/// released as soon as the merge has drained it.
-void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
+/// sort of the name-ordered concatenation gives. A run hands back the
+/// pages the merge has read past, and its buffer once drained.
+void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink,
+                std::vector<TraceRecord>& batch) {
   struct Head {
     SimTime t;
     std::size_t run;
@@ -339,16 +404,18 @@ void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     LogfileRun& run = runs[i];
-    if (run.next < run.records.size()) {
-      heap.push_back(Head{run.records[run.next].t, i});
-      total += run.records.size() - run.next;
-    } else {
-      std::vector<TraceRecord>().swap(run.records);
+    run.left = run.rows.rows();
+    if (run.left == 0) {
+      run.rows.free();
+      continue;
     }
+    run.reader = PackedReader{run.rows.data()};
+    run.reader.next(run.head);
+    heap.push_back(Head{run.head.t, i});
+    total += run.left;
   }
   std::make_heap(heap.begin(), heap.end(), later);
 
-  std::vector<TraceRecord> batch;
   batch.reserve(std::min(total, kMergeBatch));
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), later);
@@ -357,23 +424,27 @@ void merge_runs(std::vector<LogfileRun>& runs, TraceSink& sink) {
     LogfileRun& run = runs[head.run];
     // Drain this run for as long as it stays ahead of every other run.
     do {
-      batch.push_back(run.records[run.next++]);
+      batch.push_back(run.head);
       batch.back().label = run.local_to_global[batch.back().label];
       if (batch.size() == kMergeBatch) {
         sink.append_batch(batch.data(), batch.size());
         batch.clear();
       }
-      if (run.next == run.records.size()) break;
-      head.t = run.records[run.next].t;
+      if (--run.left == 0) break;
+      run.reader.next(run.head);
+      head.t = run.head.t;
     } while (heap.empty() || later(heap.front(), head));
-    if (run.next < run.records.size()) {
+    if (run.left > 0) {
       heap.push_back(head);
       std::push_heap(heap.begin(), heap.end(), later);
+      run.rows.release_prefix(
+          static_cast<std::size_t>(run.reader.p - run.rows.data()));
     } else {
-      std::vector<TraceRecord>().swap(run.records);
+      run.rows.free();
     }
   }
   if (!batch.empty()) sink.append_batch(batch.data(), batch.size());
+  batch.clear();
 }
 
 }  // namespace
@@ -382,7 +453,12 @@ ReadStats read_logfile(const std::filesystem::path& file,
                        std::vector<TraceRecord>& out) {
   const std::size_t base = out.size();
   std::vector<std::string> labels;
-  const ReadStats stats = decode_logfile(file, out, labels);
+  PageVector<TraceRecord> scratch;
+  const ReadStats stats =
+      decode_logfile(file, labels, scratch,
+                     [&out](std::span<const TraceRecord> rows) {
+                       out.insert(out.end(), rows.begin(), rows.end());
+                     });
   const std::vector<Symbol> local_to_global = intern_labels(labels);
   for (std::size_t i = base; i < out.size(); ++i)
     out[i].label = local_to_global[out[i].label];
@@ -421,7 +497,7 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
                         TraceSink& sink) {
   // Every record of a day has a smaller t than every record of a later
   // day (LogfileSink files each record under its own day, t < 0 under day
-  // 0, and order_run checks it), so merging day after day delivers
+  // 0, and RunPacker checks it), so merging day after day delivers
   // exactly what one merge of every file would.
   std::vector<std::vector<LogfileRun>> days;
   for (LogfileEntry& entry : list_logfiles(directory)) {
@@ -431,29 +507,44 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
     run.path = std::move(entry.path);
     run.day = entry.day;
   }
+  // The records and packed bytes a day's runs hold.
+  struct Held {
+    std::uint64_t records = 0;
+    std::uint64_t bytes = 0;
+  };
   const auto held = [](const std::vector<LogfileRun>& runs) {
-    std::uint64_t n = 0;
-    for (const LogfileRun& run : runs) n += run.records.size();
+    Held n;
+    for (const LogfileRun& run : runs) {
+      n.records += run.rows.rows();
+      n.bytes += run.rows.bytes();
+    }
     return n;
   };
   ReadStats stats;
-  std::uint64_t merged_held = 0;  // the records of the day merged last
-  // Declared after `days`, so an exception joins the decode before the
-  // runs it writes are destroyed.
+  Held merged_held;  // what the day merged last held
+  // Reused day after day: one day decodes at a time.
+  std::vector<DecodeScratch> scratch(parallel_threads());
+  std::vector<TraceRecord> batch;
+  // Declared after `days` and `scratch`, so an exception joins the
+  // decode before what it writes is destroyed.
   std::future<void> decoding;
   for (std::size_t d = 0; d < days.size(); ++d) {
     std::vector<LogfileRun>& runs = days[d];
     if (d == 0)
-      decode_runs(runs);
+      decode_runs(runs, scratch);
     else
       decoding.get();
     if (d + 1 < days.size())
       decoding = std::async(std::launch::async,
-                            [&next = days[d + 1]] { decode_runs(next); });
+                            [&next = days[d + 1], &scratch] {
+                              decode_runs(next, scratch);
+                            });
     // Day d was decoded while day d-1 merged.
-    const std::uint64_t day_held = held(runs);
-    stats.records_held_max =
-        std::max(stats.records_held_max, merged_held + day_held);
+    const Held day_held = held(runs);
+    stats.records_held_max = std::max(
+        stats.records_held_max, merged_held.records + day_held.records);
+    stats.held_bytes_max =
+        std::max(stats.held_bytes_max, merged_held.bytes + day_held.bytes);
     // Serial pass, in name order: interning each file's labels in its
     // first-sight order is all that assigns global symbol ids, so the
     // ids come out as one file-after-file read in (day, name) order would
@@ -465,7 +556,7 @@ ReadStats read_logfiles(const std::filesystem::path& directory,
       stats.add(run.stats);
     }
     merged_held = day_held;
-    merge_runs(runs, sink);
+    merge_runs(runs, sink, batch);
     std::vector<LogfileRun>().swap(runs);
   }
   return stats;

@@ -161,8 +161,11 @@ struct ReadStats {
   std::uint64_t bytes_read = 0;        // on-disk bytes, both formats
   std::uint64_t checksum_failures = 0; // binary files failing their digest
   // read_logfiles: the most decoded, undelivered records held at once,
-  // counting a day from its decode until its merge ends (0 per file).
+  // counting a day from its decode until its merge ends (0 per file),
+  // and, counted at the same moments, the most bytes the packed rows
+  // holding them took.
   std::uint64_t records_held_max = 0;
+  std::uint64_t held_bytes_max = 0;
 
   void add(const ReadStats& other) noexcept {
     rows += other.rows;
@@ -173,6 +176,7 @@ struct ReadStats {
     bytes_read += other.bytes_read;
     checksum_failures += other.checksum_failures;
     records_held_max = std::max(records_held_max, other.records_held_max);
+    held_bytes_max = std::max(held_bytes_max, other.held_bytes_max);
   }
 };
 
@@ -198,7 +202,14 @@ std::vector<LogfileEntry> list_logfiles(const std::filesystem::path& directory);
 /// The read goes one day at a time, in list_logfiles order: while day d
 /// merges, day d+1's files, CSV and binary alike, decode on
 /// hardware_concurrency() threads in the background, so at most two days
-/// of records are held.
+/// of records are held. They are held as packed rows (trace/packed.hpp,
+/// about a third of a TraceRecord each), one buffer of their exact size
+/// per file: each thread decodes a file one stripe at a time into a
+/// scratch of at most BinaryLogfileWriter::kStripeRecords records and
+/// packs the stripe's in-window rows, so a file's pre-window rows never
+/// reach memory whole. Only a file whose rows break t order (late
+/// records) is held unpacked until it is sorted. The sink gets batches of
+/// at most kStripeRecords records.
 /// The sink is only ever called from the calling thread. New labels get
 /// global symbol ids in the order a file-after-file read in (day, name)
 /// order would give them, whatever the thread count. A file holding a

@@ -81,7 +81,7 @@ void get_bytes(const std::uint8_t*& p,
 }  // namespace
 
 void PackedRows::reserve(std::size_t bytes) {
-  bytes = std::max(bytes, kMaxPackedRow);
+  bytes = std::max(bytes, bytes_ + kMaxPackedRow);
   if (bytes <= capacity_) return;
   std::uint8_t* grown = PageAllocator<std::uint8_t>().allocate(bytes);
   if (bytes_ > 0) std::memcpy(grown, data_, bytes_);
@@ -178,6 +178,17 @@ const std::uint8_t* unpack_record(const std::uint8_t* in, SimTime prev_t,
   if (mask & bit(kParent)) get_bytes(p, r.parent.bytes);
   if (mask & bit(kContent)) get_bytes(p, r.content.bytes);
   return p;
+}
+
+PackedRows PackedRows::fitted() const {
+  PackedRows out;
+  if (bytes_ == 0) return out;
+  out.data_ = PageAllocator<std::uint8_t>().allocate(bytes_);
+  std::memcpy(out.data_, data_, bytes_);
+  out.capacity_ = out.bytes_ = bytes_;
+  out.rows_ = rows_;
+  out.last_t_ = last_t_;
+  return out;
 }
 
 }  // namespace u1

@@ -1,8 +1,10 @@
 // Packed trace rows: a lossless variable-length byte form of TraceRecord
 // for records a process holds in memory between producing and writing
-// them — the engine's bootstrap history (sim/parallel.cpp) and the
-// `.u1b` writer's open stripes (trace/binlog.cpp). A 128-byte record
-// whose optional fields are mostly empty packs to about 40 bytes.
+// or delivering them — the engine's bootstrap history
+// (sim/parallel.cpp), the `.u1b` writer's open stripes
+// (trace/binlog.cpp) and the trace reader's decoded days
+// (trace/logfile.cpp). A 128-byte record whose optional fields are
+// mostly empty packs to about 40 bytes.
 //
 // Row layout (varint = LEB128):
 //
@@ -57,7 +59,8 @@ class PackedRows {
   }
   ~PackedRows() { deallocate(); }
 
-  /// Makes room for `bytes` bytes of rows.
+  /// Makes room for `bytes` bytes of rows, and for one more row after
+  /// those already held.
   void reserve(std::size_t bytes);
   void push_back(const TraceRecord& r) {
     if (capacity_ - bytes_ < kMaxPackedRow) reserve(2 * capacity_);
@@ -66,6 +69,8 @@ class PackedRows {
     last_t_ = r.t;
     ++rows_;
   }
+  /// A copy of the rows in a buffer of exactly bytes() bytes.
+  PackedRows fitted() const;
   /// Drops the rows, keeping the buffer.
   void clear() noexcept {
     bytes_ = rows_ = released_ = 0;

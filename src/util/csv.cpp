@@ -1,6 +1,5 @@
 #include "util/csv.hpp"
 
-#include <istream>
 #include <ostream>
 
 namespace u1 {
@@ -83,9 +82,12 @@ bool parse_csv_line(std::string_view line, char delim,
 }
 
 bool CsvReader::next(std::vector<std::string>& fields) {
-  std::string line;
-  while (std::getline(*in_, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  while (!text_.empty()) {
+    const std::size_t nl = text_.find('\n');
+    std::string_view line = text_.substr(0, nl);
+    text_.remove_prefix(nl == std::string_view::npos ? text_.size()
+                                                      : nl + 1);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     ++rows_;
     if (parse_csv_line(line, delim_, fields)) return true;
     ++errors_;

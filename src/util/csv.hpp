@@ -36,11 +36,12 @@ void write_csv_row(std::string& out, const std::vector<std::string>& fields,
 bool parse_csv_line(std::string_view line, char delim,
                     std::vector<std::string>& fields);
 
-/// Streaming CSV reader over an istream.
+/// Streaming CSV reader over text in memory (a mapped logfile), which
+/// must outlive it. Rows are lines, split as std::getline splits them.
 class CsvReader {
  public:
-  explicit CsvReader(std::istream& in, char delim = ',')
-      : in_(&in), delim_(delim) {}
+  explicit CsvReader(std::string_view text, char delim = ',')
+      : text_(text), delim_(delim) {}
 
   /// Reads the next row; returns false at end of stream. Malformed rows
   /// increment error_count() and are skipped.
@@ -50,7 +51,7 @@ class CsvReader {
   std::uint64_t row_count() const noexcept { return rows_; }
 
  private:
-  std::istream* in_;
+  std::string_view text_;  // what is left to read
   char delim_;
   std::uint64_t errors_ = 0;
   std::uint64_t rows_ = 0;

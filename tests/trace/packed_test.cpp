@@ -223,6 +223,26 @@ TEST(PackedRows, ConcatenatedRunsDecodeAsOneSequence) {
   EXPECT_EQ(bytes_of(moved), bytes_of(pack_all(second)));
 }
 
+TEST(PackedRows, FittedCopyHoldsTheSameRowsAndTakesMore) {
+  // A fitted copy reads back as the original and keeps growing from
+  // its last row, also when it holds fewer bytes than the largest row.
+  Rng rng(7);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2000}}) {
+    std::vector<TraceRecord> records;
+    for (std::size_t i = 0; i < n; ++i) records.push_back(random_record(rng));
+    const PackedRows rows = pack_all(records);
+    PackedRows fitted = rows.fitted();
+    EXPECT_EQ(bytes_of(fitted), bytes_of(rows));
+    EXPECT_EQ(fitted.rows(), n);
+    expect_unpacks_to(fitted, records);
+    TraceRecord worst = random_record(rng);
+    worst.t = std::numeric_limits<SimTime>::min();
+    fitted.push_back(worst);
+    records.push_back(worst);
+    expect_unpacks_to(fitted, records);
+  }
+}
+
 TEST(PackedRows, DefaultRecordPacksToThreeBytes) {
   // The head byte, an empty field mask and a zero t delta.
   PackedRows rows;

@@ -297,7 +297,83 @@ TEST_F(ReadMergeTest, LargeReadArrivesInSeveralBatches) {
   ASSERT_GE(got.batches.size(), 3u);
   for (const std::size_t b : got.batches) {
     EXPECT_GT(b, 0u);
-    EXPECT_LE(b, 65536u);
+    EXPECT_LE(b, BinaryLogfileWriter::kStripeRecords);
+  }
+}
+
+TEST_F(ReadMergeTest, StripesStraddlingTheWindowStartDropOnlyPreWindowRows) {
+  // Files written in t order, as the engine writes them: each day-0 file
+  // opens with a run of pre-window rows whose end falls inside a stripe
+  // (stripes of 64 records), then in-window rows over several stripes.
+  std::vector<TraceRecord> records;
+  std::uint64_t i = 0;
+  for (SimTime t = -kDay; t < 2 * kDay; t += 37 * kSecond, ++i)
+    records.push_back(make_record(t, 1 + i % 2, 1 + i % 3, i));
+  const auto prewindow = static_cast<std::uint64_t>(std::count_if(
+      records.begin(), records.end(),
+      [](const TraceRecord& r) { return r.t < 0; }));
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(std::string(to_string(format)));
+    fs::remove_all(dir_);
+    write(records, format, /*stripe_records=*/64);
+    const BatchSink got = expect_equivalent(dir_);
+    ASSERT_EQ(got.records.size(), records.size() - prewindow);
+    BatchSink again;
+    const ReadStats stats = read_logfiles(dir_, again);
+    EXPECT_EQ(stats.malformed, prewindow);
+    EXPECT_EQ(stats.parsed, records.size() - prewindow);
+  }
+}
+
+TEST_F(ReadMergeTest, LateRecordInALaterStripeSortsTheWholeFile) {
+  // One file of 10000 records in t order but for one late record in
+  // its ninth thousand: past the first 8192-row stripe (CSV) or many
+  // 64-record stripes (.u1b), so it arrives after rows were packed.
+  // Pre-window rows lead the file and must still be dropped.
+  std::vector<TraceRecord> records;
+  for (std::uint64_t i = 0; i < 10000; ++i)
+    records.push_back(make_record(
+        (static_cast<SimTime>(i) - 500) * kSecond, 1, 1, i));
+  records[9000].t = 700 * kSecond;  // behind the rows around it
+  records[9001].t = records[9002].t;  // a tie with the row after it
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(std::string(to_string(format)));
+    fs::remove_all(dir_);
+    write(records, format, /*stripe_records=*/64);
+    ASSERT_EQ(files_with(format == TraceFormat::kCsv ? ".csv" : ".u1b")
+                  .size(),
+              1u);
+    const BatchSink got = expect_equivalent(dir_);
+    ASSERT_EQ(got.records.size(), 10000u - 500u);
+    EXPECT_TRUE(std::is_sorted(
+        got.records.begin(), got.records.end(),
+        [](const TraceRecord& a, const TraceRecord& b) { return a.t < b.t; }));
+  }
+}
+
+TEST_F(ReadMergeTest, HeldBytesAreAtMostHalfTheRecordsHeld) {
+  // The days are held as packed rows: the bytes they take stay under
+  // half of what the same records take as TraceRecords, and the record
+  // count is the one the day pipeline always reported (days 0 and 1
+  // together).
+  std::vector<TraceRecord> records;
+  const std::size_t per_day[] = {3000, 20, 2400};
+  std::uint64_t i = 0;
+  for (SimTime day = 0; day < 3; ++day)
+    for (std::size_t k = 0; k < per_day[day]; ++k, ++i)
+      records.push_back(
+          make_record(day * kDay + static_cast<SimTime>(i % 5000) * kSecond,
+                      1 + i % 3, 1 + i % 4, i));
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(std::string(to_string(format)));
+    fs::remove_all(dir_);
+    write(records, format);
+    BatchSink got;
+    const ReadStats stats = read_logfiles(dir_, got);
+    EXPECT_EQ(stats.records_held_max, per_day[0] + per_day[1]);
+    EXPECT_GT(stats.held_bytes_max, 0u);
+    EXPECT_LE(stats.held_bytes_max,
+              stats.records_held_max * sizeof(TraceRecord) / 2);
   }
 }
 

@@ -91,8 +91,7 @@ TEST(CsvRoundTrip, WriterOutputParsesBack) {
 }
 
 TEST(CsvReader, ReadsRowsAndCountsErrors) {
-  std::istringstream in("a,b\n\"bad\nx,y\r\n");
-  CsvReader r(in);
+  CsvReader r("a,b\n\"bad\nx,y\r\n");
   std::vector<std::string> f;
   ASSERT_TRUE(r.next(f));
   EXPECT_EQ(f[0], "a");
@@ -104,6 +103,32 @@ TEST(CsvReader, ReadsRowsAndCountsErrors) {
   EXPECT_FALSE(r.next(f));
   EXPECT_EQ(r.error_count(), 1u);
   EXPECT_EQ(r.row_count(), 3u);
+}
+
+TEST(CsvReader, SplitsLinesAsGetlineDoes) {
+  // CRLF endings, an empty line, a malformed row, a last line with or
+  // without its newline: the rows, errors and row count are those of
+  // std::getline over the same text.
+  for (const std::string text :
+       {"a,b\n\"bad\nx,y\r\n\n\"q,1\",2", "t_us\n1,2\n", "", "\n", "z"}) {
+    std::vector<std::vector<std::string>> want;
+    std::uint64_t want_rows = 0, want_errors = 0;
+    std::istringstream in(text);
+    std::vector<std::string> fields;
+    for (std::string line; std::getline(in, line); ++want_rows) {
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (parse_csv_line(line, ',', fields))
+        want.push_back(fields);
+      else
+        ++want_errors;
+    }
+    CsvReader r{std::string_view{text}};
+    std::vector<std::vector<std::string>> got;
+    while (r.next(fields)) got.push_back(fields);
+    EXPECT_EQ(got, want) << text;
+    EXPECT_EQ(r.error_count(), want_errors) << text;
+    EXPECT_EQ(r.row_count(), want_rows) << text;
+  }
 }
 
 }  // namespace

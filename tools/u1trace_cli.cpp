@@ -44,6 +44,9 @@ ReadStats read_into(const std::string& dir, TraceSink& sink,
       << stats.bytes_read << " bytes, " << stats.malformed
       << " malformed rows, " << stats.checksum_failures
       << " checksum failures)\n";
+  // The decoded days' high-water marks (DESIGN.md §8).
+  out << "# memory: records_held_max=" << stats.records_held_max
+      << " held_bytes_max=" << stats.held_bytes_max << "\n";
   return stats;
 }
 
